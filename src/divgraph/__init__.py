@@ -15,7 +15,6 @@ from .connectivity import (
     is_quasi_atomic,
     prime_witness_check_zxq,
     quotient_of_atomics,
-    subgroup_membership,
     weak_components,
 )
 from .elements import Element
@@ -23,12 +22,10 @@ from .errors import DivGraphError
 from .graph import (
     DivGraph,
     FactorizationReport,
-    PathReport,
     build_graph,
     classify,
     cover_edge,
     interval,
-    paths_from,
     sink_artifacts,
     sinks,
     topological_order,
@@ -75,7 +72,6 @@ __all__ = [
     "FactorizationReport",
     "FinitePoset",
     "NumericalMonoidModel",
-    "PathReport",
     "RunConfig",
     "Status",
     "SubgroupDescriptor",
@@ -98,14 +94,12 @@ __all__ = [
     "is_quasi_atomic",
     "load_config",
     "parse_config",
-    "paths_from",
     "poset_to_space",
     "prime_witness_check_zxq",
     "quotient_of_atomics",
     "sink_artifacts",
     "sinks",
     "space_to_poset",
-    "subgroup_membership",
     "topological_order",
     "vec",
     "weak_components",

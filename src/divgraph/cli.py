@@ -8,6 +8,7 @@ stderr so stdout stays byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -17,7 +18,6 @@ from .errors import DivGraphError
 from .graph import build_graph
 from .reports import (
     atomicity_report,
-    chain_connected_report,
     classify_report,
     components_report,
     crosscheck_graph,
@@ -40,16 +40,13 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="run configuration file")
         sp.add_argument("--out", help="directory to write the report into")
         sp.add_argument(
-            "--json", action="store_true", help="print the JSON report (default)"
-        )
-        sp.add_argument(
             "--assert",
             dest="assert_mode",
             action="store_true",
             help="exit nonzero if any verdict in the report is Fails",
         )
         sp.add_argument(
-            "--bound", type=int, help="override the search/length bound"
+            "--bound", type=int, help="override the search bound"
         )
         sp.add_argument(
             "--dot", action="store_true", help="also emit a Graphviz .dot file"
@@ -84,39 +81,37 @@ def _run(args) -> int:
     cfg = load_config(args.config)
     model, spec = cfg.build()
     window = model.enumerate_window(spec)
-    length_cap = args.bound or cfg.length_cap
     search_bound = args.bound or cfg.search_bound
+    # built on first use: topology and atomicity never read the graph
+    graph = functools.cache(lambda: build_graph(model, window))
 
-    graph = build_graph(model, window)
     if args.command == "graph":
-        report = graph_report(graph)
+        report = graph_report(graph())
     elif args.command == "classify":
-        report = classify_report(graph, length_cap)
+        report = classify_report(graph())
     elif args.command == "components":
-        report = components_report(graph)
+        report = components_report(graph())
     elif args.command == "topology":
-        report = topology_report(model, window)
-        if args.pair:
-            report["chain_connected_pair"] = chain_connected_report(
-                model, window, args.pair[0], args.pair[1]
-            )
+        report = topology_report(model, window, args.pair)
     elif args.command == "atomicity":
         report = atomicity_report(model, window, search_bound)
     elif args.command == "check":
-        report = crosscheck_graph(graph, oracle_bound=max(search_bound, 24))
+        report = crosscheck_graph(graph(), oracle_bound=max(search_bound, 24))
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(args.command)
 
     text = to_json(report)
+    # rendered before anything is written, so a failing build prints nothing
+    dot = dot_export(graph()) if args.dot else None
     sys.stdout.write(text)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"{args.command}.json").write_text(text)
-        if args.dot:
-            (out_dir / "graph.dot").write_text(dot_export(graph))
-    elif args.dot:
-        sys.stdout.write(dot_export(graph))
+        if dot is not None:
+            (out_dir / "graph.dot").write_text(dot)
+    elif dot is not None:
+        sys.stdout.write(dot)
 
     if args.assert_mode and _has_fails(report):
         return 1

@@ -11,8 +11,8 @@ Grammar (one directive per line, `#` starts a comment):
                                 coefficients; exact rationals like 1/2 allowed
     atom C0 [C1 ...]            declared irreducible polynomial (zxq only)
 
-`bound length_cap N` and `bound search_bound N` configure the classifier and
-the certificate searches rather than the window itself.
+`bound search_bound N` configures the certificate searches and the oracle
+rather than the window itself; `--bound` on the command line overrides it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import ParseError
 from .models import build_model
 from .models.base import DivisibilityModel, WindowSpec
 
-DEFAULT_LENGTH_CAP = 64
 DEFAULT_SEARCH_BOUND = 8
 
 
@@ -37,10 +36,6 @@ class RunConfig:
     flags: dict = field(default_factory=dict)
     elements: tuple[tuple[Fraction, ...], ...] = ()
     declared_atoms: tuple[tuple[Fraction, ...], ...] = ()
-
-    @property
-    def length_cap(self) -> int:
-        return self.bounds.get("length_cap", DEFAULT_LENGTH_CAP)
 
     @property
     def search_bound(self) -> int:
@@ -58,7 +53,7 @@ class RunConfig:
         window_bounds = {
             k: v
             for k, v in self.bounds.items()
-            if k not in ("length_cap", "search_bound", "degree_cap")
+            if k not in ("search_bound", "degree_cap")
         }
         if self.elements:
             window_bounds["elements"] = self.elements

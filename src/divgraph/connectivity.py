@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 
 from .elements import Element
 from .errors import ModelMismatch
-from .graph import DivGraph
+from .graph import DivGraph, partition
 from .lattices import SubgroupDescriptor
 from .models.base import DivisibilityModel
 from .models.zxq import ZxQModel
@@ -21,21 +21,10 @@ from .verdicts import Verdict, fails, holds, inconclusive
 def weak_components(graph: DivGraph) -> list[tuple[str, ...]]:
     """Partition of the vertex labels under undirected reachability, each
     component sorted, components ordered by smallest label."""
-    parent = {v.label: v.label for v in graph.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in graph.edges:
-        parent[find(a.label)] = find(b.label)
-    groups: dict[str, list[str]] = {}
-    for v in graph.vertices:
-        groups.setdefault(find(v.label), []).append(v.label)
-    comps = [tuple(sorted(g)) for g in groups.values()]
-    return sorted(comps, key=lambda c: c[0])
+    groups = partition(
+        [v.label for v in graph.vertices], ((a.label, b.label) for a, b in graph.edges)
+    )
+    return sorted((tuple(sorted(g)) for g in groups), key=lambda c: c[0])
 
 
 def component_map(graph: DivGraph) -> dict[str, str]:
@@ -48,10 +37,6 @@ def component_map(graph: DivGraph) -> dict[str, str]:
 def atom_subgroup(model: DivisibilityModel) -> SubgroupDescriptor:
     values = model.atom_conn_values()
     return SubgroupDescriptor(model.ambient, tuple(values), no_atoms=not values)
-
-
-def subgroup_membership(desc: SubgroupDescriptor, g: Vec) -> tuple[bool, list[int] | None]:
-    return desc.membership(g)
 
 
 def component_label(model: DivisibilityModel, a: Element) -> str:
@@ -76,9 +61,7 @@ class Certificate:
         }
 
 
-def quotient_of_atomics(
-    model: DivisibilityModel, a: Element, b: Element, search_bound: int = 16
-) -> Verdict:
+def quotient_of_atomics(model: DivisibilityModel, a: Element, b: Element) -> Verdict:
     """Can a/b be written as a quotient of two atom products?  Holds with a
     Certificate, Fails when the value argument refutes existence, otherwise
     Inconclusive."""
@@ -173,7 +156,7 @@ def _search_atom_multiplier(model, e: Element, bound: int):
     return None
 
 
-def is_quasi_atomic(model: DivisibilityModel, window, search_bound: int = 8) -> Verdict:
+def is_quasi_atomic(model: DivisibilityModel, window) -> Verdict:
     """Per-element search for an integral multiplier making the product
     atomic; models may certify impossibility outright."""
     elems = sorted(set(window), key=lambda e: e.label)
@@ -195,7 +178,7 @@ def is_quasi_atomic(model: DivisibilityModel, window, search_bound: int = 8) -> 
         hit = next(
             (
                 cand.label
-                for cand in elems[: search_bound * len(elems)]
+                for cand in elems
                 if model.is_atomic_element(model.multiply(e, cand))
             ),
             None,
@@ -205,7 +188,7 @@ def is_quasi_atomic(model: DivisibilityModel, window, search_bound: int = 8) -> 
         else:
             unresolved.append(e.label)
     if unresolved:
-        return inconclusive({"unresolved": unresolved, "search_bound": search_bound})
+        return inconclusive({"unresolved": unresolved})
     return holds({"certificates": certificates})
 
 

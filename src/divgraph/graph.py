@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import graphlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .elements import Element
 from .models.base import DivisibilityModel
 from .verdicts import Status, Verdict, fails, holds, inconclusive
-
-TERMINAL_ATOM_SINK = "AtomSink"
-TERMINAL_DEAD_END = "NonAtomDeadEnd"
-TERMINAL_BOUNDARY = "WindowBoundary"
-TERMINAL_LENGTH_CAP = "LengthCap"
 
 PROPERTIES = ("Atomic", "ACCP", "BFD", "FFD", "HFD")
 
@@ -30,35 +26,20 @@ class DivGraph:
     edges: tuple[tuple[Element, Element], ...]
     boundary: frozenset[str]  # labels of vertices with successors outside
 
-    @property
+    @cached_property
     def successors(self) -> dict[str, tuple[Element, ...]]:
+        # edges are sorted by (source, target), so each tuple is in label order
         out: dict[str, list[Element]] = {v.label: [] for v in self.vertices}
         for a, b in self.edges:
             out[a.label].append(b)
-        return {k: tuple(sorted(v, key=lambda e: e.label)) for k, v in out.items()}
+        return {k: tuple(v) for k, v in out.items()}
 
-    @property
-    def in_degree(self) -> dict[str, int]:
-        deg = {v.label: 0 for v in self.vertices}
-        for _, b in self.edges:
-            deg[b.label] += 1
-        return deg
+    @cached_property
+    def _by_label(self) -> dict[str, Element]:
+        return {v.label: v for v in self.vertices}
 
     def by_label(self, label: str) -> Element:
-        for v in self.vertices:
-            if v.label == label:
-                return v
-        raise KeyError(label)
-
-
-@dataclass(frozen=True)
-class PathReport:
-    source: Element
-    # each path is (vertex labels, terminal kind); zero-edge paths included
-    paths: tuple[tuple[tuple[str, ...], str], ...]
-
-    def terminal_kinds(self) -> frozenset[str]:
-        return frozenset(kind for _, kind in self.paths)
+        return self._by_label[label]
 
 
 @dataclass(frozen=True)
@@ -110,6 +91,25 @@ def topological_order(graph: DivGraph) -> list[str]:
     return list(ts.static_order())
 
 
+def partition(points, pairs) -> list[list]:
+    """Classes of the equivalence on points generated by pairs (union-find),
+    each class in points order, classes in order of their first member."""
+    parent = {x: x for x in points}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        parent[find(x)] = find(y)
+    groups: dict = {}
+    for x in points:
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
 def _sink_analysis(graph: DivGraph) -> tuple[set[Element], list[str]]:
     model = graph.model
     succ = graph.successors
@@ -146,37 +146,6 @@ def interval(model: DivisibilityModel, a: Element, b: Element, universe) -> set[
     return {x for x in universe if preceq(a, x) and preceq(x, b)}
 
 
-def paths_from(graph: DivGraph, a: Element, length_cap: int) -> PathReport:
-    if a not in graph.vertices:
-        raise KeyError(f"{a.label!r} is not a vertex of this graph")
-    succ = graph.successors
-    boundary = graph.boundary
-    model = graph.model
-    paths: list[tuple[tuple[str, ...], str]] = []
-
-    def walk(trail: list[Element]):
-        v = trail[-1]
-        outs = succ[v.label]
-        labels = tuple(e.label for e in trail)
-        if v.label in boundary:
-            # the model can extend this path outside the window
-            paths.append((labels, TERMINAL_BOUNDARY))
-        if not outs:
-            if model.is_atom(v):
-                paths.append((labels, TERMINAL_ATOM_SINK))
-            elif v.label not in boundary:
-                paths.append((labels, TERMINAL_DEAD_END))
-            return
-        if len(trail) - 1 >= length_cap:
-            paths.append((labels, TERMINAL_LENGTH_CAP))
-            return
-        for w in outs:
-            walk(trail + [w])
-
-    walk([a])
-    return PathReport(a, tuple(sorted(paths)))
-
-
 @dataclass(frozen=True)
 class _VertexInfo:
     factorizations: frozenset[tuple[str, ...]]  # complete atom multisets
@@ -192,9 +161,8 @@ def window_analysis(graph: DivGraph) -> dict[str, _VertexInfo]:
     boundary = graph.boundary
     order = topological_order(graph)  # also asserts acyclicity
     info: dict[str, _VertexInfo] = {}
-    elems = {v.label: v for v in graph.vertices}
     for label in order:
-        v = elems[label]
+        v = graph._by_label[label]
         outs = succ[label]
         if not outs:
             if model.is_atom(v):
@@ -217,7 +185,7 @@ def window_analysis(graph: DivGraph) -> dict[str, _VertexInfo]:
     return info
 
 
-def classify(model: DivisibilityModel, graph: DivGraph, length_cap: int = 64) -> FactorizationReport:
+def classify(model: DivisibilityModel, graph: DivGraph) -> FactorizationReport:
     info = window_analysis(graph)
     lengths = {
         l: tuple(sorted({len(f) for f in i.factorizations})) for l, i in info.items()

@@ -10,7 +10,6 @@ import json
 
 from .connectivity import (
     atom_subgroup,
-    component_label,
     component_map,
     is_almost_atomic,
     is_quasi_atomic,
@@ -74,8 +73,8 @@ def graph_report(graph: DivGraph) -> dict:
     }
 
 
-def classify_report(graph: DivGraph, length_cap: int = 64) -> dict:
-    report = classify(graph.model, graph, length_cap)
+def classify_report(graph: DivGraph) -> dict:
+    report = classify(graph.model, graph)
     out = report.to_jsonable()
     out["model"] = graph.model.id
     out["vertex_count"] = len(graph.vertices)
@@ -92,18 +91,20 @@ def components_report(graph: DivGraph) -> dict:
         "components": [list(c) for c in comps],
         "atom_subgroup": desc.to_jsonable(),
         "coset_labels": {
-            v.label: component_label(model, v) for v in graph.vertices
+            v.label: desc.coset_label(model.conn_value(v)) for v in graph.vertices
         },
     }
 
 
-def topology_report(model: DivisibilityModel, window) -> dict:
+def topology_report(model: DivisibilityModel, window, pair=None) -> dict:
+    """The Alexandrov-space report; with pair = (a, b) it also answers
+    whether a and b are chain connected."""
     poset = window_poset(model, window)
     poset.check_axioms()
     space = poset_to_space(poset)
     space.check_basis()
     comps = connected_components_topology(space)
-    return {
+    report = {
         "model": model.id,
         "points": list(poset.elements),
         "strict_relation_size": sum(1 for a, b in poset.relation if a != b),
@@ -111,6 +112,14 @@ def topology_report(model: DivisibilityModel, window) -> dict:
         "min_open": {x: sorted(space.min_open[x]) for x in space.points},
         "components": [sorted(c) for c in comps],
     }
+    if pair:
+        a, b = pair
+        report["chain_connected_pair"] = {
+            "model": model.id,
+            "pair": [a, b],
+            "chain_connected": chain_connected(space, a, b),
+        }
+    return report
 
 
 def atomicity_report(model: DivisibilityModel, window, search_bound: int = 8) -> dict:
@@ -118,7 +127,7 @@ def atomicity_report(model: DivisibilityModel, window, search_bound: int = 8) ->
         "model": model.id,
         "window_size": len(set(window)),
         "AlmostAtomic": is_almost_atomic(model, window, search_bound).to_jsonable(),
-        "QuasiAtomic": is_quasi_atomic(model, window, search_bound).to_jsonable(),
+        "QuasiAtomic": is_quasi_atomic(model, window).to_jsonable(),
     }
 
 
@@ -174,8 +183,10 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = 12) -> dict:
 
     # window components must refine the coset partition; on divisor-closed
     # windows the two partitions coincide
-    cosets = {v.label: component_label(model, v) for v in graph.vertices}
-    for comp in weak_components(graph):
+    desc = atom_subgroup(model)
+    cosets = {v.label: desc.coset_label(model.conn_value(v)) for v in graph.vertices}
+    comps = weak_components(graph)
+    for comp in comps:
         labels = {cosets[x] for x in comp}
         if len(labels) > 1:
             disagreements.append(
@@ -186,7 +197,7 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = 12) -> dict:
                 }
             )
 
-    reps = [graph.by_label(c[0]) for c in weak_components(graph)]
+    reps = [graph.by_label(c[0]) for c in comps]
     for rep in reps:
         for v in graph.vertices:
             verdict = quotient_of_atomics(model, v, rep)
@@ -207,13 +218,4 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = 12) -> dict:
         "vertex_count": len(graph.vertices),
         "disagreements": disagreements,
         "ok": not disagreements,
-    }
-
-
-def chain_connected_report(model: DivisibilityModel, window, a_label: str, b_label: str) -> dict:
-    space = poset_to_space(window_poset(model, window))
-    return {
-        "model": model.id,
-        "pair": [a_label, b_label],
-        "chain_connected": chain_connected(space, a_label, b_label),
     }

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotT0
+from .graph import partition
 from .models.base import DivisibilityModel
 
 
@@ -93,36 +94,13 @@ def chain_connected(s: AlexandrovSpace, a, b) -> bool:
     consecutive minimal opens links a to b."""
     if a not in s.min_open or b not in s.min_open:
         raise KeyError("both endpoints must be points of the space")
-    frontier = [a]
-    reached = {a}
-    while frontier:
-        x = frontier.pop()
-        if x == b:
-            return True
-        for y in s.points:
-            if y not in reached and s.min_open[x] & s.min_open[y]:
-                reached.add(y)
-                frontier.append(y)
-    return b in reached
+    return any(a in c and b in c for c in connected_components_topology(s))
 
 
 def connected_components_topology(s: AlexandrovSpace) -> list[frozenset]:
     """Partition of the points under the chain-connectedness equivalence,
-    deterministically ordered by smallest member."""
-    parent = {x: x for x in s.points}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pts = list(s.points)
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            if s.min_open[x] & s.min_open[y]:
-                parent[find(x)] = find(y)
-    groups: dict = {}
-    for x in s.points:
-        groups.setdefault(find(x), set()).add(x)
-    return sorted((frozenset(g) for g in groups.values()), key=lambda g: min(map(str, g)))
+    deterministically ordered by smallest member.  Since x lies in U_x,
+    U_x and U_y meet exactly when both contain some z, so linking each x to
+    the points of U_x generates the same equivalence as the pairwise test."""
+    groups = partition(s.points, ((x, y) for x in s.points for y in s.min_open[x]))
+    return sorted((frozenset(g) for g in groups), key=lambda g: min(map(str, g)))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from divgraph import cli
 from divgraph.config import parse_config
 from divgraph.errors import ParseError, UnknownModelKind
 from divgraph.graph import DivGraph, build_graph
@@ -32,14 +33,14 @@ class TestParser:
             kind numerical-monoid
             generator 2 3
             bound max_value 12   # trailing comment
-            bound length_cap 9
+            bound search_bound 9
             flag include_fractional false
             """
         )
         assert cfg.kind == "numerical-monoid"
         assert cfg.generators == (2, 3)
         assert cfg.bounds["max_value"] == 12
-        assert cfg.length_cap == 9
+        assert cfg.search_bound == 9
         model, spec = cfg.build()
         assert model.id == "numerical-monoid<2,3>"
         assert spec.bounds == {"max_value": 12}
@@ -123,6 +124,29 @@ class TestCLI:
         )
         report = json.loads(r.stdout)
         assert report["chain_connected_pair"]["chain_connected"] is False
+
+    def test_graph_built_only_when_read(self, monkeypatch, capsys):
+        cfg = str(CONFIG_DIR / "zxq_orders.cfg")
+
+        def refuse(model, window):
+            raise AssertionError("build_graph called by a report that never reads it")
+
+        monkeypatch.setattr(cli, "build_graph", refuse)
+        for command in ("topology", "atomicity"):
+            assert cli.main([command, "--config", cfg]) == 0
+            json.loads(capsys.readouterr().out)
+
+        builds = []
+
+        def counting(model, window):
+            builds.append(window)
+            return build_graph(model, window)
+
+        monkeypatch.setattr(cli, "build_graph", counting)
+        assert cli.main(["topology", "--config", cfg, "--dot"]) == 0
+        out = capsys.readouterr().out
+        assert '"x" -> "(1/2)x";' in out
+        assert len(builds) == 1
 
     def test_check_all_bundled_configs_clean(self):
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):

@@ -5,17 +5,14 @@ from fractions import Fraction
 import pytest
 
 from divgraph.graph import (
-    TERMINAL_ATOM_SINK,
-    TERMINAL_BOUNDARY,
-    TERMINAL_DEAD_END,
     build_graph,
     classify,
     cover_edge,
     interval,
-    paths_from,
     sink_artifacts,
     sinks,
     topological_order,
+    window_analysis,
 )
 from divgraph.models import (
     AntimatterModel,
@@ -52,11 +49,11 @@ class TestDVRChain:
         assert sink_artifacts(self.g) == []
 
     def test_paths_terminate_at_atom(self):
-        top = self.g.by_label("pi^10")
-        report = paths_from(self.g, top, length_cap=20)
-        assert report.terminal_kinds() == {TERMINAL_ATOM_SINK}
-        (labels, _), = report.paths
-        assert len(labels) == 10  # pi^10 down to pi
+        info = window_analysis(self.g)["pi^10"]
+        # one path, pi^10 down to pi, spelling ten factors of pi
+        assert info.factorizations == {("pi",) * 10}
+        assert not info.escapes
+        assert not info.dead
 
     def test_all_five_hold(self):
         report = classify(self.m, self.g)
@@ -78,8 +75,10 @@ class TestAntimatterGraph:
 
     def test_dead_end_paths(self):
         v = self.g.vertices[0]
-        report = paths_from(self.g, v, length_cap=5)
-        assert report.terminal_kinds() == {TERMINAL_DEAD_END}
+        info = window_analysis(self.g)[v.label]
+        assert info.dead
+        assert not info.escapes
+        assert info.factorizations == frozenset()
 
     def test_atomic_fails(self):
         report = classify(self.m, self.g)
@@ -150,9 +149,7 @@ class TestZxQGraph:
             assert label not in self.g.boundary
 
     def test_paths_escape_from_positive_order(self):
-        x = self.g.by_label("x")
-        report = paths_from(self.g, x, length_cap=10)
-        assert TERMINAL_BOUNDARY in report.terminal_kinds()
+        assert window_analysis(self.g)["x"].escapes
 
     def test_classification(self):
         report = classify(self.m, self.g)

@@ -12,6 +12,7 @@ from divgraph.models import D2Model, DVRModel, NumericalMonoidModel
 from divgraph.models.base import WindowSpec
 from divgraph.topology import (
     FinitePoset,
+    chain_connected,
     connected_components_topology,
     is_T0,
     poset_to_space,
@@ -81,6 +82,21 @@ def test_topology_components_match_comparability_graph(p):
     for x in p.elements:
         ref.setdefault(find(x), set()).add(x)
     assert {frozenset(c) for c in comps} == {frozenset(g) for g in ref.values()}
+    # reference: closure of the literal definition, U_x and U_y intersect
+    pairwise = {x: {x} for x in s.points}
+    changed = True
+    while changed:
+        changed = False
+        for x in s.points:
+            for y in s.points:
+                if s.min_open[x] & s.min_open[y] and not pairwise[y] <= pairwise[x]:
+                    pairwise[x] |= pairwise[y]
+                    changed = True
+    assert {frozenset(g) for g in pairwise.values()} == {frozenset(c) for c in comps}
+    comp_of = {x: c for c in comps for x in c}
+    for x in s.points:
+        for y in s.points:
+            assert chain_connected(s, x, y) == (comp_of[x] is comp_of[y])
 
 
 # -- subgroups ---------------------------------------------------------------
