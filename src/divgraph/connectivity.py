@@ -12,7 +12,6 @@ from .graph import DivGraph, partition
 from .lattices import SubgroupDescriptor
 from .models.base import DivisibilityModel
 from .models.zxq import ZxQModel
-from .values import Vec
 from .verdicts import Verdict, fails, holds, inconclusive
 
 
@@ -65,8 +64,15 @@ def quotient_of_atomics(model: DivisibilityModel, a: Element, b: Element) -> Ver
     """Can a/b be written as a quotient of two atom products?  Holds with a
     Certificate, Fails when the value argument refutes existence, otherwise
     Inconclusive."""
+    return _quotient_of_atomics(model, atom_subgroup(model), a, b)
+
+
+def _quotient_of_atomics(
+    model: DivisibilityModel, desc: SubgroupDescriptor, a: Element, b: Element
+) -> Verdict:
+    """quotient_of_atomics against the model's atom subgroup `desc`, for
+    callers that ask about many pairs of one model."""
     model.check_owned(a, b)
-    desc = atom_subgroup(model)
     diff = model.conn_value(a) - model.conn_value(b)
     ok, coeffs = desc.membership(diff)
     if not ok:
@@ -90,7 +96,7 @@ def quotient_of_atomics(model: DivisibilityModel, a: Element, b: Element) -> Ver
     den: list[Element] = []
     for c, atom in zip(coeffs, atoms):
         (num if c > 0 else den).extend([atom] * abs(c))
-    check = Vec((0,) * model.ambient.dim)
+    check = model.ambient.zero()
     for e in num:
         check = check + model.conn_value(e)
     for e in den:

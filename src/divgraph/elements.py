@@ -22,6 +22,3 @@ class Element:
 
     def __str__(self) -> str:
         return self.label
-
-    def sort_key(self):
-        return self.label

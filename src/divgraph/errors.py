@@ -14,7 +14,8 @@ class UndecidableWithoutBound(DivGraphError):
 
 
 class DegreeCapExceeded(UndecidableWithoutBound):
-    """Irreducibility of a polynomial above the configured degree cap is unknown."""
+    """Irreducibility of a polynomial is unknown: its degree is above the
+    configured cap, or it has a factor the rational-root test cannot decide."""
 
 
 class EmptyWindow(DivGraphError):

@@ -16,8 +16,6 @@ from .elements import Element
 from .models.base import DivisibilityModel
 from .verdicts import Status, Verdict, fails, holds, inconclusive
 
-PROPERTIES = ("Atomic", "ACCP", "BFD", "FFD", "HFD")
-
 
 @dataclass(frozen=True)
 class DivGraph:
@@ -195,32 +193,14 @@ def classify(model: DivisibilityModel, graph: DivGraph) -> FactorizationReport:
     open_ = sorted(l for l, i in info.items() if i.escapes)
     verdicts: dict[str, Verdict] = {}
 
-    # Atomic
-    if model.value_faithful:
-        witnesses = sorted(
-            v.label for v in graph.vertices if not model.is_atomic_element(v)
-        )
-        if witnesses:
-            verdicts["Atomic"] = fails({"non_atomic": witnesses}, "analytic")
-        else:
-            verdicts["Atomic"] = holds(
-                {"atomic_elements": len(graph.vertices)}, "analytic"
-            )
+    # Atomic is decided per vertex by the model, not from the paths
+    witnesses = sorted(
+        v.label for v in graph.vertices if not model.is_atomic_element(v)
+    )
+    if witnesses:
+        verdicts["Atomic"] = fails({"non_atomic": witnesses}, "analytic")
     else:
-        no_fac_closed = sorted(
-            l for l, i in info.items() if not i.factorizations and not i.escapes
-        )
-        no_fac_open = sorted(
-            l for l, i in info.items() if not i.factorizations and i.escapes
-        )
-        if no_fac_closed:
-            verdicts["Atomic"] = fails({"non_atomic": no_fac_closed})
-        elif no_fac_open:
-            verdicts["Atomic"] = inconclusive(
-                {"unresolved": no_fac_open, "reason": "paths escape the window"}
-            )
-        else:
-            verdicts["Atomic"] = holds({"atomic_elements": len(graph.vertices)})
+        verdicts["Atomic"] = holds({"atomic_elements": len(graph.vertices)}, "analytic")
 
     def termination_verdict(extra_holds_evidence):
         if dead:

@@ -43,8 +43,6 @@ class FactorSearch:
 class DivisibilityModel(abc.ABC):
     id: str
     ambient: Ambient
-    antimatter: bool = False
-    value_faithful: bool = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -66,10 +64,6 @@ class DivisibilityModel(abc.ABC):
         return out
 
     # -- core operations -----------------------------------------------------
-
-    @abc.abstractmethod
-    def unit(self) -> Element:
-        """The identity class (quotient output only; never a window vertex)."""
 
     @abc.abstractmethod
     def is_unit(self, a: Element) -> bool: ...
@@ -182,10 +176,4 @@ class DivisibilityModel(abc.ABC):
 
     def quasi_obstruction(self, window: Iterable[Element]) -> dict | None:
         """Model-level reason why no multiplier can work, or None."""
-        if self.antimatter:
-            witness = min(window, key=lambda e: e.label, default=None)
-            return {
-                "reason": "no atoms exist, so no product can become a product of atoms",
-                "witness": witness.label if witness else None,
-            }
         return None

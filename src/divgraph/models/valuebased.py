@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import abc
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from ..elements import Element
@@ -20,18 +21,14 @@ UNIT_LABEL = "1"
 
 
 class ValueModel(DivisibilityModel):
-    """Base for models with value-decided divisibility (value_faithful)."""
-
-    value_faithful = True
+    """Base for models with value-decided divisibility; an element is an atom
+    exactly when it is one of `atoms()`."""
 
     # -- subclass hooks -----------------------------------------------------
 
     @abc.abstractmethod
     def contains_value(self, v: Vec) -> bool:
         """Membership of v in the value monoid (the zero value included)."""
-
-    @abc.abstractmethod
-    def is_atom_value(self, v: Vec) -> bool: ...
 
     @abc.abstractmethod
     def is_atomic_value(self, v: Vec) -> bool: ...
@@ -46,9 +43,6 @@ class ValueModel(DivisibilityModel):
         if v.is_zero:
             return Element(self.id, UNIT_LABEL, v)
         return Element(self.id, self.label_for(v), v)
-
-    def unit(self) -> Element:
-        return self.element(self.ambient.zero())
 
     def is_unit(self, a: Element) -> bool:
         self.check_owned(a)
@@ -66,9 +60,15 @@ class ValueModel(DivisibilityModel):
         self.check_owned(a, b)
         return self.element(a.value + b.value)
 
+    @cached_property
+    def _atom_labels(self) -> frozenset[str]:
+        # labels are canonical per value, so label equality is value equality;
+        # a str caches its hash where a Vec hashes its Fraction on every call
+        return frozenset(p.label for p in self.atoms())
+
     def is_atom(self, a: Element) -> bool:
         self.check_owned(a)
-        return self.is_atom_value(a.value)
+        return a.label in self._atom_labels
 
     def is_atomic_element(self, a: Element) -> bool:
         self.check_owned(a)
@@ -112,9 +112,6 @@ class DVRModel(ValueModel):
     def contains_value(self, v: Vec) -> bool:
         return v.rat == 0 and v.ints[0] >= 0
 
-    def is_atom_value(self, v: Vec) -> bool:
-        return v.rat == 0 and v.ints[0] == 1
-
     def is_atomic_value(self, v: Vec) -> bool:
         return v.rat == 0 and v.ints[0] >= 1
 
@@ -141,13 +138,9 @@ class AntimatterModel(ValueModel):
 
     id = "antimatter"
     ambient = Ambient(0, with_rat=True)
-    antimatter = True
 
     def contains_value(self, v: Vec) -> bool:
         return v.rat >= 0
-
-    def is_atom_value(self, v: Vec) -> bool:
-        return False
 
     def is_atomic_value(self, v: Vec) -> bool:
         return False
@@ -160,6 +153,13 @@ class AntimatterModel(ValueModel):
 
     def atoms(self) -> tuple[Element, ...]:
         return ()
+
+    def quasi_obstruction(self, window: Iterable[Element]) -> dict | None:
+        witness = min(window, key=lambda e: e.label, default=None)
+        return {
+            "reason": "no atoms exist, so no product can become a product of atoms",
+            "witness": witness.label if witness else None,
+        }
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
         max_value, max_den = self.require_positive(spec.bounds, "max_value", "max_den")
@@ -199,12 +199,6 @@ class NumericalMonoidModel(ValueModel):
     def contains_value(self, v: Vec) -> bool:
         return v.rat == 0 and self._member(v.ints[0])
 
-    def is_atom_value(self, v: Vec) -> bool:
-        n = v.ints[0]
-        if v.rat != 0 or n <= 0 or not self._member(n):
-            return False
-        return not any(self._member(h) and self._member(n - h) for h in range(1, n))
-
     def is_atomic_value(self, v: Vec) -> bool:
         # every nonzero monoid element is a sum of atoms
         return v.rat == 0 and v.ints[0] > 0 and self._member(v.ints[0])
@@ -213,7 +207,12 @@ class NumericalMonoidModel(ValueModel):
         return str(v.ints[0])
 
     def atoms(self) -> tuple[Element, ...]:
-        out = [self.element(Vec((g,))) for g in self.generators if self.is_atom_value(Vec((g,)))]
+        # the minimal generators: those that are not a sum of two nonzero members
+        out = [
+            self.element(Vec((g,)))
+            for g in self.generators
+            if not any(self._member(h) and self._member(g - h) for h in range(1, g))
+        ]
         return tuple(sorted(out, key=lambda e: e.label))
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
@@ -279,9 +278,6 @@ class D1Model(_TwoGeneratorValuationModel):
             return a >= 0
         return True
 
-    def is_atom_value(self, v: Vec) -> bool:
-        return v.ints[0] == 1 and v.rat == 0
-
     def is_atomic_value(self, v: Vec) -> bool:
         return v.rat == 0 and v.ints[0] >= 1
 
@@ -328,9 +324,6 @@ class D2Model(_TwoGeneratorValuationModel):
         if k <= 1:
             return j >= 0
         return True
-
-    def is_atom_value(self, v: Vec) -> bool:
-        return v.rat == 0 and tuple(v.ints) in ((1, 0), (0, 1))
 
     def is_atomic_value(self, v: Vec) -> bool:
         k, j = v.ints

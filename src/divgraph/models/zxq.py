@@ -6,6 +6,9 @@ units are +-1, so a class is a sign-normalised reduced fraction).  The atoms
 are the integer primes and the Q-irreducible polynomials with constant term
 +-1; irreducibility is tested up to a configurable degree cap (rational-root
 test for degrees 2-3) with an escape hatch for declared higher-degree atoms.
+The rational-root test cannot decide a factor of degree >= 4 without a
+rational root, so `is_atom` raises DegreeCapExceeded on such a polynomial
+(also below the cap) unless it is declared an atom.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from ..errors import DegreeCapExceeded, EmptyWindow, InvalidBounds
 from ..polynomials import ONE, QPoly, RationalFunction, factor_monic
 from ..values import Ambient, Vec
 from .base import DivisibilityModel, FactorSearch, Factorization, WindowSpec
-
-_PROBE_PRIMES = (2, 3, 5)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -39,7 +40,6 @@ def _prime_factors(n: int) -> list[int]:
 class ZxQModel(DivisibilityModel):
     id = "zxq"
     ambient = Ambient(1)  # connectivity sees only the order at x = 0
-    value_faithful = True
 
     def __init__(self, degree_cap: int = 3, declared_atoms: Iterable[QPoly] = ()):
         if degree_cap < 1:
@@ -57,9 +57,6 @@ class ZxQModel(DivisibilityModel):
 
     def from_coeffs(self, coeffs: Iterable[Fraction]) -> Element:
         return self.element_of(RationalFunction.from_poly(QPoly.of(*coeffs)))
-
-    def unit(self) -> Element:
-        return self.element_of(RationalFunction.from_poly(ONE))
 
     def is_unit(self, a: Element) -> bool:
         self.check_owned(a)
@@ -100,7 +97,12 @@ class ZxQModel(DivisibilityModel):
             return True
         if p.degree <= self.degree_cap:
             factors = factor_monic(p.monic(), self.degree_cap)
-            return factors is not None and len(factors) == 1
+            if factors is not None:
+                return len(factors) == 1
+            raise DegreeCapExceeded(
+                f"the rational-root test cannot decide a factor of degree >= 4 of "
+                f"{rf.label()!r}; declare it with `atom` if it is irreducible"
+            )
         raise DegreeCapExceeded(
             f"irreducibility of degree-{p.degree} polynomial {rf.label()!r} exceeds the cap "
             f"({self.degree_cap}); declare it as an atom if it is one"
@@ -115,39 +117,18 @@ class ZxQModel(DivisibilityModel):
         # the atom set is infinite; consumers that need it are overridden below
         return ()
 
+    def _prime(self, p: int) -> Element:
+        return self.element_of(RationalFunction.from_poly(QPoly.const(p)))
+
     def _atomize_order_zero(self, rf: RationalFunction) -> list[Element] | None:
         """Atoms whose product is the given order-0 integral class, or None
         when a factor above the degree cap resists factorisation."""
-        p = rf.to_poly()
-        assert rf.in_domain() and p.order == 0
-        atoms: list[Element] = []
-        if p.degree >= 1:
-            factors = factor_monic(p.monic(), self.degree_cap)
-            if factors is None:
-                return None
-            for f in [f for f in factors if f.degree >= 1]:
-                scaled = f.scale(1 / f.constant)  # constant term 1: an atom form
-                atoms.append(self.element_of(RationalFunction.from_poly(scaled)))
-        for prime in _prime_factors(int(p.constant)):
-            atoms.append(self.element_of(RationalFunction.from_poly(QPoly.const(prime))))
-        return atoms
-
-    def atom_divisors(self, a: Element) -> tuple[Element, ...]:
-        self.check_owned(a)
-        rf = a.symbolic
-        if not rf.in_domain() or rf.is_unit_class:
-            return ()
-        if rf.order >= 1:
-            # every integer prime divides; report a finite probe set
-            return tuple(
-                self.element_of(RationalFunction.from_poly(QPoly.const(p)))
-                for p in _PROBE_PRIMES
-            )
-        atoms = self._atomize_order_zero(rf)
-        if atoms is None:
-            return ()
-        uniq = {e.label: e for e in atoms}
-        return tuple(sorted(uniq.values(), key=lambda e: e.label))
+        assert rf.in_domain() and rf.order == 0
+        split = self._poly_atoms_and_constant(rf.num)
+        if split is None:
+            return None
+        atoms, const = split
+        return atoms + [self._prime(p) for p in _prime_factors(int(rf.c * const))]
 
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
         self.check_owned(a)
@@ -214,7 +195,7 @@ class ZxQModel(DivisibilityModel):
         return (Vec((0,)),)
 
     def certificate_atoms(self) -> tuple[Element, ...]:
-        return (self.from_coeffs((2,)),)
+        return (self._prime(2),)
 
     def _poly_atoms_and_constant(
         self, monic: QPoly
@@ -249,9 +230,8 @@ class ZxQModel(DivisibilityModel):
         up, num_const = up_split
         down, den_const = down_split
         const = r.c * num_const / den_const
-        prime = lambda p: self.element_of(RationalFunction.from_poly(QPoly.const(p)))
-        up += [prime(p) for p in _prime_factors(const.numerator)]
-        down += [prime(p) for p in _prime_factors(const.denominator)]
+        up += [self._prime(p) for p in _prime_factors(const.numerator)]
+        down += [self._prime(p) for p in _prime_factors(const.denominator)]
         # soundness: the certificate must reproduce the quotient class
         acc = RationalFunction.from_poly(ONE)
         for e in up:

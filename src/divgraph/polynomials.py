@@ -121,16 +121,10 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def shift_down(self, k: int) -> "QPoly":
-        """Divide by x^k (requires order >= k)."""
-        assert self.order >= k
-        return QPoly(_norm(self.coeffs[k:]))
-
     def __str__(self) -> str:
         return poly_str(self)
 
 
-X = QPoly.of(0, 1)
 ONE = QPoly.of(1)
 
 

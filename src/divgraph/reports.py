@@ -9,11 +9,10 @@ from __future__ import annotations
 import json
 
 from .connectivity import (
+    _quotient_of_atomics,
     atom_subgroup,
-    component_map,
     is_almost_atomic,
     is_quasi_atomic,
-    quotient_of_atomics,
     weak_components,
 )
 from .errors import WindowTooLarge
@@ -168,7 +167,8 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = 12) -> dict:
                 }
             )
 
-    cmap = component_map(graph)
+    comps = weak_components(graph)
+    cmap = {label: comp[0] for comp in comps for label in comp}
     space = poset_to_space(window_poset(model, graph.vertices))
     topo = connected_components_topology(space)
     topo_map = {x: min(c) for c in topo for x in c}
@@ -185,7 +185,6 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = 12) -> dict:
     # windows the two partitions coincide
     desc = atom_subgroup(model)
     cosets = {v.label: desc.coset_label(model.conn_value(v)) for v in graph.vertices}
-    comps = weak_components(graph)
     for comp in comps:
         labels = {cosets[x] for x in comp}
         if len(labels) > 1:
@@ -200,7 +199,7 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = 12) -> dict:
     reps = [graph.by_label(c[0]) for c in comps]
     for rep in reps:
         for v in graph.vertices:
-            verdict = quotient_of_atomics(model, v, rep)
+            verdict = _quotient_of_atomics(model, desc, v, rep)
             same = cosets[v.label] == cosets[rep.label]
             if verdict.status is Status.INCONCLUSIVE:
                 continue

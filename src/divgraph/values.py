@@ -54,9 +54,6 @@ class Vec:
     def is_zero(self) -> bool:
         return self.rat == 0 and all(a == 0 for a in self.ints)
 
-    def sort_key(self):
-        return (self.ints, self.rat)
-
     def __str__(self) -> str:
         parts = [str(a) for a in self.ints]
         if self.rat != 0 or not parts:

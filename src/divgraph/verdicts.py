@@ -28,14 +28,6 @@ class Verdict:
         if self.status in (Status.HOLDS, Status.FAILS) and self.evidence is None:
             raise ValueError(f"{self.status.value} verdicts must carry evidence")
 
-    @property
-    def holds(self) -> bool:
-        return self.status is Status.HOLDS
-
-    @property
-    def fails(self) -> bool:
-        return self.status is Status.FAILS
-
     def to_jsonable(self) -> dict:
         return {
             "status": self.status.value,

@@ -148,6 +148,21 @@ class TestCLI:
         assert '"x" -> "(1/2)x";' in out
         assert len(builds) == 1
 
+    def test_check_builds_atom_subgroup_once(self, monkeypatch, capsys):
+        from divgraph import lattices
+
+        original = lattices.column_echelon
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(lattices, "column_echelon", counting)
+        assert cli.main(["check", "--config", str(CONFIG_DIR / "d2.cfg")]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+        assert len(calls) == 1
+
     def test_check_all_bundled_configs_clean(self):
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
             r = run_cli("check", "--config", str(cfg), "--assert")

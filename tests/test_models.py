@@ -42,6 +42,10 @@ class TestDVR:
         assert self.m.divides(pi, pi3)
         assert not self.m.divides(pi3, pi)
         assert self.m.quotient(pi3, pi) == self.m.element(vec(2))
+        # on a fractional window the only atom quotient is pi
+        w = window(self.m, max_exponent=3, include_fractional=True)
+        quotients = {self.m.quotient(a, b) for a in w for b in w}
+        assert {q.label for q in quotients if self.m.is_atom(q)} == {"pi"}
 
     def test_fractional_labels(self):
         assert self.m.element(vec(-2)).label == "1/pi^2"
@@ -200,6 +204,15 @@ class TestZxQ:
             self.m.is_atom(quartic)
         declared = ZxQModel(declared_atoms=[QPoly.of(1, 0, 0, 0, 1)])
         assert declared.is_atom(declared.from_coeffs((1, 0, 0, 0, 1)))
+
+    def test_undecided_factor_below_cap_raises(self):
+        # 1 + x + x^4 is irreducible, but the rational-root test cannot
+        # tell it from a product of two quadratics: never answer False
+        m = ZxQModel(degree_cap=5)
+        with pytest.raises(DegreeCapExceeded, match="rational-root test"):
+            m.is_atom(m.from_coeffs((1, 1, 0, 0, 1)))
+        declared = ZxQModel(degree_cap=5, declared_atoms=[QPoly.of(1, 1, 0, 0, 1)])
+        assert declared.is_atom(declared.from_coeffs((1, 1, 0, 0, 1)))
 
     def test_window_rejects_fractional_constant(self):
         spec = WindowSpec(self.m.id, {"elements": [(Fraction(1, 2),)]})

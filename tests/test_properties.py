@@ -155,6 +155,15 @@ def test_graph_invariants_numerical(gens, max_value):
         assert m.is_atom(m.quotient(a, b))
     # downward-closed window: nothing escapes
     assert g.boundary == frozenset()
+    # an atom is a member that is not a sum of two nonzero members
+    members = {0}
+    for n in range(1, max_value + 1):
+        if any(n - k in members for k in gens):
+            members.add(n)
+    for v in g.vertices:
+        n = v.value.ints[0]
+        indecomposable = not any(h in members and n - h in members for h in range(1, n))
+        assert m.is_atom(v) == indecomposable, v.label
 
 
 @given(monoid_gens, st.integers(8, 20))
