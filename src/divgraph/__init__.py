@@ -9,8 +9,6 @@ from .config import RunConfig, load_config, parse_config
 from .connectivity import (
     Certificate,
     atom_subgroup,
-    component_label,
-    component_map,
     is_almost_atomic,
     is_quasi_atomic,
     prime_witness_check_zxq,
@@ -84,8 +82,6 @@ __all__ = [
     "build_model",
     "chain_connected",
     "classify",
-    "component_label",
-    "component_map",
     "connected_components_topology",
     "cover_edge",
     "interval",

@@ -9,7 +9,8 @@ Grammar (one directive per line, `#` starts a comment):
     flag NAME true|false        boolean flag, e.g. include_fractional
     element C0 [C1 ...]         explicit window element by ascending
                                 coefficients; exact rationals like 1/2 allowed
-    atom C0 [C1 ...]            declared irreducible polynomial (zxq only)
+    atom C0 [C1 ...]            declared irreducible polynomial (zxq only;
+                                constant term +-1, no rational root)
 
 `bound search_bound N` configures the certificate searches and the oracle
 rather than the window itself; `--bound` on the command line overrides it.

@@ -26,22 +26,11 @@ def weak_components(graph: DivGraph) -> list[tuple[str, ...]]:
     return sorted((tuple(sorted(g)) for g in groups), key=lambda c: c[0])
 
 
-def component_map(graph: DivGraph) -> dict[str, str]:
-    """Vertex label -> deterministic component id (the smallest member)."""
-    return {label: comp[0] for comp in weak_components(graph) for label in comp}
-
-
 # -- the subgroup generated by the atom values -------------------------------
 
 def atom_subgroup(model: DivisibilityModel) -> SubgroupDescriptor:
     values = model.atom_conn_values()
     return SubgroupDescriptor(model.ambient, tuple(values), no_atoms=not values)
-
-
-def component_label(model: DivisibilityModel, a: Element) -> str:
-    """Canonical coset label of a's value modulo the atom subgroup; equal
-    labels characterise membership of the value difference."""
-    return atom_subgroup(model).coset_label(model.conn_value(a))
 
 
 # -- quotient-of-atomics certificates ----------------------------------------

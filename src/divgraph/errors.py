@@ -14,8 +14,9 @@ class UndecidableWithoutBound(DivGraphError):
 
 
 class DegreeCapExceeded(UndecidableWithoutBound):
-    """Irreducibility of a polynomial is unknown: its degree is above the
-    configured cap, or it has a factor the rational-root test cannot decide."""
+    """A polynomial cannot be split into atoms: after the declared atoms are
+    divided out, the rest has degree above the configured cap, or a factor of
+    degree >= 4 that the rational-root test cannot decide."""
 
 
 class EmptyWindow(DivGraphError):

@@ -17,12 +17,12 @@ from ..errors import EmptyWindow, InvalidBounds
 from ..values import Ambient, Vec, fmt_exponent
 from .base import DivisibilityModel, WindowSpec
 
-UNIT_LABEL = "1"
-
 
 class ValueModel(DivisibilityModel):
     """Base for models with value-decided divisibility; an element is an atom
     exactly when it is one of `atoms()`."""
+
+    unit_label = "1"  # label of the zero value; no nonzero value may share it
 
     # -- subclass hooks -----------------------------------------------------
 
@@ -41,7 +41,7 @@ class ValueModel(DivisibilityModel):
 
     def element(self, v: Vec) -> Element:
         if v.is_zero:
-            return Element(self.id, UNIT_LABEL, v)
+            return Element(self.id, self.unit_label, v)
         return Element(self.id, self.label_for(v), v)
 
     def is_unit(self, a: Element) -> bool:
@@ -173,6 +173,7 @@ class NumericalMonoidModel(ValueModel):
     """Additive submonoid of N generated by a finite set of positive integers."""
 
     ambient = Ambient(1)
+    unit_label = "0"  # labels are the values, so "1" names the value 1
 
     def __init__(self, generators: Iterable[int]):
         gens = tuple(sorted(set(int(g) for g in generators)))

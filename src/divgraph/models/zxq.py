@@ -4,21 +4,24 @@ higher coefficients.
 Elements are canonical rational-function class representatives (the only
 units are +-1, so a class is a sign-normalised reduced fraction).  The atoms
 are the integer primes and the Q-irreducible polynomials with constant term
-+-1; irreducibility is tested up to a configurable degree cap (rational-root
-test for degrees 2-3) with an escape hatch for declared higher-degree atoms.
-The rational-root test cannot decide a factor of degree >= 4 without a
-rational root, so `is_atom` raises DegreeCapExceeded on such a polynomial
-(also below the cap) unless it is declared an atom.
++-1.  One splitter, `_poly_atoms_and_constant`, answers every atom question
+(`is_atom`, factorizations, the boundary probe and quotient certificates): it
+divides out the declared `atom` polynomials first, then factors the rest with
+the rational-root test.  When that rest has degree above `degree_cap`, or a
+factor of degree >= 4 without a rational root, the split is unknown: `is_atom`
+raises DegreeCapExceeded, factorizations report `bound_too_small`, the
+boundary probe answers conservatively and no certificate is given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
 from ..elements import Element
 from ..errors import DegreeCapExceeded, EmptyWindow, InvalidBounds
-from ..polynomials import ONE, QPoly, RationalFunction, factor_monic
+from ..polynomials import ONE, QPoly, RationalFunction, factor_monic, rational_roots
 from ..values import Ambient, Vec
 from .base import DivisibilityModel, FactorSearch, Factorization, WindowSpec
 
@@ -45,10 +48,17 @@ class ZxQModel(DivisibilityModel):
         if degree_cap < 1:
             raise InvalidBounds("degree_cap must be >= 1")
         self.degree_cap = degree_cap
-        self.declared_atoms = tuple(
-            RationalFunction.from_poly(p) for p in declared_atoms
-        )
-        self._declared_labels = {rf.label() for rf in self.declared_atoms}
+        declared_atoms = tuple(declared_atoms)
+        for p in declared_atoms:
+            if p.degree < 1:
+                raise InvalidBounds(f"declared atom {p} is constant, not a polynomial atom")
+            if abs(p.constant) != 1:
+                raise InvalidBounds(f"declared atom {p} has constant term {p.constant}, not +-1")
+            roots = rational_roots(p)
+            if roots:
+                raise InvalidBounds(f"declared atom {p} has the rational root {roots[0]}")
+        # monic, as the splitter divides monic polynomials by them
+        self.declared_atoms = tuple(p.monic() for p in declared_atoms)
 
     # -- element plumbing ----------------------------------------------------
 
@@ -83,30 +93,21 @@ class ZxQModel(DivisibilityModel):
     def is_atom(self, a: Element) -> bool:
         self.check_owned(a)
         rf = a.symbolic
-        if not rf.in_domain() or rf.is_unit_class:
+        if not rf.in_domain() or rf.is_unit_class or rf.order != 0:
             return False
-        p = rf.to_poly()
-        if p.degree == 0:
-            n = p.constant
-            return n.denominator == 1 and len(_prime_factors(int(n))) == 1 and abs(int(n)) > 1
-        if abs(p.constant) != 1:
+        if rf.num.degree >= 1 and abs(rf.c * rf.num.constant) != 1:
+            # p = c * (p / c) with c = p(0) a non-unit integer
             return False
-        if rf.label() in self._declared_labels:
-            return True
-        if p.degree == 1:
-            return True
-        if p.degree <= self.degree_cap:
-            factors = factor_monic(p.monic(), self.degree_cap)
-            if factors is not None:
-                return len(factors) == 1
+        split = self._atomize_order_zero(rf)
+        if split is None:
             raise DegreeCapExceeded(
-                f"the rational-root test cannot decide a factor of degree >= 4 of "
-                f"{rf.label()!r}; declare it with `atom` if it is irreducible"
+                f"cannot split {rf.label()!r}: after the declared atoms are divided out, "
+                f"its polynomial part has degree above the cap ({self.degree_cap}) or a "
+                f"factor of degree >= 4 that the rational-root test cannot decide; "
+                f"declare it with `atom` if it is irreducible"
             )
-        raise DegreeCapExceeded(
-            f"irreducibility of degree-{p.degree} polynomial {rf.label()!r} exceeds the cap "
-            f"({self.degree_cap}); declare it as an atom if it is one"
-        )
+        factors, primes = split
+        return len(factors) + len(primes) == 1
 
     def is_atomic_element(self, a: Element) -> bool:
         self.check_owned(a)
@@ -117,18 +118,23 @@ class ZxQModel(DivisibilityModel):
         # the atom set is infinite; consumers that need it are overridden below
         return ()
 
-    def _prime(self, p: int) -> Element:
-        return self.element_of(RationalFunction.from_poly(QPoly.const(p)))
+    def _atoms(self, factors: list[QPoly], primes: list[int]) -> list[Element]:
+        """The atoms f / f(0) of monic factors f, then the prime atoms."""
+        polys = [f.scale(1 / f.constant) for f in factors] + [QPoly.const(p) for p in primes]
+        return [self.element_of(RationalFunction.from_poly(p)) for p in polys]
 
-    def _atomize_order_zero(self, rf: RationalFunction) -> list[Element] | None:
-        """Atoms whose product is the given order-0 integral class, or None
-        when a factor above the degree cap resists factorisation."""
+    def _atomize_order_zero(
+        self, rf: RationalFunction
+    ) -> tuple[list[QPoly], list[int]] | None:
+        """The split of an order-0 integral class: the monic irreducible
+        factors of its polynomial part and the primes of its constant, or None
+        when the polynomial part cannot be split (see the module docstring)."""
         assert rf.in_domain() and rf.order == 0
         split = self._poly_atoms_and_constant(rf.num)
         if split is None:
             return None
-        atoms, const = split
-        return atoms + [self._prime(p) for p in _prime_factors(int(rf.c * const))]
+        factors, const = split
+        return factors, _prime_factors(int(rf.c * const))
 
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
         self.check_owned(a)
@@ -141,9 +147,10 @@ class ZxQModel(DivisibilityModel):
             # atoms all have order 0, so no atom product can reach order >= 1;
             # emptiness is exact, not a bound artifact
             return FactorSearch((), False)
-        atoms = self._atomize_order_zero(rf)
-        if atoms is None:
+        split = self._atomize_order_zero(rf)
+        if split is None:
             return FactorSearch((), True)
+        atoms = self._atoms(*split)
         if len(atoms) > max_length:
             return FactorSearch((), True)
         fac = Factorization(a, tuple(sorted(atoms, key=lambda e: e.label)))
@@ -178,10 +185,10 @@ class ZxQModel(DivisibilityModel):
             # infinitely many primes divide, so some successor escapes any
             # finite window
             return True
-        atoms = self._atomize_order_zero(rf)
-        if atoms is None:
+        split = self._atomize_order_zero(rf)
+        if split is None:
             return True  # unknown factors: be conservative
-        for p in {e.label: e for e in atoms}.values():
+        for p in {e.label: e for e in self._atoms(*split)}.values():
             q = self.quotient(a, p)
             if not self.is_unit(q) and q not in window:
                 return True
@@ -195,25 +202,29 @@ class ZxQModel(DivisibilityModel):
         return (Vec((0,)),)
 
     def certificate_atoms(self) -> tuple[Element, ...]:
-        return (self._prime(2),)
+        return tuple(self._atoms([], [2]))
 
     def _poly_atoms_and_constant(
         self, monic: QPoly
-    ) -> tuple[list[Element], Fraction] | None:
-        """Split a monic order-0 polynomial into constant-term-1 atoms and the
-        leftover rational constant (the product of the factors' constants)."""
-        atoms: list[Element] = []
-        const = Fraction(1)
+    ) -> tuple[list[QPoly], Fraction] | None:
+        """Split a monic order-0 polynomial into monic irreducible factors f,
+        which stand for the atoms f / f(0), and the leftover rational constant
+        (the product of the f(0)): the declared atoms first, then
+        `factor_monic` on the rest.  None when the rest has degree above the
+        cap or `factor_monic` cannot split it."""
+        factors: list[QPoly] = []
+        for d in self.declared_atoms:
+            while (q := monic.exact_div(d)) is not None:
+                factors.append(d)
+                monic = q
+        if monic.degree > self.degree_cap:
+            return None
         if monic.degree >= 1:
-            factors = factor_monic(monic, self.degree_cap)
-            if factors is None:
+            rest = factor_monic(monic)
+            if rest is None:
                 return None
-            for f in factors:
-                const *= f.constant
-                atoms.append(
-                    self.element_of(RationalFunction.from_poly(f.scale(1 / f.constant)))
-                )
-        return atoms, const
+            factors += rest
+        return factors, prod((f.constant for f in factors), start=Fraction(1))
 
     def quotient_certificate(
         self, a: Element, b: Element
@@ -227,11 +238,10 @@ class ZxQModel(DivisibilityModel):
         down_split = self._poly_atoms_and_constant(r.den)
         if up_split is None or down_split is None:
             return None
-        up, num_const = up_split
-        down, den_const = down_split
-        const = r.c * num_const / den_const
-        up += [self._prime(p) for p in _prime_factors(const.numerator)]
-        down += [self._prime(p) for p in _prime_factors(const.denominator)]
+        (up_factors, up_const), (down_factors, down_const) = up_split, down_split
+        const = r.c * up_const / down_const
+        up = self._atoms(up_factors, _prime_factors(const.numerator))
+        down = self._atoms(down_factors, _prime_factors(const.denominator))
         # soundness: the certificate must reproduce the quotient class
         acc = RationalFunction.from_poly(ONE)
         for e in up:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 def _norm(coeffs) -> tuple[Fraction, ...]:
@@ -172,8 +172,8 @@ def rational_roots(p: QPoly) -> list[Fraction]:
     a0, an = abs(ints[0]), abs(ints[-1])
 
     def divisors(n):
-        ds = [d for d in range(1, n + 1) if n % d == 0]
-        return ds
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in small if d * d != n]
 
     candidates = set()
     for num in divisors(a0):
@@ -188,9 +188,10 @@ def rational_roots(p: QPoly) -> list[Fraction]:
     return roots
 
 
-def factor_monic(p: QPoly, degree_cap: int = 3) -> list[QPoly] | None:
+def factor_monic(p: QPoly) -> list[QPoly] | None:
     """Monic irreducible factors of a monic p over Q, or None when a factor of
-    degree above degree_cap resists the root-based test."""
+    degree >= 4 without a rational root is left, which the root-based test
+    cannot decide."""
     assert not p.is_zero
     p = p.monic()
     factors: list[QPoly] = []
@@ -262,9 +263,8 @@ class RationalFunction:
 
     def in_domain(self) -> bool:
         """Membership in the ring of polynomials with integer constant term."""
-        if not self.is_polynomial:
-            return False
-        return self.to_poly().constant.denominator == 1
+        # the constant term of c * num, without scaling every coefficient
+        return self.is_polynomial and (self.c * self.num.constant).denominator == 1
 
     def label(self) -> str:
         if self.is_polynomial:

@@ -163,6 +163,21 @@ class TestCLI:
         assert json.loads(capsys.readouterr().out)["ok"]
         assert len(calls) == 1
 
+    def test_declared_atom_closes_the_window(self, tmp_path, capsys):
+        # the declared quartic atom is split out everywhere, so nothing in
+        # the window escapes and its factorizations are complete
+        cfg = tmp_path / "declared.cfg"
+        cfg.write_text(
+            "kind zxq\nbound degree_cap 5\natom 1 1 0 0 1\n"
+            "element 1 1 0 0 1\nelement 2\nelement 2 2 0 0 2\n"
+        )
+        assert cli.main(["classify", "--config", str(cfg)]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        for name in ("ACCP", "BFD", "FFD", "HFD"):
+            assert verdicts[name]["status"] == "Holds", name
+        assert cli.main(["graph", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["boundary"] == []
+
     def test_check_all_bundled_configs_clean(self):
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
             r = run_cli("check", "--config", str(cfg), "--assert")

@@ -9,7 +9,7 @@ from divgraph.errors import (
     ElementForeignToModel,
     InvalidBounds,
 )
-from divgraph.polynomials import QPoly
+from divgraph.polynomials import QPoly, rational_roots
 from divgraph.models import (
     AntimatterModel,
     D1Model,
@@ -19,7 +19,7 @@ from divgraph.models import (
     ZxQModel,
     build_model,
 )
-from divgraph.models.base import WindowSpec
+from divgraph.models.base import FactorSearch, WindowSpec
 from divgraph.values import Vec, vec
 
 
@@ -105,6 +105,16 @@ class TestNumericalMonoid:
     def test_invalid_generators(self):
         with pytest.raises(InvalidBounds):
             NumericalMonoidModel(())
+
+    def test_unit_label_differs_from_value_one(self):
+        # labels are values, so the unit (value 0) must not be labelled "1"
+        m = NumericalMonoidModel((1, 3))
+        unit, one = m.element(vec(0)), m.element(vec(1))
+        assert unit != one
+        assert m.is_unit(unit) and not m.is_atom(unit)
+        assert m.is_atom(one)
+        w = window(NumericalMonoidModel((2, 3)), max_value=3, include_fractional=True)
+        assert len(w) == 7  # values -3..3, the unit included
 
 
 class TestD1:
@@ -213,6 +223,45 @@ class TestZxQ:
             m.is_atom(m.from_coeffs((1, 1, 0, 0, 1)))
         declared = ZxQModel(degree_cap=5, declared_atoms=[QPoly.of(1, 1, 0, 0, 1)])
         assert declared.is_atom(declared.from_coeffs((1, 1, 0, 0, 1)))
+
+    @pytest.mark.parametrize(
+        "coeffs,fragment",
+        [
+            ((1,), "constant"),
+            ((2, 0, 0, 0, 1), "constant term 2"),
+            ((1, 0, 0, 0, -1), "rational root"),
+            ((1, 1), "rational root"),
+        ],
+    )
+    def test_declared_atoms_are_validated(self, coeffs, fragment):
+        with pytest.raises(InvalidBounds, match=fragment):
+            ZxQModel(degree_cap=5, declared_atoms=[QPoly.of(*coeffs)])
+
+    def test_declared_atom_on_every_path(self):
+        # factorizations, the boundary probe and certificates read the
+        # declaration that is_atom reads (also when given as a one-pass iterator)
+        m = ZxQModel(degree_cap=5, declared_atoms=iter([QPoly.of(1, 1, 0, 0, 1)]))
+        atom, two = m.from_coeffs((1, 1, 0, 0, 1)), m.from_coeffs((2,))
+        e = m.from_coeffs((2, 2, 0, 0, 2))
+        assert m.is_atom(atom) and not m.is_atom(e)
+        search = m.factorizations(e, 10)
+        assert [[a.label for a in f.atoms] for f in search.found] == [["1+x+x^4", "2"]]
+        assert not m.boundary_probe(e, frozenset({atom, two, e}))
+        assert m.quotient_certificate(e, two) == ((atom,), ())
+
+    def test_cap_applies_to_every_path(self):
+        # (1 + x)^4: a polynomial part above the cap is undecided everywhere
+        e = self.m.from_coeffs((1, 4, 6, 4, 1))
+        with pytest.raises(DegreeCapExceeded, match="rational-root test"):
+            self.m.is_atom(e)
+        assert self.m.factorizations(e, 10) == FactorSearch((), True)
+        assert self.m.boundary_probe(e, frozenset({e}))
+        assert self.m.quotient_certificate(e, self.m.from_coeffs((2,))) is None
+        assert len(ZxQModel(degree_cap=4).factorizations(e, 10).found[0].atoms) == 4
+
+    def test_rational_roots_of_a_large_constant_term(self):
+        # divisors are paired up to sqrt(n), not enumerated up to n
+        assert rational_roots(QPoly.of(1000000007, 1)) == [Fraction(-1000000007)]
 
     def test_window_rejects_fractional_constant(self):
         spec = WindowSpec(self.m.id, {"elements": [(Fraction(1, 2),)]})

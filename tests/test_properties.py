@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from divgraph.connectivity import component_map, quotient_of_atomics, weak_components
+from divgraph.connectivity import quotient_of_atomics, weak_components
 from divgraph.graph import build_graph, classify, topological_order, window_analysis
 from divgraph.lattices import SubgroupDescriptor
-from divgraph.models import D2Model, DVRModel, NumericalMonoidModel
+from divgraph.models import D2Model, DVRModel, NumericalMonoidModel, ZxQModel
 from divgraph.models.base import WindowSpec
 from divgraph.topology import (
     FinitePoset,
@@ -196,8 +196,8 @@ def test_classify_chain_never_contradicted(gens, max_value):
 def test_d2_components_agree_with_quotients(k_max, j_max):
     m = D2Model()
     g = build_graph(m, win(m, k_max=k_max, j_max=j_max))
-    cmap = component_map(g)
     comps = weak_components(g)
+    cmap = {label: comp[0] for comp in comps for label in comp}
     reps = [g.by_label(c[0]) for c in comps]
     for rep in reps:
         for v in g.vertices:
@@ -215,3 +215,32 @@ def test_dvr_sink_is_the_atom(n):
     from divgraph.graph import sinks
 
     assert {s.label for s in sinks(g)} == {"pi"}
+
+
+# -- zxq: one split behind factorizations and is_atom --------------------------
+
+ZXQ_PRIMES = ((2,), (3,), (5,), (7,))
+ZXQ_POLY_ATOMS = ((1, 1), (1, -1), (1, 2), (1, 0, 1), (1, 1, 1), (1, 1, 0, 1))
+
+
+@given(
+    st.lists(st.sampled_from(ZXQ_PRIMES), max_size=4),
+    st.lists(st.sampled_from(ZXQ_POLY_ATOMS), max_size=3).filter(
+        lambda fs: sum(len(f) - 1 for f in fs) <= 3
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_zxq_factorizations_recover_atom_products(primes, polys):
+    factors = primes + polys
+    assume(factors)
+    m = ZxQModel()
+    atoms = [m.from_coeffs(f) for f in factors]
+    e = atoms[0]
+    for a in atoms[1:]:
+        e = m.multiply(e, a)
+    search = m.factorizations(e, 10)
+    assert not search.bound_too_small
+    assert [sorted(a.label for a in f.atoms) for f in search.found] == [
+        sorted(a.label for a in atoms)
+    ]
+    assert m.is_atom(e) == (len(factors) == 1)
