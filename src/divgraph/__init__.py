@@ -11,7 +11,6 @@ from .connectivity import (
     atom_subgroup,
     is_almost_atomic,
     is_quasi_atomic,
-    prime_witness_check_zxq,
     quotient_of_atomics,
     weak_components,
 )
@@ -23,8 +22,6 @@ from .graph import (
     build_graph,
     classify,
     cover_edge,
-    interval,
-    sink_artifacts,
     sinks,
     topological_order,
 )
@@ -47,7 +44,6 @@ from .topology import (
     connected_components_topology,
     is_T0,
     poset_to_space,
-    space_to_poset,
     window_poset,
 )
 from .values import Ambient, Vec, vec
@@ -84,18 +80,14 @@ __all__ = [
     "classify",
     "connected_components_topology",
     "cover_edge",
-    "interval",
     "is_T0",
     "is_almost_atomic",
     "is_quasi_atomic",
     "load_config",
     "parse_config",
     "poset_to_space",
-    "prime_witness_check_zxq",
     "quotient_of_atomics",
-    "sink_artifacts",
     "sinks",
-    "space_to_poset",
     "topological_order",
     "vec",
     "weak_components",

@@ -7,11 +7,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .elements import Element
-from .errors import ModelMismatch
 from .graph import DivGraph, partition
 from .lattices import SubgroupDescriptor
 from .models.base import DivisibilityModel
-from .models.zxq import ZxQModel
 from .verdicts import Verdict, fails, holds, inconclusive
 
 
@@ -29,8 +27,8 @@ def weak_components(graph: DivGraph) -> list[tuple[str, ...]]:
 # -- the subgroup generated by the atom values -------------------------------
 
 def atom_subgroup(model: DivisibilityModel) -> SubgroupDescriptor:
-    values = model.atom_conn_values()
-    return SubgroupDescriptor(model.ambient, tuple(values), no_atoms=not values)
+    values = tuple(model.conn_value(p) for p in model.certificate_atoms())
+    return SubgroupDescriptor(model.ambient, values, no_atoms=not values)
 
 
 # -- quotient-of-atomics certificates ----------------------------------------
@@ -185,25 +183,3 @@ def is_quasi_atomic(model: DivisibilityModel, window) -> Verdict:
     if unresolved:
         return inconclusive({"unresolved": unresolved})
     return holds({"certificates": certificates})
-
-
-# -- the concrete prime-ideal witness for the polynomial model ----------------
-
-def prime_witness_check_zxq(model: DivisibilityModel, window) -> dict:
-    """Verifies over the window that every atom has order 0 at x = 0 and that
-    every window element of positive order is a non-atom, exhibiting a prime
-    ideal without irreducible elements."""
-    if not isinstance(model, ZxQModel):
-        raise ModelMismatch("prime_witness_check_zxq requires the zxq model")
-    elems = sorted(set(window), key=lambda e: e.label)
-    atoms = [e.label for e in elems if model.is_atom(e)]
-    ideal = [e.label for e in elems if e.symbolic.order >= 1]
-    bad_atoms = [
-        e.label for e in elems if model.is_atom(e) and e.symbolic.order >= 1
-    ]
-    return {
-        "atoms": atoms,
-        "ideal_members": ideal,
-        "ideal_atoms": bad_atoms,
-        "holds": not bad_atoms,
-    }

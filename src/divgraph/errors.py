@@ -9,14 +9,11 @@ class ElementForeignToModel(DivGraphError):
     """An element built by one model was passed to a different model."""
 
 
-class UndecidableWithoutBound(DivGraphError):
-    """The question cannot be decided analytically and no search bound was given."""
-
-
-class DegreeCapExceeded(UndecidableWithoutBound):
-    """A polynomial cannot be split into atoms: after the declared atoms are
-    divided out, the rest has degree above the configured cap, or a factor of
-    degree >= 4 that the rational-root test cannot decide."""
+class DegreeCapExceeded(DivGraphError):
+    """An element cannot be split into atoms: after the declared atoms are
+    divided out, its polynomial part has degree above the configured cap or a
+    factor of degree >= 4 that the rational-root test cannot decide, or its
+    integer part has a factor too large to be certified prime."""
 
 
 class EmptyWindow(DivGraphError):
@@ -25,14 +22,6 @@ class EmptyWindow(DivGraphError):
 
 class WindowTooLarge(DivGraphError):
     """The window exceeds the exhaustive-search guard."""
-
-
-class NotT0(DivGraphError):
-    """Two points of the space share a minimal open set."""
-
-
-class ModelMismatch(DivGraphError):
-    """An operation specific to one model kind was invoked on another."""
 
 
 class ConfigError(DivGraphError):

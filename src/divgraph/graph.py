@@ -108,40 +108,21 @@ def partition(points, pairs) -> list[list]:
     return list(groups.values())
 
 
-def _sink_analysis(graph: DivGraph) -> tuple[set[Element], list[str]]:
-    model = graph.model
-    succ = graph.successors
-    sinks_out: set[Element] = set()
+def sinks(graph: DivGraph) -> tuple[set[Element], list[str]]:
+    """The vertices without successors, split into the atom sinks and the
+    sorted labels of the rest (dead ends of the window, "sink artifacts")."""
+    atom_sinks: set[Element] = set()
     artifacts: list[str] = []
     for v in graph.vertices:
-        if succ[v.label]:
+        if graph.successors[v.label]:
             continue
         # atoms never have out-edges, so every atom lands here; an isolated
         # atom still counts as a sink
-        if model.is_atom(v):
-            sinks_out.add(v)
+        if graph.model.is_atom(v):
+            atom_sinks.add(v)
         else:
-            # structurally a sink but not an atom: a dead end of the window
             artifacts.append(v.label)
-    return sinks_out, artifacts
-
-
-def sinks(graph: DivGraph) -> set[Element]:
-    return _sink_analysis(graph)[0]
-
-
-def sink_artifacts(graph: DivGraph) -> list[str]:
-    return sorted(_sink_analysis(graph)[1])
-
-
-def interval(model: DivisibilityModel, a: Element, b: Element, universe) -> set[Element]:
-    """All x in universe with b below x below a in the factorization order
-    (a the multiple, b the divisor)."""
-
-    def preceq(x: Element, y: Element) -> bool:
-        return x == y or model.is_atomic_element(model.quotient(x, y))
-
-    return {x for x in universe if preceq(a, x) and preceq(x, b)}
+    return atom_sinks, sorted(artifacts)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Pluggable divisibility-model abstraction.
 
-A model is a computable presentation of a reduced divisibility monoid: it
-decides divisibility between class representatives, recognises atoms and
-atomic elements, enumerates finite windows, and runs the brute-force
-factorization oracle.  Models are immutable after construction and all
-operations are pure functions of (model, inputs).
+A model is a computable presentation of a reduced divisibility monoid.  It
+answers what the reports read: quotients of class representatives (so the
+graph's edge test, a -> b iff a/b is an atom), atoms and atomic elements,
+finite windows, the atom-quotient successors that escape a window, the
+brute-force factorization oracle, and the values whose atom-generated
+subgroup gives the components.  Models are immutable after construction and
+all operations are pure functions of (model, inputs).
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ class WindowSpec:
 class Factorization:
     target: Element
     atoms: tuple[Element, ...]  # sorted by label, repetitions allowed
-
-    def length(self) -> int:
-        return len(self.atoms)
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,6 @@ class DivisibilityModel(abc.ABC):
     def is_unit(self, a: Element) -> bool: ...
 
     @abc.abstractmethod
-    def divides(self, a: Element, b: Element) -> bool:
-        """True iff b/a lies in the domain."""
-
-    @abc.abstractmethod
     def quotient(self, a: Element, b: Element) -> Element:
         """Class of a/b inside the full group of classes (may be fractional)."""
 
@@ -94,81 +89,25 @@ class DivisibilityModel(abc.ABC):
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
         """Deterministic finite window, sorted by canonical label."""
 
-    # -- atoms and the oracle --------------------------------------------------
+    # -- the oracle and the hooks of graph construction and connectivity -------
 
     @abc.abstractmethod
-    def atoms(self) -> tuple[Element, ...]:
-        """Representatives of every atom class (finite for all bundled models
-        except the polynomial model, which overrides its consumers)."""
-
-    def atom_divisors(self, a: Element) -> tuple[Element, ...]:
-        """Atoms p such that a/p is integral."""
-        self.check_owned(a)
-        out = []
-        for p in self.atoms():
-            q = self.quotient(a, p)
-            if self.is_unit(q) or self.in_domain(q):
-                out.append(p)
-        return tuple(out)
-
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
         """Brute-force oracle: all atom multisets of size <= max_length whose
         product is a, exhaustive within the bound."""
-        self.check_owned(a)
-        if max_length < 1:
-            raise InvalidBounds("max_length must be >= 1")
-        if self.is_unit(a):
-            return FactorSearch((), False)
-        found: set[tuple[str, ...]] = set()
-        by_label: dict[str, Element] = {}
-        hit_cap = False
 
-        def search(target: Element, chosen: list[Element], floor_label: str):
-            nonlocal hit_cap
-            divisors = [p for p in self.atom_divisors(target) if p.label >= floor_label]
-            if len(chosen) == max_length and divisors:
-                hit_cap = True
-                return
-            for p in divisors:
-                q = self.quotient(target, p)
-                if self.is_unit(q):
-                    labels = tuple(sorted(e.label for e in chosen + [p]))
-                    found.add(labels)
-                    for e in chosen + [p]:
-                        by_label[e.label] = e
-                elif self.in_domain(q):
-                    search(q, chosen + [p], p.label)
-
-        search(a, [], "")
-        facs = tuple(
-            Factorization(a, tuple(by_label[l] for l in labels))
-            for labels in sorted(found)
-        )
-        # any truncation means the list may be incomplete
-        return FactorSearch(facs, hit_cap)
-
-    # -- hooks used by graph construction and connectivity ---------------------
-
+    @abc.abstractmethod
     def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:
         """True when a has an atom-quotient successor outside the window."""
-        self.check_owned(a)
-        for p in self.atom_divisors(a):
-            q = self.quotient(a, p)
-            if not self.is_unit(q) and self.in_domain(q) and q not in window:
-                return True
-        return False
 
+    @abc.abstractmethod
     def conn_value(self, a: Element) -> Vec:
-        """Value used for component/coset analysis; defaults to the value map."""
-        assert a.value is not None
-        return a.value
+        """Value used for component/coset analysis."""
 
-    def atom_conn_values(self) -> tuple[Vec, ...]:
-        return tuple(p.value for p in self.atoms())
-
+    @abc.abstractmethod
     def certificate_atoms(self) -> tuple[Element, ...]:
-        """Atoms aligned index-by-index with atom_conn_values()."""
-        return self.atoms()
+        """Atoms whose conn values generate the atom subgroup; certificates
+        are written in them, index by index with the subgroup generators."""
 
     def quasi_complement(self, a: Element) -> Element | None:
         """An integral b with a*b atomic, when the model can name one."""

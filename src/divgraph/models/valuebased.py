@@ -3,6 +3,8 @@
 Each model fixes an ambient Z^d (+) Q, a positive cone (the value monoid of
 the integral elements), a finite set of atom values, and an analytic
 characterisation of the atomic elements as the N-span of the atom values.
+The finite atom list answers every atom question: the atom test, the
+factorization oracle, the boundary probe and the atom subgroup.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable
 from ..elements import Element
 from ..errors import EmptyWindow, InvalidBounds
 from ..values import Ambient, Vec, fmt_exponent
-from .base import DivisibilityModel, WindowSpec
+from .base import DivisibilityModel, FactorSearch, Factorization, WindowSpec
 
 
 class ValueModel(DivisibilityModel):
@@ -37,6 +39,10 @@ class ValueModel(DivisibilityModel):
     def label_for(self, v: Vec) -> str:
         """Canonical label of a nonzero value."""
 
+    @abc.abstractmethod
+    def atoms(self) -> tuple[Element, ...]:
+        """Representatives of every atom class."""
+
     # -- generic operations -------------------------------------------------
 
     def element(self, v: Vec) -> Element:
@@ -47,10 +53,6 @@ class ValueModel(DivisibilityModel):
     def is_unit(self, a: Element) -> bool:
         self.check_owned(a)
         return a.value.is_zero
-
-    def divides(self, a: Element, b: Element) -> bool:
-        self.check_owned(a, b)
-        return self.contains_value(b.value - a.value)
 
     def quotient(self, a: Element, b: Element) -> Element:
         self.check_owned(a, b)
@@ -77,6 +79,59 @@ class ValueModel(DivisibilityModel):
     def in_domain(self, a: Element) -> bool:
         self.check_owned(a)
         return self.contains_value(a.value)
+
+    # -- the atom-list oracle -------------------------------------------------
+
+    def _atom_quotients(self, a: Element) -> list[tuple[Element, Element]]:
+        """The pairs (p, a/p) over the atoms p with a/p integral (possibly a
+        unit: the zero value lies in every value monoid)."""
+        out = []
+        for p in self.atoms():
+            q = self.quotient(a, p)
+            if self.in_domain(q):
+                out.append((p, q))
+        return out
+
+    def factorizations(self, a: Element, max_length: int) -> FactorSearch:
+        self.check_owned(a)
+        if max_length < 1:
+            raise InvalidBounds("max_length must be >= 1")
+        if self.is_unit(a):
+            return FactorSearch((), False)
+        # atoms are chosen in label order, so each multiset is found once,
+        # already sorted
+        found: dict[tuple[str, ...], tuple[Element, ...]] = {}
+        hit_cap = False
+
+        def search(target: Element, chosen: tuple[Element, ...], floor_label: str):
+            nonlocal hit_cap
+            steps = [(p, q) for p, q in self._atom_quotients(target) if p.label >= floor_label]
+            if len(chosen) == max_length and steps:
+                hit_cap = True
+                return
+            for p, q in steps:
+                if self.is_unit(q):
+                    atoms = chosen + (p,)
+                    found[tuple(e.label for e in atoms)] = atoms
+                else:
+                    search(q, chosen + (p,), p.label)
+
+        search(a, (), "")
+        facs = tuple(Factorization(a, found[labels]) for labels in sorted(found))
+        # any truncation means the list may be incomplete
+        return FactorSearch(facs, hit_cap)
+
+    def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:
+        self.check_owned(a)
+        return any(
+            not self.is_unit(q) and q not in window for _, q in self._atom_quotients(a)
+        )
+
+    def conn_value(self, a: Element) -> Vec:
+        return a.value
+
+    def certificate_atoms(self) -> tuple[Element, ...]:
+        return self.atoms()
 
     def _window_from_values(self, values: Iterable[Vec], include_unit: bool) -> tuple[Element, ...]:
         seen: dict[str, Element] = {}

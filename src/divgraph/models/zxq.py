@@ -4,19 +4,25 @@ higher coefficients.
 Elements are canonical rational-function class representatives (the only
 units are +-1, so a class is a sign-normalised reduced fraction).  The atoms
 are the integer primes and the Q-irreducible polynomials with constant term
-+-1.  One splitter, `_poly_atoms_and_constant`, answers every atom question
-(`is_atom`, factorizations, the boundary probe and quotient certificates): it
-divides out the declared `atom` polynomials first, then factors the rest with
-the rational-root test.  When that rest has degree above `degree_cap`, or a
-factor of degree >= 4 without a rational root, the split is unknown: `is_atom`
-raises DegreeCapExceeded, factorizations report `bound_too_small`, the
-boundary probe answers conservatively and no certificate is given.
++-1: infinitely many, so this model has no atom list and answers each atom
+question from the split of the element itself.  One splitter,
+`_poly_atoms_and_constant`, splits the polynomial part for `is_atom`,
+factorizations, the boundary probe and quotient certificates: it removes
+the declared `atom` polynomials first, then factors the rest with the
+rational-root test.  `_prime_factors` splits the integer part: trial division
+below 1000, then Miller-Rabin, exact below 3.3e24, and Brent's variant of
+Pollard rho.  The split is unknown when the polynomial rest has
+degree above `degree_cap` or a factor of degree >= 4 without a rational root,
+or when a cofactor of at least 3.3e24 tests prime: `is_atom` then raises
+DegreeCapExceeded, factorizations report `bound_too_small`, the boundary
+probe answers conservatively and no certificate is given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from itertools import count
+from math import gcd, prod
 from typing import Iterable
 
 from ..elements import Element
@@ -26,18 +32,85 @@ from ..values import Ambient, Vec
 from .base import DivisibilityModel, FactorSearch, Factorization, WindowSpec
 
 
-def _prime_factors(n: int) -> list[int]:
+# trial division stops here; a number below its square with no factor below
+# it is prime
+_TRIAL_LIMIT = 1000
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015); the first 12 are exact only below 3.2e23
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin on an odd n > 41 with the bases in _MR_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A nontrivial factor of an odd composite n: Brent's variant of
+    Pollard rho on x -> x^2 + c, trying c = 1, 2, ... until one splits n."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batched product hit 0 mod n: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int] | None:
+    """The prime factors of |n| with multiplicity, in ascending order; None
+    when a cofactor at or above _MR_EXACT_BELOW tests prime, since it cannot
+    be certified prime there."""
     n = abs(n)
     out = []
     d = 2
-    while d * d <= n:
+    while d < _TRIAL_LIMIT and d * d <= n:
         while n % d == 0:
             out.append(d)
             n //= d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_LIMIT**2 or _is_strong_probable_prime(m):
+            if m >= _MR_EXACT_BELOW:
+                return None
+            out.append(m)
+        else:
+            d = _rho_factor(m)
+            pending += [d, m // d]
+    return sorted(out)
 
 
 class ZxQModel(DivisibilityModel):
@@ -57,7 +130,7 @@ class ZxQModel(DivisibilityModel):
             roots = rational_roots(p)
             if roots:
                 raise InvalidBounds(f"declared atom {p} has the rational root {roots[0]}")
-        # monic, as the splitter divides monic polynomials by them
+        # monic, as the splitter takes exact quotients of monic polynomials by them
         self.declared_atoms = tuple(p.monic() for p in declared_atoms)
 
     # -- element plumbing ----------------------------------------------------
@@ -75,10 +148,6 @@ class ZxQModel(DivisibilityModel):
     def in_domain(self, a: Element) -> bool:
         self.check_owned(a)
         return a.symbolic.in_domain()
-
-    def divides(self, a: Element, b: Element) -> bool:
-        self.check_owned(a, b)
-        return b.symbolic.div(a.symbolic).in_domain()
 
     def quotient(self, a: Element, b: Element) -> Element:
         self.check_owned(a, b)
@@ -103,8 +172,9 @@ class ZxQModel(DivisibilityModel):
             raise DegreeCapExceeded(
                 f"cannot split {rf.label()!r}: after the declared atoms are divided out, "
                 f"its polynomial part has degree above the cap ({self.degree_cap}) or a "
-                f"factor of degree >= 4 that the rational-root test cannot decide; "
-                f"declare it with `atom` if it is irreducible"
+                f"factor of degree >= 4 that the rational-root test cannot decide "
+                f"(declare it with `atom` if it is irreducible), or its integer part "
+                f"has a factor of at least {_MR_EXACT_BELOW} that cannot be certified prime"
             )
         factors, primes = split
         return len(factors) + len(primes) == 1
@@ -113,10 +183,6 @@ class ZxQModel(DivisibilityModel):
         self.check_owned(a)
         rf = a.symbolic
         return rf.in_domain() and not rf.is_unit_class and rf.order == 0
-
-    def atoms(self) -> tuple[Element, ...]:
-        # the atom set is infinite; consumers that need it are overridden below
-        return ()
 
     def _atoms(self, factors: list[QPoly], primes: list[int]) -> list[Element]:
         """The atoms f / f(0) of monic factors f, then the prime atoms."""
@@ -128,13 +194,16 @@ class ZxQModel(DivisibilityModel):
     ) -> tuple[list[QPoly], list[int]] | None:
         """The split of an order-0 integral class: the monic irreducible
         factors of its polynomial part and the primes of its constant, or None
-        when the polynomial part cannot be split (see the module docstring)."""
+        when either cannot be split (see the module docstring)."""
         assert rf.in_domain() and rf.order == 0
         split = self._poly_atoms_and_constant(rf.num)
         if split is None:
             return None
         factors, const = split
-        return factors, _prime_factors(int(rf.c * const))
+        primes = _prime_factors(int(rf.c * const))
+        if primes is None:
+            return None
+        return factors, primes
 
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
         self.check_owned(a)
@@ -198,10 +267,8 @@ class ZxQModel(DivisibilityModel):
         self.check_owned(a)
         return Vec((a.symbolic.order,))
 
-    def atom_conn_values(self) -> tuple[Vec, ...]:
-        return (Vec((0,)),)
-
     def certificate_atoms(self) -> tuple[Element, ...]:
+        # every atom has order 0, so the prime 2 alone generates the subgroup
         return tuple(self._atoms([], [2]))
 
     def _poly_atoms_and_constant(
@@ -240,8 +307,12 @@ class ZxQModel(DivisibilityModel):
             return None
         (up_factors, up_const), (down_factors, down_const) = up_split, down_split
         const = r.c * up_const / down_const
-        up = self._atoms(up_factors, _prime_factors(const.numerator))
-        down = self._atoms(down_factors, _prime_factors(const.denominator))
+        up_primes = _prime_factors(const.numerator)
+        down_primes = _prime_factors(const.denominator)
+        if up_primes is None or down_primes is None:
+            return None
+        up = self._atoms(up_factors, up_primes)
+        down = self._atoms(down_factors, down_primes)
         # soundness: the certificate must reproduce the quotient class
         acc = RationalFunction.from_poly(ONE)
         for e in up:

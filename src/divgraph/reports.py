@@ -16,14 +16,7 @@ from .connectivity import (
     weak_components,
 )
 from .errors import WindowTooLarge
-from .graph import (
-    DivGraph,
-    classify,
-    sink_artifacts,
-    sinks,
-    topological_order,
-    window_analysis,
-)
+from .graph import DivGraph, classify, sinks, topological_order, window_analysis
 from .models.base import DivisibilityModel
 from .topology import (
     chain_connected,
@@ -59,6 +52,7 @@ def dot_export(graph: DivGraph) -> str:
 
 def graph_report(graph: DivGraph) -> dict:
     model = graph.model
+    atom_sinks, artifacts = sinks(graph)
     return {
         "model": model.id,
         "vertex_count": len(graph.vertices),
@@ -66,8 +60,8 @@ def graph_report(graph: DivGraph) -> dict:
         "vertices": [v.label for v in graph.vertices],
         "edges": [[a.label, b.label] for a, b in graph.edges],
         "boundary": sorted(graph.boundary),
-        "sinks": sorted(s.label for s in sinks(graph)),
-        "sink_artifacts": sink_artifacts(graph),
+        "sinks": sorted(s.label for s in atom_sinks),
+        "sink_artifacts": artifacts,
         "topological_order": topological_order(graph),
     }
 

@@ -1,16 +1,14 @@
 """Finite Alexandrov-space view of a divisibility window.
 
-A finite poset and the space of its down-sets determine each other; both
-directions are implemented extensionally (minimal open sets stored as
-explicit point sets) so the round trip and the basis axioms are directly
-checkable.
+A finite poset and the space of its down-sets determine each other.  The
+space is built extensionally (minimal open sets stored as explicit point
+sets), so the basis axioms are directly checkable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotT0
 from .graph import partition
 from .models.base import DivisibilityModel
 
@@ -68,15 +66,6 @@ def poset_to_space(p: FinitePoset) -> AlexandrovSpace:
         a: frozenset(x for x in p.elements if p.leq(x, a)) for a in p.elements
     }
     return AlexandrovSpace(tuple(p.elements), min_open)
-
-
-def space_to_poset(s: AlexandrovSpace) -> FinitePoset:
-    if not is_T0(s):
-        raise NotT0("two points share a minimal open set")
-    rel = frozenset(
-        (a, b) for b in s.points for a in s.min_open[b]
-    )
-    return FinitePoset(tuple(s.points), rel)
 
 
 def is_T0(s: AlexandrovSpace) -> bool:

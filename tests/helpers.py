@@ -1,0 +1,42 @@
+"""Reference constructions that only the tests read.
+
+Each one restates a definition directly so the tests can compare the
+package's answers against it.
+"""
+
+from divgraph.topology import FinitePoset, is_T0
+
+
+def interval(model, a, b, universe) -> set:
+    """All x in universe with b below x below a in the factorization order
+    (a the multiple, b the divisor)."""
+
+    def preceq(x, y) -> bool:
+        return x == y or model.is_atomic_element(model.quotient(x, y))
+
+    return {x for x in universe if preceq(a, x) and preceq(x, b)}
+
+
+def space_to_poset(s) -> FinitePoset:
+    """The specialisation order of a T0 Alexandrov space: a <= b iff a lies
+    in the minimal open set of b."""
+    if not is_T0(s):
+        raise ValueError("two points share a minimal open set")
+    rel = frozenset((a, b) for b in s.points for a in s.min_open[b])
+    return FinitePoset(tuple(s.points), rel)
+
+
+def prime_witness_check_zxq(model, window) -> dict:
+    """Over a zxq window: every atom has order 0 at x = 0 and every element
+    of positive order is a non-atom, exhibiting a prime ideal without
+    irreducible elements."""
+    elems = sorted(set(window), key=lambda e: e.label)
+    atoms = [e.label for e in elems if model.is_atom(e)]
+    ideal = [e.label for e in elems if e.symbolic.order >= 1]
+    bad_atoms = [e.label for e in elems if model.is_atom(e) and e.symbolic.order >= 1]
+    return {
+        "atoms": atoms,
+        "ideal_members": ideal,
+        "ideal_atoms": bad_atoms,
+        "holds": not bad_atoms,
+    }

@@ -17,11 +17,12 @@ from divgraph.reports import crosscheck_graph
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "divgraph.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -177,6 +178,16 @@ class TestCLI:
             assert verdicts[name]["status"] == "Holds", name
         assert cli.main(["graph", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["boundary"] == []
+
+    def test_graph_on_a_large_prime_constant_finishes(self, tmp_path):
+        # 10^18 + 3 is prime: splitting it by trial division took minutes
+        cfg = tmp_path / "large.cfg"
+        cfg.write_text("kind zxq\nbound degree_cap 3\nelement 1000000000000000003\nelement 2\n")
+        r = run_cli("graph", "--config", str(cfg), timeout=30)
+        assert r.returncode == 0, r.stderr
+        report = json.loads(r.stdout)
+        assert report["sinks"] == ["1000000000000000003", "2"]
+        assert report["boundary"] == []
 
     def test_check_all_bundled_configs_clean(self):
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):

@@ -2,17 +2,13 @@
 
 from fractions import Fraction
 
-import pytest
-
 from divgraph.connectivity import (
     atom_subgroup,
     is_almost_atomic,
     is_quasi_atomic,
-    prime_witness_check_zxq,
     quotient_of_atomics,
     weak_components,
 )
-from divgraph.errors import ModelMismatch
 from divgraph.graph import build_graph
 from divgraph.models import (
     AntimatterModel,
@@ -25,6 +21,7 @@ from divgraph.models import (
 from divgraph.models.base import WindowSpec
 from divgraph.values import vec
 from divgraph.verdicts import Status
+from helpers import prime_witness_check_zxq
 
 
 def win(model, **bounds):
@@ -215,8 +212,3 @@ class TestPrimeWitness:
         assert set(report["atoms"]) == {"2", "3", "1+x"}
         assert "x" in report["ideal_members"]
         assert report["ideal_atoms"] == []
-
-    def test_wrong_model_rejected(self):
-        m = DVRModel()
-        with pytest.raises(ModelMismatch):
-            prime_witness_check_zxq(m, win(m, max_exponent=3))

@@ -8,8 +8,6 @@ from divgraph.graph import (
     build_graph,
     classify,
     cover_edge,
-    interval,
-    sink_artifacts,
     sinks,
     topological_order,
     window_analysis,
@@ -24,6 +22,7 @@ from divgraph.models import (
 from divgraph.models.base import WindowSpec
 from divgraph.values import vec
 from divgraph.verdicts import Status
+from helpers import interval
 
 
 def win(model, **bounds):
@@ -45,8 +44,9 @@ class TestDVRChain:
         assert self.g.boundary == frozenset()
 
     def test_single_sink(self):
-        assert {s.label for s in sinks(self.g)} == {"pi"}
-        assert sink_artifacts(self.g) == []
+        atom_sinks, artifacts = sinks(self.g)
+        assert {s.label for s in atom_sinks} == {"pi"}
+        assert artifacts == []
 
     def test_paths_terminate_at_atom(self):
         info = window_analysis(self.g)["pi^10"]
@@ -70,8 +70,9 @@ class TestAntimatterGraph:
         assert self.g.edges == ()
 
     def test_no_sinks_only_artifacts(self):
-        assert sinks(self.g) == set()
-        assert len(sink_artifacts(self.g)) == 20
+        atom_sinks, artifacts = sinks(self.g)
+        assert atom_sinks == set()
+        assert len(artifacts) == 20
 
     def test_dead_end_paths(self):
         v = self.g.vertices[0]

@@ -1,5 +1,6 @@
 """Model-level behavior, frozen against independently computed values."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from divgraph.models import (
     build_model,
 )
 from divgraph.models.base import FactorSearch, WindowSpec
+from divgraph.models.zxq import _prime_factors
 from divgraph.values import Vec, vec
 
 
@@ -39,8 +41,8 @@ class TestDVR:
         pi = self.m.element(vec(1))
         pi3 = self.m.element(vec(3))
         assert self.m.is_atom(pi) and not self.m.is_atom(pi3)
-        assert self.m.divides(pi, pi3)
-        assert not self.m.divides(pi3, pi)
+        assert self.m.in_domain(self.m.quotient(pi3, pi))  # pi divides pi^3
+        assert not self.m.in_domain(self.m.quotient(pi, pi3))
         assert self.m.quotient(pi3, pi) == self.m.element(vec(2))
         # on a fractional window the only atom quotient is pi
         w = window(self.m, max_exponent=3, include_fractional=True)
@@ -73,7 +75,7 @@ class TestAntimatter:
         # every element is divisible by its half: no minimal divisors
         x = self.m.element(Vec((), Fraction(1, 2)))
         half = self.m.element(Vec((), Fraction(1, 4)))
-        assert self.m.divides(half, x)
+        assert self.m.in_domain(self.m.quotient(x, half))
 
     def test_empty_window(self):
         with pytest.raises(InvalidBounds):
@@ -169,6 +171,17 @@ class TestD2:
     def test_window_size(self):
         assert len(window(self.m, k_max=3, j_max=2)) == 15
 
+    def test_boundary_probe_divides_once_per_atom(self, monkeypatch):
+        # both atoms divide y*x; each quotient is formed once and then read
+        m = D2Model()
+        w = frozenset(window(m, k_max=3, j_max=2))
+        yx = m.element(vec(1, 1))
+        calls = []
+        quotient = m.quotient
+        monkeypatch.setattr(m, "quotient", lambda a, b: calls.append(b) or quotient(a, b))
+        assert not m.boundary_probe(yx, w)
+        assert len(calls) == len(m.atoms()) == 2
+
 
 class TestZxQ:
     m = ZxQModel()
@@ -190,7 +203,7 @@ class TestZxQ:
     def test_x_divisible_by_every_prime(self):
         x = self.m.from_coeffs((0, 1))
         for p in (2, 3, 5, 7, 11):
-            assert self.m.divides(self.m.from_coeffs((p,)), x)
+            assert self.m.in_domain(self.m.quotient(x, self.m.from_coeffs((p,))))
 
     def test_unique_factorization_of_order_zero(self):
         e = self.m.from_coeffs((2, 2))  # 2(1 + x)
@@ -262,6 +275,35 @@ class TestZxQ:
     def test_rational_roots_of_a_large_constant_term(self):
         # divisors are paired up to sqrt(n), not enumerated up to n
         assert rational_roots(QPoly.of(1000000007, 1)) == [Fraction(-1000000007)]
+
+    def test_large_prime_constant_is_an_atom(self):
+        # 10^18 + 3 is prime; trial division up to its square root hung here
+        p = self.m.from_coeffs((1000000000000000003,))
+        assert self.m.is_atom(p)
+        assert not self.m.boundary_probe(p, frozenset({p}))
+        assert _prime_factors(1000003 * 10000000000000000051) == [1000003, 10000000000000000051]
+        assert _prime_factors(-(2**90) * 9) == [2] * 90 + [3, 3]
+        assert _prime_factors(1) == []
+
+    def test_uncertified_prime_cofactor_is_undecided(self):
+        # the least prime above the range where Miller-Rabin is exact
+        big = 3317044064679887385962123
+        assert _prime_factors(big) is None and _prime_factors(6 * big) is None
+        e = self.m.from_coeffs((6 * big,))
+        with pytest.raises(DegreeCapExceeded, match="certified prime"):
+            self.m.is_atom(e)
+        assert self.m.factorizations(e, 10) == FactorSearch((), True)
+        assert self.m.boundary_probe(e, frozenset({e}))
+        assert self.m.quotient_certificate(e, self.m.from_coeffs((2,))) is None
+
+    def test_prime_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261018)
+        cases = [rng.randrange(2, 10 ** rng.randint(1, 22)) for _ in range(300)]
+        cases += [1000000007 * 10000000019, 1000000007**2, 999983**3 * 1000003]
+        for n in cases:
+            expect = [p for p, k in sorted(sympy.factorint(n).items()) for _ in range(k)]
+            assert _prime_factors(n) == expect, n
 
     def test_window_rejects_fractional_constant(self):
         spec = WindowSpec(self.m.id, {"elements": [(Fraction(1, 2),)]})

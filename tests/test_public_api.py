@@ -1,0 +1,112 @@
+"""The package surface: what `divgraph` exports, and the names the
+per-layer benchmark tracer wraps by name."""
+
+import importlib
+
+import pytest
+
+import divgraph
+from divgraph.models import (
+    AntimatterModel,
+    D1Model,
+    D2Model,
+    DVRModel,
+    NumericalMonoidModel,
+    ZxQModel,
+)
+
+PUBLIC = [
+    "AlexandrovSpace",
+    "Ambient",
+    "AntimatterModel",
+    "Certificate",
+    "D1Model",
+    "D2Model",
+    "DVRModel",
+    "DivGraph",
+    "DivGraphError",
+    "DivisibilityModel",
+    "Element",
+    "FactorizationReport",
+    "FinitePoset",
+    "NumericalMonoidModel",
+    "RunConfig",
+    "Status",
+    "SubgroupDescriptor",
+    "Vec",
+    "Verdict",
+    "WindowSpec",
+    "ZxQModel",
+    "atom_subgroup",
+    "build_graph",
+    "build_model",
+    "chain_connected",
+    "classify",
+    "connected_components_topology",
+    "cover_edge",
+    "is_T0",
+    "is_almost_atomic",
+    "is_quasi_atomic",
+    "load_config",
+    "parse_config",
+    "poset_to_space",
+    "quotient_of_atomics",
+    "sinks",
+    "topological_order",
+    "vec",
+    "weak_components",
+    "window_poset",
+]
+
+# module -> names the tracer times; a rename drops that layer's metric
+TRACED = {
+    "divgraph.graph": ["cover_edge", "build_graph", "window_analysis"],
+    "divgraph.topology": [
+        "window_poset",
+        "FinitePoset.check_axioms",
+        "poset_to_space",
+        "connected_components_topology",
+        "chain_connected",
+    ],
+    "divgraph.connectivity": [
+        "weak_components",
+        "atom_subgroup",
+        "quotient_of_atomics",
+        "is_almost_atomic",
+        "is_quasi_atomic",
+    ],
+    "divgraph.reports": ["crosscheck_graph", "to_json", "dot_export"],
+    "divgraph.polynomials": ["factor_monic"],
+}
+TRACED_MODEL_METHODS = [
+    "enumerate_window",
+    "quotient",
+    "is_atom",
+    "is_atomic_element",
+    "boundary_probe",
+    "factorizations",
+]
+MODELS = [AntimatterModel, D1Model, D2Model, DVRModel, NumericalMonoidModel, ZxQModel]
+
+
+def test_all_is_pinned_and_resolves():
+    assert sorted(divgraph.__all__) == PUBLIC
+    for name in divgraph.__all__:
+        assert getattr(divgraph, name) is not None, name
+
+
+@pytest.mark.parametrize("module", sorted(TRACED))
+def test_traced_names_exist(module):
+    mod = importlib.import_module(module)
+    for dotted in TRACED[module]:
+        obj = mod
+        for part in dotted.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), dotted
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.__name__)
+def test_traced_model_methods_are_concrete(model):
+    assert not model.__abstractmethods__
+    for name in TRACED_MODEL_METHODS:
+        assert callable(getattr(model, name)), name
