@@ -13,7 +13,8 @@ class DegreeCapExceeded(DivGraphError):
     """An element cannot be split into atoms: after the declared atoms are
     divided out, its polynomial part has degree above the configured cap or a
     factor of degree >= 4 that the rational-root test cannot decide, or its
-    integer part has a factor too large to be certified prime."""
+    integer part has a factor too large to be certified prime or a composite
+    factor whose prime factors are all too large to find in the step budget."""
 
 
 class EmptyWindow(DivGraphError):

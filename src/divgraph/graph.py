@@ -66,10 +66,14 @@ def cover_edge(model: DivisibilityModel, a: Element, b: Element) -> bool:
 def build_graph(model: DivisibilityModel, window) -> DivGraph:
     vertices = tuple(sorted(set(window), key=lambda e: e.label))
     window_set = frozenset(vertices)
+    # labels are canonical per class, so a candidate is a vertex exactly when
+    # its label is a vertex's
+    index = {v.label: v for v in vertices}
     edges = []
     for a in vertices:
-        for b in vertices:
-            if a is not b and cover_edge(model, a, b):
+        for c in model.successor_candidates(a, vertices):
+            b = index.get(c.label)
+            if b is not None and b is not a and cover_edge(model, a, b):
                 edges.append((a, b))
     edges.sort(key=lambda ab: (ab[0].label, ab[1].label))
     boundary = frozenset(

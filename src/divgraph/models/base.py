@@ -2,11 +2,12 @@
 
 A model is a computable presentation of a reduced divisibility monoid.  It
 answers what the reports read: quotients of class representatives (so the
-graph's edge test, a -> b iff a/b is an atom), atoms and atomic elements,
-finite windows, the atom-quotient successors that escape a window, the
-brute-force factorization oracle, and the values whose atom-generated
-subgroup gives the components.  Models are immutable after construction and
-all operations are pure functions of (model, inputs).
+graph's edge test, a -> b iff a/b is an atom), the candidate edge targets of
+a vertex (`successor_candidates`, so the graph need not test every pair),
+atoms and atomic elements, finite windows, the atom-quotient successors that
+escape a window, the brute-force factorization oracle, and the values whose
+atom-generated subgroup gives the components.  Models are immutable after
+construction and all operations are pure functions of (model, inputs).
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ class DivisibilityModel(abc.ABC):
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
         """Brute-force oracle: all atom multisets of size <= max_length whose
         product is a, exhaustive within the bound."""
+
+    def successor_candidates(
+        self, a: Element, vertices: tuple[Element, ...]
+    ) -> Iterable[Element]:
+        """Elements among which lie all edge targets of a in vertices; the
+        graph tests those of them that are vertices.  By default every vertex,
+        so the edge test runs on all pairs."""
+        return vertices
 
     @abc.abstractmethod
     def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:

@@ -121,6 +121,12 @@ class ValueModel(DivisibilityModel):
         # any truncation means the list may be incomplete
         return FactorSearch(facs, hit_cap)
 
+    def successor_candidates(
+        self, a: Element, vertices: tuple[Element, ...]
+    ) -> list[Element]:
+        # every quotient a/p, integral or not: a fractional window holds both
+        return [self.quotient(a, p) for p in self.atoms()]
+
     def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:
         self.check_owned(a)
         return any(

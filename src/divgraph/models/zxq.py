@@ -11,11 +11,13 @@ factorizations, the boundary probe and quotient certificates: it removes
 the declared `atom` polynomials first, then factors the rest with the
 rational-root test.  `_prime_factors` splits the integer part: trial division
 below 1000, then Miller-Rabin, exact below 3.3e24, and Brent's variant of
-Pollard rho.  The split is unknown when the polynomial rest has
-degree above `degree_cap` or a factor of degree >= 4 without a rational root,
-or when a cofactor of at least 3.3e24 tests prime: `is_atom` then raises
-DegreeCapExceeded, factorizations report `bound_too_small`, the boundary
-probe answers conservatively and no certificate is given.
+Pollard rho with a fixed step budget.  The split is unknown when the
+polynomial rest has degree above `degree_cap` or a factor of degree >= 4
+without a rational root, when a cofactor of at least 3.3e24 tests prime, or
+when rho finds no factor of a composite cofactor within its budget (in
+practice, only when all its prime factors exceed about 10^9): `is_atom` raises
+DegreeCapExceeded there, factorizations report `bound_too_small`, the
+boundary probe answers conservatively and no certificate is given.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ _TRIAL_LIMIT = 1000
 # (Sorenson and Webster, 2015); the first 12 are exact only below 3.2e23
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
+# Brent's rho gives up after this many steps; it needs about sqrt(p) steps to
+# find a prime factor p, so in practice factors below about 10^9 are found.
+# Giving up on a 41-digit semiprime took 0.5 s on a shared x86-64 VM
+_RHO_STEPS = 1 << 18
 
 
 def _is_strong_probable_prime(n: int) -> bool:
@@ -60,12 +66,17 @@ def _is_strong_probable_prime(n: int) -> bool:
     return True
 
 
-def _rho_factor(n: int) -> int:
+def _rho_factor(n: int) -> int | None:
     """A nontrivial factor of an odd composite n: Brent's variant of
-    Pollard rho on x -> x^2 + c, trying c = 1, 2, ... until one splits n."""
+    Pollard rho on x -> x^2 + c, trying c = 1, 2, ... until one splits n.
+    None when _RHO_STEPS steps, over all c, find no factor."""
+    steps = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps >= _RHO_STEPS:
+                return None
+            steps += 2 * r  # at most r steps to move x, then r to catch up
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -91,7 +102,8 @@ def _rho_factor(n: int) -> int:
 def _prime_factors(n: int) -> list[int] | None:
     """The prime factors of |n| with multiplicity, in ascending order; None
     when a cofactor at or above _MR_EXACT_BELOW tests prime, since it cannot
-    be certified prime there."""
+    be certified prime there, or when rho finds no factor of a composite
+    cofactor within its step budget."""
     n = abs(n)
     out = []
     d = 2
@@ -109,6 +121,8 @@ def _prime_factors(n: int) -> list[int] | None:
             out.append(m)
         else:
             d = _rho_factor(m)
+            if d is None:
+                return None
             pending += [d, m // d]
     return sorted(out)
 
@@ -174,7 +188,8 @@ class ZxQModel(DivisibilityModel):
                 f"its polynomial part has degree above the cap ({self.degree_cap}) or a "
                 f"factor of degree >= 4 that the rational-root test cannot decide "
                 f"(declare it with `atom` if it is irreducible), or its integer part "
-                f"has a factor of at least {_MR_EXACT_BELOW} that cannot be certified prime"
+                f"has a factor of at least {_MR_EXACT_BELOW} that cannot be certified prime "
+                f"or a composite factor that Pollard rho cannot split in {_RHO_STEPS} steps"
             )
         factors, primes = split
         return len(factors) + len(primes) == 1
@@ -262,6 +277,14 @@ class ZxQModel(DivisibilityModel):
             if not self.is_unit(q) and q not in window:
                 return True
         return False
+
+    def successor_candidates(
+        self, a: Element, vertices: tuple[Element, ...]
+    ) -> list[Element]:
+        # atoms have order 0 and is_atom rejects any other order before it
+        # splits, so only the vertices of a's order can be edge targets
+        order = a.symbolic.order
+        return [b for b in vertices if b.symbolic.order == order]
 
     def conn_value(self, a: Element) -> Vec:
         self.check_owned(a)

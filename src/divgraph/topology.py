@@ -23,16 +23,39 @@ class FinitePoset:
         return (a, b) in self.relation
 
     def check_axioms(self) -> None:
-        rel = self.relation
-        for a in self.elements:
-            assert (a, a) in rel, f"missing reflexive pair for {a!r}"
-        for a, b in rel:
-            if a != b:
-                assert (b, a) not in rel, f"antisymmetry violated on {a!r}, {b!r}"
-        for a, b in rel:
-            for c in self.elements:
-                if (b, c) in rel:
-                    assert (a, c) in rel, f"transitivity violated on {a!r}..{c!r}"
+        # one bit row per element: bit j of rows[i] is set iff
+        # elements[i] <= elements[j]; cols is the transpose
+        index = {a: i for i, a in enumerate(self.elements)}
+        rows = [0] * len(self.elements)
+        cols = [0] * len(self.elements)
+        for a, b in self.relation:
+            if a not in index or b not in index:
+                raise AssertionError(f"pair {a!r}, {b!r} names a non-element")
+            i, j = index[a], index[b]
+            rows[i] |= 1 << j
+            cols[j] |= 1 << i
+        for i, a in enumerate(self.elements):
+            if not rows[i] >> i & 1:
+                raise AssertionError(f"missing reflexive pair for {a!r}")
+        for i, a in enumerate(self.elements):
+            both = rows[i] & cols[i] & ~(1 << i)
+            if both:
+                b = self.elements[both.bit_length() - 1]
+                raise AssertionError(f"antisymmetry violated on {a!r}, {b!r}")
+        for i, a in enumerate(self.elements):
+            for j in _bits(rows[i]):
+                beyond = rows[j] & ~rows[i]
+                if beyond:
+                    c = self.elements[beyond.bit_length() - 1]
+                    raise AssertionError(f"transitivity violated on {a!r}..{c!r}")
+
+
+def _bits(row: int):
+    """Indices of the set bits of row, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
 @dataclass(frozen=True)

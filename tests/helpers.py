@@ -4,7 +4,17 @@ Each one restates a definition directly so the tests can compare the
 package's answers against it.
 """
 
+from divgraph.graph import cover_edge
 from divgraph.topology import FinitePoset, is_T0
+
+
+def all_pairs_edges(model, window) -> tuple:
+    """The edge set by its definition: every ordered pair (a, b) of distinct
+    window elements with a/b an atom, sorted by (source, target) label."""
+    vertices = sorted(set(window), key=lambda e: e.label)
+    return tuple(
+        (a, b) for a in vertices for b in vertices if cover_edge(model, a, b)
+    )
 
 
 def interval(model, a, b, universe) -> set:

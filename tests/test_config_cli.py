@@ -189,6 +189,16 @@ class TestCLI:
         assert report["sinks"] == ["1000000000000000003", "2"]
         assert report["boundary"] == []
 
+    def test_graph_on_an_unsplit_composite_constant_finishes(self, tmp_path):
+        # a product of two 21-digit primes: without a step budget, Pollard
+        # rho needs about 10^10 steps to split it
+        cfg = tmp_path / "semiprime.cfg"
+        n = 100000000000000000039 * 200000000000000000089
+        cfg.write_text(f"kind zxq\nbound degree_cap 3\nelement {n}\nelement 2\n")
+        r = run_cli("graph", "--config", str(cfg), timeout=30)
+        assert r.returncode == 2 and "Pollard rho" in r.stderr, r.stderr
+        assert r.stdout == ""
+
     def test_check_all_bundled_configs_clean(self):
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
             r = run_cli("check", "--config", str(cfg), "--assert")

@@ -116,6 +116,21 @@ class TestNumericalGraph:
         for a, b in self.g.edges:
             assert pos[b.label] < pos[a.label]
 
+    def test_edge_tests_scale_with_the_atoms(self, monkeypatch):
+        m = NumericalMonoidModel((2, 3))
+        w = win(m, max_value=200)
+        calls = []
+
+        def counting(model, a, b):
+            calls.append((a, b))
+            return cover_edge(model, a, b)
+
+        monkeypatch.setattr("divgraph.graph.cover_edge", counting)
+        g = build_graph(m, w)
+        # one test per atom and vertex, not one per pair of vertices
+        assert len(w) == 199 and len(calls) <= len(w) * len(m.atoms())
+        assert set(g.edges) <= set(calls) and len(g.edges) == 2 * 199 - 5
+
 
 class TestInterval:
     def test_cover_edge_iff_two_point_interval(self):

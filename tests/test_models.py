@@ -296,6 +296,13 @@ class TestZxQ:
         assert self.m.boundary_probe(e, frozenset({e}))
         assert self.m.quotient_certificate(e, self.m.from_coeffs((2,))) is None
 
+    def test_unsplit_composite_cofactor_is_undecided(self):
+        # two primes below the Miller-Rabin range: rho would need about 10^10 steps
+        n = 100000000000000000039 * 200000000000000000089
+        assert _prime_factors(n) is None
+        with pytest.raises(DegreeCapExceeded, match="Pollard rho"):
+            self.m.is_atom(self.m.from_coeffs((n,)))
+
     def test_prime_factors_match_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(20261018)

@@ -1,14 +1,23 @@
 """Property-based tests over randomly generated inputs."""
 
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from divgraph.config import load_config
 from divgraph.connectivity import quotient_of_atomics, weak_components
 from divgraph.graph import build_graph, classify, topological_order, window_analysis
 from divgraph.lattices import SubgroupDescriptor
-from divgraph.models import D2Model, DVRModel, NumericalMonoidModel, ZxQModel
+from divgraph.models import (
+    AntimatterModel,
+    D1Model,
+    D2Model,
+    DVRModel,
+    NumericalMonoidModel,
+    ZxQModel,
+)
 from divgraph.models.base import WindowSpec
 from divgraph.topology import (
     FinitePoset,
@@ -19,7 +28,9 @@ from divgraph.topology import (
 )
 from divgraph.values import Ambient, Vec, vec
 from divgraph.verdicts import Status
-from helpers import space_to_poset
+from helpers import all_pairs_edges, space_to_poset
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def win(model, **bounds):
@@ -187,6 +198,50 @@ def test_classify_chain_never_contradicted(gens, max_value):
     report = classify(m, g)  # internal assertion enforces the chain
     order = ["Atomic", "ACCP", "BFD", "FFD", "HFD"]
     assert set(report.verdicts) == set(order)
+
+
+# -- graph edges against the all-pairs definition ------------------------------
+
+value_windows = st.one_of(
+    st.builds(lambda n: (DVRModel(), {"max_exponent": n}), st.integers(1, 8)),
+    st.builds(
+        lambda v, d: (AntimatterModel(), {"max_value": v, "max_den": d}),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    ),
+    st.builds(
+        lambda gens, v: (NumericalMonoidModel(gens), {"max_value": v}),
+        monoid_gens,
+        st.integers(9, 24),
+    ),
+    st.builds(
+        lambda k, d, a: (D1Model(), {"k_max": k, "den_max": d, "alpha_max": a}),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.integers(1, 2),
+    ),
+    st.builds(
+        lambda k, j: (D2Model(), {"k_max": k, "j_max": j}),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    ),
+)
+
+
+@given(value_windows, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_graph_edges_match_all_pairs(model_bounds, fractional):
+    m, bounds = model_bounds
+    w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=fractional))
+    assert build_graph(m, w).edges == all_pairs_edges(m, w)
+
+
+def test_zxq_graph_edges_match_all_pairs():
+    for path in sorted(CONFIG_DIR.glob("zxq*.cfg")):
+        m, spec = load_config(path).build()
+        w = m.enumerate_window(spec)
+        edges = build_graph(m, w).edges
+        assert edges and edges == all_pairs_edges(m, w), path.name
 
 
 # -- components against the quotient route -----------------------------------

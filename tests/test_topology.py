@@ -50,6 +50,32 @@ class TestRoundTrip:
             space_to_poset(s)
 
 
+class TestAxiomsRejected:
+    def poset(self, *pairs):
+        rel = {(x, x) for x in "abc"} | set(pairs)
+        return FinitePoset(("a", "b", "c"), frozenset(rel))
+
+    def test_missing_reflexive_pair(self):
+        p = FinitePoset(("a", "b"), frozenset({("a", "a"), ("a", "b")}))
+        with pytest.raises(AssertionError, match="missing reflexive pair for 'b'"):
+            p.check_axioms()
+
+    def test_two_cycle(self):
+        with pytest.raises(AssertionError, match="antisymmetry violated"):
+            self.poset(("a", "b"), ("b", "a")).check_axioms()
+
+    def test_non_transitive_chain(self):
+        with pytest.raises(AssertionError, match="transitivity violated on 'a'..'c'"):
+            self.poset(("a", "b"), ("b", "c")).check_axioms()
+
+    def test_pair_outside_the_elements(self):
+        with pytest.raises(AssertionError, match="names a non-element"):
+            self.poset(("a", "z")).check_axioms()
+
+    def test_closed_chain_passes(self):
+        self.poset(("a", "b"), ("b", "c"), ("a", "c")).check_axioms()
+
+
 class TestWindowPoset:
     def test_dvr_total_order(self):
         m = DVRModel()
