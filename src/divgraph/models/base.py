@@ -97,13 +97,12 @@ class DivisibilityModel(abc.ABC):
         """Brute-force oracle: all atom multisets of size <= max_length whose
         product is a, exhaustive within the bound."""
 
+    @abc.abstractmethod
     def successor_candidates(
         self, a: Element, vertices: tuple[Element, ...]
     ) -> Iterable[Element]:
         """Elements among which lie all edge targets of a in vertices; the
-        graph tests those of them that are vertices.  By default every vertex,
-        so the edge test runs on all pairs."""
-        return vertices
+        graph tests those of them that are vertices."""
 
     @abc.abstractmethod
     def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:

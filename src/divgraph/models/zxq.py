@@ -15,7 +15,7 @@ Pollard rho with a fixed step budget.  The split is unknown when the
 polynomial rest has degree above `degree_cap` or a factor of degree >= 4
 without a rational root, when a cofactor of at least 3.3e24 tests prime, or
 when rho finds no factor of a composite cofactor within its budget (in
-practice, only when all its prime factors exceed about 10^9): `is_atom` raises
+practice, only when all its prime factors exceed about 10^10): `is_atom` raises
 DegreeCapExceeded there, factorizations report `bound_too_small`, the
 boundary probe answers conservatively and no certificate is given.
 """
@@ -41,10 +41,12 @@ _TRIAL_LIMIT = 1000
 # (Sorenson and Webster, 2015); the first 12 are exact only below 3.2e23
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
-# Brent's rho gives up after this many steps; it needs about sqrt(p) steps to
-# find a prime factor p, so in practice factors below about 10^9 are found.
-# Giving up on a 41-digit semiprime took 0.5 s on a shared x86-64 VM
-_RHO_STEPS = 1 << 18
+# Brent's rho gives up rather than pass this many steps of x -> x^2 + c.  It
+# needs about sqrt(p) steps to find a prime factor p.  Semiprimes p*q with q
+# a 14-digit prime split for 40 of 40 p in [5e9, 1e10], 37 of 40 in
+# [5e10, 1e11] and 12 of 40 in [5e11, 1e12]; giving up on a 41-digit
+# semiprime took 0.75-0.85 s on a shared x86-64 VM
+_RHO_STEPS = 1 << 20
 
 
 def _is_strong_probable_prime(n: int) -> bool:
@@ -69,14 +71,15 @@ def _is_strong_probable_prime(n: int) -> bool:
 def _rho_factor(n: int) -> int | None:
     """A nontrivial factor of an odd composite n: Brent's variant of
     Pollard rho on x -> x^2 + c, trying c = 1, 2, ... until one splits n.
-    None when _RHO_STEPS steps, over all c, find no factor."""
+    None when no factor turns up within _RHO_STEPS steps over all c."""
     steps = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            if steps >= _RHO_STEPS:
+            # r steps to move x, then at most r to catch up
+            if steps + 2 * r > _RHO_STEPS:
                 return None
-            steps += 2 * r  # at most r steps to move x, then r to catch up
+            steps += 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -93,6 +96,9 @@ def _rho_factor(n: int) -> int | None:
             # the batched product hit 0 mod n: redo its steps one gcd at a time
             g = 1
             while g == 1:
+                if steps == _RHO_STEPS:
+                    return None
+                steps += 1
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
         if g != n:

@@ -65,11 +65,11 @@ class AlexandrovSpace:
 
     def check_basis(self) -> None:
         for x in self.points:
-            assert x in self.min_open[x], f"{x!r} missing from its own minimal open"
+            if x not in self.min_open[x]:
+                raise AssertionError(f"{x!r} missing from its own minimal open")
             for y in self.min_open[x]:
-                assert self.min_open[y] <= self.min_open[x], (
-                    f"basis coherence violated at {x!r}, {y!r}"
-                )
+                if not self.min_open[y] <= self.min_open[x]:
+                    raise AssertionError(f"basis coherence violated at {x!r}, {y!r}")
 
 
 def window_poset(model: DivisibilityModel, window) -> FinitePoset:

@@ -303,6 +303,12 @@ class TestZxQ:
         with pytest.raises(DegreeCapExceeded, match="Pollard rho"):
             self.m.is_atom(self.m.from_coeffs((n,)))
 
+    def test_composite_with_a_factor_below_the_rho_limit_splits(self):
+        # 9999999967 is the largest prime below 10^10, the size up to which
+        # the step budget is documented to find factors
+        for q in (1000000000039, 1000000000000000003):
+            assert _prime_factors(9999999967 * q) == [9999999967, q]
+
     def test_prime_factors_match_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(20261018)

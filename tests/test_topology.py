@@ -76,6 +76,22 @@ class TestAxiomsRejected:
         self.poset(("a", "b"), ("b", "c"), ("a", "c")).check_axioms()
 
 
+class TestBasisRejected:
+    def test_point_outside_its_minimal_open(self):
+        s = AlexandrovSpace(("a", "b"), {"a": frozenset("a"), "b": frozenset("a")})
+        with pytest.raises(AssertionError, match="'b' missing from its own minimal open"):
+            s.check_basis()
+
+    def test_minimal_open_not_closed_downward(self):
+        # b lies in U_a, so U_b must lie in U_a, but c is in U_b only
+        s = AlexandrovSpace(
+            ("a", "b", "c"),
+            {"a": frozenset("ab"), "b": frozenset("bc"), "c": frozenset("c")},
+        )
+        with pytest.raises(AssertionError, match="basis coherence violated at 'a', 'b'"):
+            s.check_basis()
+
+
 class TestWindowPoset:
     def test_dvr_total_order(self):
         m = DVRModel()
