@@ -46,9 +46,6 @@ def _parser() -> argparse.ArgumentParser:
             help="exit nonzero if any verdict in the report is Fails",
         )
         sp.add_argument(
-            "--bound", type=int, help="override the search bound"
-        )
-        sp.add_argument(
             "--dot", action="store_true", help="also emit a Graphviz .dot file"
         )
         return sp
@@ -61,8 +58,18 @@ def _parser() -> argparse.ArgumentParser:
         "--pair", nargs=2, metavar=("A", "B"), help="also test chain connectedness"
     )
     add("atomicity", "almost/quasi atomicity verdicts with certificates")
-    add("check", "cross-check path classification against the brute-force oracle")
+    sp = add("check", "cross-check path classification against the brute-force oracle")
+    sp.add_argument(
+        "--bound", type=_positive_int, help="the oracle's length bound (overrides search_bound)"
+    )
     return p
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)  # argparse reports a ValueError as an invalid value
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
 
 
 def _has_fails(obj) -> bool:
@@ -81,7 +88,6 @@ def _run(args) -> int:
     cfg = load_config(args.config)
     model, spec = cfg.build()
     window = model.enumerate_window(spec)
-    search_bound = args.bound or cfg.search_bound
     # built on first use: topology and atomicity never read the graph
     graph = functools.cache(lambda: build_graph(model, window))
 
@@ -94,9 +100,9 @@ def _run(args) -> int:
     elif args.command == "topology":
         report = topology_report(model, window, args.pair)
     elif args.command == "atomicity":
-        report = atomicity_report(model, window, search_bound)
+        report = atomicity_report(model, window)
     elif args.command == "check":
-        report = crosscheck_graph(graph(), oracle_bound=max(search_bound, 24))
+        report = crosscheck_graph(graph(), args.bound or cfg.search_bound)
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(args.command)
 

@@ -4,16 +4,17 @@ Grammar (one directive per line, `#` starts a comment):
 
     kind NAME                   model kind (dvr, antimatter, numerical-monoid,
                                 d1, d2, zxq)
-    generator N [N ...]         numerical-monoid generators
-    bound NAME INT              window/search bound (positive integer)
+    generator N [N ...]         numerical-monoid generators (positive integers)
+    bound NAME INT              window or oracle bound (positive integer)
     flag NAME true|false        boolean flag, e.g. include_fractional
     element C0 [C1 ...]         explicit window element by ascending
                                 coefficients; exact rationals like 1/2 allowed
     atom C0 [C1 ...]            declared irreducible polynomial (zxq only;
                                 constant term +-1, no rational root)
 
-`bound search_bound N` configures the certificate searches and the oracle
-rather than the window itself; `--bound` on the command line overrides it.
+`bound search_bound N` is not a window bound: it is the length bound of
+the factorization oracle that `check` runs (`DEFAULT_ORACLE_BOUND`, 24),
+and `check --bound N` overrides it.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import InvalidBounds, ParseError
 from .models import build_model
 from .models.base import DivisibilityModel, WindowSpec
 
-DEFAULT_SEARCH_BOUND = 8
+DEFAULT_ORACLE_BOUND = 24
 
 
 @dataclass
@@ -40,7 +41,7 @@ class RunConfig:
 
     @property
     def search_bound(self) -> int:
-        return self.bounds.get("search_bound", DEFAULT_SEARCH_BOUND)
+        return self.bounds.get("search_bound", DEFAULT_ORACLE_BOUND)
 
     def build(self) -> tuple[DivisibilityModel, WindowSpec]:
         options = {}
@@ -73,11 +74,14 @@ def _fraction(tok: str, line_no: int) -> Fraction:
         raise ParseError(f"not an exact rational: {tok!r}", line=line_no) from None
 
 
-def _int(tok: str, line_no: int) -> int:
+def _positive_int(tok: str, line_no: int, name: str) -> int:
     try:
-        return int(tok)
+        n = int(tok)
     except ValueError:
         raise ParseError(f"not an integer: {tok!r}", line=line_no) from None
+    if n < 1:
+        raise InvalidBounds(f"{name} must be a positive integer, got {n}", line=line_no)
+    return n
 
 
 def parse_config(text: str) -> RunConfig:
@@ -102,11 +106,11 @@ def parse_config(text: str) -> RunConfig:
         elif directive == "generator":
             if not args:
                 raise ParseError("generator needs at least one integer", line=line_no)
-            generators.extend(_int(a, line_no) for a in args)
+            generators.extend(_positive_int(a, line_no, "a generator") for a in args)
         elif directive == "bound":
             if len(args) != 2:
                 raise ParseError("bound takes a name and an integer", line=line_no)
-            bounds[args[0]] = _int(args[1], line_no)
+            bounds[args[0]] = _positive_int(args[1], line_no, f"bound {args[0]!r}")
         elif directive == "flag":
             if len(args) != 2 or args[1] not in ("true", "false"):
                 raise ParseError("flag takes a name and true|false", line=line_no)

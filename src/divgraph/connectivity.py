@@ -4,7 +4,7 @@ verdicts (quotient-of-atomics, almost atomic, quasi atomic)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import reduce
 
 from .elements import Element
 from .graph import DivGraph, partition
@@ -39,13 +39,6 @@ class Certificate:
     denominator_atoms: tuple[Element, ...]
     target_pair: tuple[Element, Element]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "numerator_atoms": sorted(e.label for e in self.numerator_atoms),
-            "denominator_atoms": sorted(e.label for e in self.denominator_atoms),
-            "target": [self.target_pair[0].label, self.target_pair[1].label],
-        }
-
 
 def quotient_of_atomics(model: DivisibilityModel, a: Element, b: Element) -> Verdict:
     """Can a/b be written as a quotient of two atom products?  Holds with a
@@ -78,11 +71,7 @@ def _quotient_of_atomics(
             return inconclusive({"reason": "factorisation exceeded the degree cap"})
         num, den = pair
         return holds(Certificate(num, den, (a, b)))
-    atoms = model.certificate_atoms()
-    num: list[Element] = []
-    den: list[Element] = []
-    for c, atom in zip(coeffs, atoms):
-        (num if c > 0 else den).extend([atom] * abs(c))
+    num, den = _atom_split(model.certificate_atoms(), coeffs)
     check = model.ambient.zero()
     for e in num:
         check = check + model.conn_value(e)
@@ -92,70 +81,70 @@ def _quotient_of_atomics(
     return holds(Certificate(tuple(num), tuple(den), (a, b)))
 
 
+def _atom_split(atoms, coeffs) -> tuple[list[Element], list[Element]]:
+    """The numerator and the denominator of atom-subgroup membership
+    coefficients over `atoms`: the atoms with a positive and with a negative
+    coefficient, each repeated, so the value is sum(num) - sum(den)."""
+    num: list[Element] = []
+    den: list[Element] = []
+    for c, atom in zip(coeffs, atoms):
+        (num if c > 0 else den).extend([atom] * abs(c))
+    return num, den
+
+
 # -- almost / quasi atomicity -------------------------------------------------
 
-def _atom_multiplier_from_coeffs(model, coeffs) -> list[Element]:
-    atoms = model.certificate_atoms()
-    return [a for c, a in zip(coeffs, atoms) for _ in range(-c) if c < 0]
+def _atom_multiplier(atoms, coeffs) -> list[Element]:
+    """Atoms whose product times e is atomic, from e's membership
+    coefficients over `atoms`: the denominator, since e times it has the
+    numerator's value, plus one atom when the numerator is empty.  Complete
+    where the atomic elements are the nonzero atom products' values: on
+    value models, and on zxq (the order-0 non-units)."""
+    num, den = _atom_split(atoms, coeffs)
+    return den if num else den + list(atoms[:1])
 
 
-def _apply(model, a: Element, multiplier: list[Element]) -> Element:
-    out = a
-    for m in multiplier:
-        out = model.multiply(out, m)
-    return out
+def _makes_atomic(model: DivisibilityModel, e: Element, b: Element | None) -> bool:
+    return b is not None and model.in_domain(b) and model.is_atomic_element(model.multiply(e, b))
 
 
-def is_almost_atomic(model: DivisibilityModel, window, search_bound: int = 8) -> Verdict:
+def is_almost_atomic(model: DivisibilityModel, window) -> Verdict:
     """Fails when some element's value escapes the atom subgroup (no atom
-    multiple can ever become atomic); Holds on the window with a per-element
-    atom multiset certificate otherwise."""
+    multiple can ever become atomic); otherwise each non-atomic element is
+    certified by its `_atom_multiplier`, Inconclusive where that fails."""
     desc = atom_subgroup(model)
     elems = sorted(set(window), key=lambda e: e.label)
-    witnesses = [
-        e.label for e in elems if not desc.membership(model.conn_value(e))[0]
-    ]
+    coeffs = {e.label: desc.membership(model.conn_value(e))[1] for e in elems}
+    witnesses = [label for label, c in coeffs.items() if c is None]
     if witnesses:
         return fails({"value_outside_atom_subgroup": witnesses}, "analytic")
+    atoms = model.certificate_atoms()
     certificates: dict[str, list[str]] = {}
     unresolved: list[str] = []
     for e in elems:
         if model.is_atomic_element(e):
             certificates[e.label] = []
             continue
-        ok, coeffs = desc.membership(model.conn_value(e))
-        mult = _atom_multiplier_from_coeffs(model, coeffs) if ok else None
-        if mult is not None and model.is_atomic_element(_apply(model, e, mult)):
+        mult = _atom_multiplier(atoms, coeffs[e.label])
+        if model.is_atomic_element(reduce(model.multiply, mult, e)):
             certificates[e.label] = sorted(m.label for m in mult)
-            continue
-        found = _search_atom_multiplier(model, e, search_bound)
-        if found is not None:
-            certificates[e.label] = sorted(m.label for m in found)
         else:
             unresolved.append(e.label)
     if unresolved:
-        return inconclusive({"unresolved": unresolved, "search_bound": search_bound})
+        return inconclusive({"unresolved": unresolved})
     return holds({"certificates": certificates})
 
 
-def _search_atom_multiplier(model, e: Element, bound: int):
-    atoms = model.certificate_atoms()
-    if not atoms:
-        return None
-    for size in range(1, bound + 1):
-        for combo in combinations_with_replacement(atoms, size):
-            if model.is_atomic_element(_apply(model, e, list(combo))):
-                return list(combo)
-    return None
-
-
 def is_quasi_atomic(model: DivisibilityModel, window) -> Verdict:
-    """Per-element search for an integral multiplier making the product
-    atomic; models may certify impossibility outright."""
+    """Fails on the model's `quasi_obstruction`; otherwise each non-atomic
+    e is certified by an integral b with e*b atomic, the model's
+    `quasi_complement` or else the product of e's `_atom_multiplier`, and
+    the verdict is Inconclusive where neither works."""
     elems = sorted(set(window), key=lambda e: e.label)
     obstruction = model.quasi_obstruction(elems)
     if obstruction is not None:
         return fails(obstruction, "analytic")
+    desc = atom_subgroup(model)
     certificates: dict[str, str | None] = {}
     unresolved: list[str] = []
     for e in elems:
@@ -163,21 +152,12 @@ def is_quasi_atomic(model: DivisibilityModel, window) -> Verdict:
             certificates[e.label] = None  # already atomic, multiplier is a unit
             continue
         b = model.quasi_complement(e)
-        if b is not None and model.in_domain(b) and model.is_atomic_element(
-            model.multiply(e, b)
-        ):
+        if not _makes_atomic(model, e, b):
+            ok, coeffs = desc.membership(model.conn_value(e))
+            mult = _atom_multiplier(model.certificate_atoms(), coeffs) if ok else []
+            b = reduce(model.multiply, mult) if mult else None
+        if _makes_atomic(model, e, b):
             certificates[e.label] = b.label
-            continue
-        hit = next(
-            (
-                cand.label
-                for cand in elems
-                if model.is_atomic_element(model.multiply(e, cand))
-            ),
-            None,
-        )
-        if hit is not None:
-            certificates[e.label] = hit
         else:
             unresolved.append(e.label)
     if unresolved:

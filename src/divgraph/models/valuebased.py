@@ -12,6 +12,7 @@ from __future__ import annotations
 import abc
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable
 
 from ..elements import Element
@@ -242,21 +243,22 @@ class NumericalMonoidModel(ValueModel):
             raise InvalidBounds("numerical monoid generators must be positive integers")
         self.generators = gens
         self.id = "numerical-monoid<" + ",".join(str(g) for g in gens) + ">"
-        self._member_cache: dict[int, bool] = {0: True}
+        self._members = [True]  # _members[n]: n is a sum of generators
+        # the minimal generators: those that are not a sum of two nonzero members
+        minimal = [
+            self.element(Vec((g,)))
+            for g in gens
+            if not any(self._member(h) and self._member(g - h) for h in range(1, g))
+        ]
+        self._atoms = tuple(sorted(minimal, key=lambda e: e.label))
 
     def _member(self, n: int) -> bool:
         if n < 0:
             return False
-        cached = self._member_cache.get(n)
-        if cached is not None:
-            return cached
-        top = max(self._member_cache) if self._member_cache else 0
-        dp = [self._member_cache.get(i, False) for i in range(top + 1)] + [False] * (n - top)
-        for i in range(1, n + 1):
-            if not dp[i]:
-                dp[i] = any(g <= i and dp[i - g] for g in self.generators)
-            self._member_cache[i] = dp[i]
-        return self._member_cache[n]
+        members = self._members
+        for i in range(len(members), n + 1):
+            members.append(any(g <= i and members[i - g] for g in self.generators))
+        return members[n]
 
     def contains_value(self, v: Vec) -> bool:
         return v.rat == 0 and self._member(v.ints[0])
@@ -269,18 +271,14 @@ class NumericalMonoidModel(ValueModel):
         return str(v.ints[0])
 
     def atoms(self) -> tuple[Element, ...]:
-        # the minimal generators: those that are not a sum of two nonzero members
-        out = [
-            self.element(Vec((g,)))
-            for g in self.generators
-            if not any(self._member(h) and self._member(g - h) for h in range(1, g))
-        ]
-        return tuple(sorted(out, key=lambda e: e.label))
+        return self._atoms
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
         (max_value,) = self.require_positive(spec.bounds, "max_value")
         if spec.include_fractional:
-            values = [Vec((n,)) for n in range(-max_value, max_value + 1)]
+            # the value group: the multiples of the generators' gcd
+            step = gcd(*self.generators)
+            values = [Vec((n,)) for n in range(-max_value, max_value + 1) if n % step == 0]
         else:
             values = [Vec((n,)) for n in range(1, max_value + 1) if self._member(n)]
         return self._window_from_values(values, spec.include_fractional)
@@ -349,7 +347,9 @@ class D1Model(_TwoGeneratorValuationModel):
     def quasi_complement(self, a: Element) -> Element | None:
         self.check_owned(a)
         if a.value.rat != 0:
-            return self.element(Vec((2,), -a.value.rat))
+            # (k, alpha) + (max(2, 1 - k), -alpha) = (max(k + 2, 1), 0) is atomic for
+            # every k, and a y-exponent >= 2 keeps the complement integral
+            return self.element(Vec((max(2, 1 - a.value.ints[0]),), -a.value.rat))
         return None
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 
+from .config import DEFAULT_ORACLE_BOUND
 from .connectivity import (
     _quotient_of_atomics,
     atom_subgroup,
@@ -15,7 +16,7 @@ from .connectivity import (
     is_quasi_atomic,
     weak_components,
 )
-from .errors import WindowTooLarge
+from .errors import ConfigError, WindowTooLarge
 from .graph import DivGraph, classify, sinks, topological_order, window_analysis
 from .models.base import DivisibilityModel
 from .topology import (
@@ -92,6 +93,9 @@ def components_report(graph: DivGraph) -> dict:
 def topology_report(model: DivisibilityModel, window, pair=None) -> dict:
     """The Alexandrov-space report; with pair = (a, b) it also answers
     whether a and b are chain connected."""
+    unknown = sorted(set(pair or ()) - {e.label for e in window})
+    if unknown:
+        raise ConfigError(f"pair labels outside the window: {unknown}")
     poset = window_poset(model, window)
     poset.check_axioms()
     space = poset_to_space(poset)
@@ -115,11 +119,11 @@ def topology_report(model: DivisibilityModel, window, pair=None) -> dict:
     return report
 
 
-def atomicity_report(model: DivisibilityModel, window, search_bound: int = 8) -> dict:
+def atomicity_report(model: DivisibilityModel, window) -> dict:
     return {
         "model": model.id,
         "window_size": len(set(window)),
-        "AlmostAtomic": is_almost_atomic(model, window, search_bound).to_jsonable(),
+        "AlmostAtomic": is_almost_atomic(model, window).to_jsonable(),
         "QuasiAtomic": is_quasi_atomic(model, window).to_jsonable(),
     }
 
@@ -127,7 +131,7 @@ def atomicity_report(model: DivisibilityModel, window, search_bound: int = 8) ->
 MAX_CHECK_VERTICES = 500
 
 
-def crosscheck_graph(graph: DivGraph, oracle_bound: int = 12) -> dict:
+def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> dict:
     """Independent consistency check of a (possibly tampered) graph:
 
     1. per closed vertex, the path-spelled factorization multisets must agree

@@ -4,8 +4,12 @@ Each one restates a definition directly so the tests can compare the
 package's answers against it.
 """
 
+from fractions import Fraction
+
 from divgraph.graph import cover_edge
+from divgraph.models import NumericalMonoidModel
 from divgraph.topology import FinitePoset, is_T0
+from divgraph.values import Vec
 
 
 def all_pairs_edges(model, window) -> tuple:
@@ -50,3 +54,34 @@ def prime_witness_check_zxq(model, window) -> dict:
         "ideal_atoms": bad_atoms,
         "holds": not bad_atoms,
     }
+
+
+def element_of_label(model, label):
+    """The element of a shipped value model that a canonical label names:
+    the inverse of `label_for`, checked by rendering the label back."""
+    if label == model.unit_label:
+        return model.element(model.ambient.zero())
+    if isinstance(model, NumericalMonoidModel):
+        return model.element(Vec((int(label),)))
+    # num/den, where the split is the first "/" outside parentheses
+    depth, cut = 0, len(label)
+    for i, ch in enumerate(label):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "/" and depth == 0:
+            cut = i
+            break
+    exps = {"pi": 0, "y": 0, "x": Fraction(0)}
+    for sign, part in ((1, label[:cut]), (-1, label[cut + 1 :])):
+        if part.startswith("(") and part.endswith(")"):
+            part = part[1:-1]
+        for tok in part.split("*") if part and part != "1" else ():
+            sym, _, exp = tok.partition("^")
+            exps[sym] += sign * (Fraction(exp.strip("()")) if exp else 1)
+    value = {
+        "dvr": Vec((int(exps["pi"]),)),
+        "d1": Vec((int(exps["y"]),), exps["x"]),
+        "d2": Vec((int(exps["y"]), int(exps["x"]))),
+    }[model.id]
+    e = model.element(value)
+    assert e.label == label, (label, e.label)
+    return e

@@ -126,6 +126,55 @@ class TestCLI:
         report = json.loads(r.stdout)
         assert report["chain_connected_pair"]["chain_connected"] is False
 
+    def test_topology_pair_outside_the_window(self):
+        r = run_cli(
+            "topology",
+            "--config",
+            str(CONFIG_DIR / "zxq_orders.cfg"),
+            "--pair",
+            "x",
+            "x^9",
+        )
+        assert r.returncode == 2
+        assert "error:" in r.stderr and "'x^9'" in r.stderr
+        assert r.stdout == ""
+
+    def test_bound_only_on_check(self):
+        cfg = str(CONFIG_DIR / "dvr_chain.cfg")
+        r = run_cli("graph", "--config", cfg, "--bound", "3")
+        assert r.returncode == 2 and "--bound" in r.stderr
+        r = run_cli("check", "--config", cfg, "--bound", "30")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["ok"]
+
+    def test_non_positive_bounds_rejected(self, tmp_path):
+        cfg = CONFIG_DIR / "dvr_chain.cfg"
+        r = run_cli("check", "--config", str(cfg), "--bound", "0")
+        assert r.returncode == 2 and "positive" in r.stderr
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text() + "bound search_bound 0\n")
+        r = run_cli("check", "--config", str(bad))
+        assert r.returncode == 2
+        assert "error:" in r.stderr and "search_bound" in r.stderr
+
+    def test_check_runs_the_oracle_with_the_bound_given(self, tmp_path, monkeypatch, capsys):
+        bounds = []
+
+        def recording(graph, oracle_bound):
+            bounds.append(oracle_bound)
+            return {"ok": True}
+
+        monkeypatch.setattr(cli, "crosscheck_graph", recording)
+        cfg = CONFIG_DIR / "dvr_chain.cfg"
+        low = tmp_path / "low.cfg"
+        low.write_text(cfg.read_text() + "bound search_bound 9\n")
+        assert cli.main(["check", "--config", str(cfg)]) == 0
+        assert cli.main(["check", "--config", str(cfg), "--bound", "30"]) == 0
+        assert cli.main(["check", "--config", str(low)]) == 0
+        assert cli.main(["check", "--config", str(low), "--bound", "5"]) == 0
+        capsys.readouterr()
+        assert bounds == [24, 30, 9, 5]
+
     def test_graph_built_only_when_read(self, monkeypatch, capsys):
         cfg = str(CONFIG_DIR / "zxq_orders.cfg")
 

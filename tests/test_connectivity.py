@@ -189,6 +189,15 @@ class TestQuasiAtomic:
             assert b.label == mult
             assert m.is_atomic_element(m.multiply(by_label[label], b))
 
+    def test_d1_complement_on_a_fractional_window(self):
+        # (k, alpha) with k <= -2 needs the y-exponent 1 - k to reach (1, 0)
+        m = D1Model()
+        bounds = {"k_max": 2, "den_max": 2, "alpha_max": 1}
+        w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=True))
+        verdict = is_quasi_atomic(m, w)
+        assert verdict.status is Status.HOLDS
+        assert verdict.evidence["certificates"]["x^(1/2)/y^2"] == "y^3/x^(1/2)"
+
     def test_antimatter_fails_with_obstruction(self):
         m = AntimatterModel()
         verdict = is_quasi_atomic(m, win(m, max_value=1, max_den=3))

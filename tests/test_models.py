@@ -118,6 +118,11 @@ class TestNumericalMonoid:
         w = window(NumericalMonoidModel((2, 3)), max_value=3, include_fractional=True)
         assert len(w) == 7  # values -3..3, the unit included
 
+    def test_fractional_window_is_the_value_group(self):
+        # <4,6> generates 2Z: an odd value names no class of the fraction field
+        w = window(NumericalMonoidModel((4, 6)), max_value=5, include_fractional=True)
+        assert [e.label for e in w] == ["-2", "-4", "0", "2", "4"]
+
 
 class TestD1:
     m = D1Model()

@@ -1,13 +1,19 @@
 """Property-based tests over randomly generated inputs."""
 
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divgraph.config import load_config
-from divgraph.connectivity import quotient_of_atomics, weak_components
+from divgraph.connectivity import (
+    is_almost_atomic,
+    is_quasi_atomic,
+    quotient_of_atomics,
+    weak_components,
+)
 from divgraph.graph import build_graph, classify, topological_order, window_analysis
 from divgraph.lattices import SubgroupDescriptor
 from divgraph.models import (
@@ -28,7 +34,7 @@ from divgraph.topology import (
 )
 from divgraph.values import Ambient, Vec, vec
 from divgraph.verdicts import Status
-from helpers import all_pairs_edges, space_to_poset
+from helpers import all_pairs_edges, element_of_label, space_to_poset
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -242,6 +248,32 @@ def test_zxq_graph_edges_match_all_pairs():
         w = m.enumerate_window(spec)
         edges = build_graph(m, w).edges
         assert edges and edges == all_pairs_edges(m, w), path.name
+
+
+# -- almost and quasi atomicity ------------------------------------------------
+
+@given(value_windows, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_atomicity_verdicts_are_decided_and_certified(model_bounds, fractional):
+    m, bounds = model_bounds
+    w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=fractional))
+    by_label = {e.label: e for e in w}
+    atoms = {p.label: p for p in m.certificate_atoms()}
+    almost, quasi = is_almost_atomic(m, w), is_quasi_atomic(m, w)
+    assert Status.INCONCLUSIVE not in (almost.status, quasi.status)
+    if almost.status is Status.HOLDS:
+        assert quasi.status is Status.HOLDS
+        for label, mult in almost.evidence["certificates"].items():
+            product = reduce(m.multiply, (atoms[a] for a in mult), by_label[label])
+            assert m.is_atomic_element(product), label
+    if quasi.status is Status.HOLDS:
+        for label, b_label in quasi.evidence["certificates"].items():
+            e = by_label[label]
+            if b_label is None:
+                assert m.is_atomic_element(e), label
+                continue
+            b = element_of_label(m, b_label)
+            assert m.in_domain(b) and m.is_atomic_element(m.multiply(e, b)), label
 
 
 # -- components against the quotient route -----------------------------------
