@@ -58,18 +58,8 @@ def _parser() -> argparse.ArgumentParser:
         "--pair", nargs=2, metavar=("A", "B"), help="also test chain connectedness"
     )
     add("atomicity", "almost/quasi atomicity verdicts with certificates")
-    sp = add("check", "cross-check path classification against the brute-force oracle")
-    sp.add_argument(
-        "--bound", type=_positive_int, help="the oracle's length bound (overrides search_bound)"
-    )
+    add("check", "cross-check path classification against the brute-force oracle")
     return p
-
-
-def _positive_int(text: str) -> int:
-    n = int(text)  # argparse reports a ValueError as an invalid value
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
-    return n
 
 
 def _has_fails(obj) -> bool:
@@ -102,7 +92,7 @@ def _run(args) -> int:
     elif args.command == "atomicity":
         report = atomicity_report(model, window)
     elif args.command == "check":
-        report = crosscheck_graph(graph(), args.bound or cfg.search_bound)
+        report = crosscheck_graph(graph(), cfg.search_bound)
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(args.command)
 

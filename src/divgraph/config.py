@@ -13,8 +13,8 @@ Grammar (one directive per line, `#` starts a comment):
                                 constant term +-1, no rational root)
 
 `bound search_bound N` is not a window bound: it is the length bound of
-the factorization oracle that `check` runs (`DEFAULT_ORACLE_BOUND`, 24),
-and `check --bound N` overrides it.
+the factorization oracle that `check` runs, used as given
+(`reports.DEFAULT_ORACLE_BOUND`, 24, when absent).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from pathlib import Path
 from .errors import InvalidBounds, ParseError
 from .models import build_model
 from .models.base import DivisibilityModel, WindowSpec
-
-DEFAULT_ORACLE_BOUND = 24
+from .reports import DEFAULT_ORACLE_BOUND
 
 
 @dataclass

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 
-from .config import DEFAULT_ORACLE_BOUND
 from .connectivity import (
     _quotient_of_atomics,
     atom_subgroup,
@@ -129,6 +128,7 @@ def atomicity_report(model: DivisibilityModel, window) -> dict:
 
 
 MAX_CHECK_VERTICES = 500
+DEFAULT_ORACLE_BOUND = 24
 
 
 def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> dict:
@@ -138,6 +138,10 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) 
        with the brute-force search over the model itself;
     2. the weak components, the topological components, and the
        quotient-of-atomics verdicts must induce the same partition.
+
+    A vertex whose oracle search needs more than `oracle_bound` atoms is not
+    compared; the report lists such vertices under `skipped_oracle_bound`
+    (the key is absent when there are none).
     """
     model = graph.model
     if len(graph.vertices) > MAX_CHECK_VERTICES:
@@ -145,6 +149,7 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) 
             f"check is exhaustive and limited to {MAX_CHECK_VERTICES} vertices"
         )
     disagreements: list[dict] = []
+    skipped: list[str] = []
 
     info = window_analysis(graph)
     for v in graph.vertices:
@@ -152,9 +157,10 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) 
         if i.escapes:
             continue  # the window does not see every path, nothing to compare
         search = model.factorizations(v, oracle_bound)
-        oracle = {tuple(sorted(e.label for e in f.atoms)) for f in search.found}
         if search.bound_too_small:
+            skipped.append(v.label)
             continue
+        oracle = {tuple(sorted(e.label for e in f.atoms)) for f in search.found}
         if oracle != set(i.factorizations):
             disagreements.append(
                 {
@@ -210,9 +216,12 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) 
                         "verdict": verdict.status.value,
                     }
                 )
-    return {
+    report = {
         "model": model.id,
         "vertex_count": len(graph.vertices),
         "disagreements": disagreements,
         "ok": not disagreements,
     }
+    if skipped:
+        report["skipped_oracle_bound"] = skipped
+    return report

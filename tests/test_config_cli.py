@@ -139,20 +139,15 @@ class TestCLI:
         assert "error:" in r.stderr and "'x^9'" in r.stderr
         assert r.stdout == ""
 
-    def test_bound_only_on_check(self):
+    def test_bound_is_not_a_flag(self):
         cfg = str(CONFIG_DIR / "dvr_chain.cfg")
-        r = run_cli("graph", "--config", cfg, "--bound", "3")
-        assert r.returncode == 2 and "--bound" in r.stderr
-        r = run_cli("check", "--config", cfg, "--bound", "30")
-        assert r.returncode == 0, r.stderr
-        assert json.loads(r.stdout)["ok"]
+        for command in ("graph", "check"):
+            r = run_cli(command, "--config", cfg, "--bound", "3")
+            assert r.returncode == 2 and "--bound" in r.stderr
 
     def test_non_positive_bounds_rejected(self, tmp_path):
-        cfg = CONFIG_DIR / "dvr_chain.cfg"
-        r = run_cli("check", "--config", str(cfg), "--bound", "0")
-        assert r.returncode == 2 and "positive" in r.stderr
         bad = tmp_path / "bad.cfg"
-        bad.write_text(cfg.read_text() + "bound search_bound 0\n")
+        bad.write_text((CONFIG_DIR / "dvr_chain.cfg").read_text() + "bound search_bound 0\n")
         r = run_cli("check", "--config", str(bad))
         assert r.returncode == 2
         assert "error:" in r.stderr and "search_bound" in r.stderr
@@ -169,11 +164,22 @@ class TestCLI:
         low = tmp_path / "low.cfg"
         low.write_text(cfg.read_text() + "bound search_bound 9\n")
         assert cli.main(["check", "--config", str(cfg)]) == 0
-        assert cli.main(["check", "--config", str(cfg), "--bound", "30"]) == 0
         assert cli.main(["check", "--config", str(low)]) == 0
-        assert cli.main(["check", "--config", str(low), "--bound", "5"]) == 0
         capsys.readouterr()
-        assert bounds == [24, 30, 9, 5]
+        assert bounds == [24, 9]
+
+    def test_check_lists_vertices_past_the_oracle_bound(self, tmp_path):
+        cfg = CONFIG_DIR / "numerical_2_3.cfg"
+        low = tmp_path / "low.cfg"
+        low.write_text(cfg.read_text() + "bound search_bound 2\n")
+        r = run_cli("check", "--config", str(low))
+        skipped = json.loads(r.stdout)["skipped_oracle_bound"]
+        # 6 = 2+2+2 is the smallest value with a factorization of 3 atoms
+        assert "6" in skipped and "40" in skipped
+        assert "4" not in skipped and "5" not in skipped
+        assert "skipped_oracle_bound" not in json.loads(
+            run_cli("check", "--config", str(cfg)).stdout
+        )
 
     def test_graph_built_only_when_read(self, monkeypatch, capsys):
         cfg = str(CONFIG_DIR / "zxq_orders.cfg")
