@@ -7,7 +7,6 @@ connectivity/coset analysis with almost/quasi atomicity verdicts.
 
 from .config import RunConfig, load_config, parse_config
 from .connectivity import (
-    Certificate,
     atom_subgroup,
     is_almost_atomic,
     is_quasi_atomic,
@@ -55,7 +54,6 @@ __all__ = [
     "AlexandrovSpace",
     "Ambient",
     "AntimatterModel",
-    "Certificate",
     "D1Model",
     "D2Model",
     "DVRModel",

@@ -3,7 +3,6 @@ verdicts (quotient-of-atomics, almost atomic, quasi atomic)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .elements import Element
@@ -31,77 +30,44 @@ def atom_subgroup(model: DivisibilityModel) -> SubgroupDescriptor:
     return SubgroupDescriptor(model.ambient, values, no_atoms=not values)
 
 
-# -- quotient-of-atomics certificates ----------------------------------------
+# -- quotient of atomics -----------------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
-    numerator_atoms: tuple[Element, ...]
-    denominator_atoms: tuple[Element, ...]
-    target_pair: tuple[Element, Element]
-
-
-def quotient_of_atomics(model: DivisibilityModel, a: Element, b: Element) -> Verdict:
-    """Can a/b be written as a quotient of two atom products?  Holds with a
-    Certificate, Fails when the value argument refutes existence, otherwise
-    Inconclusive."""
-    return _quotient_of_atomics(model, atom_subgroup(model), a, b)
-
-
-def _quotient_of_atomics(
-    model: DivisibilityModel, desc: SubgroupDescriptor, a: Element, b: Element
+def quotient_of_atomics(
+    model: DivisibilityModel, a: Element, b: Element, desc: SubgroupDescriptor | None = None
 ) -> Verdict:
-    """quotient_of_atomics against the model's atom subgroup `desc`, for
-    callers that ask about many pairs of one model."""
+    """Can a/b be written as a quotient of two atom products?  Exactly when
+    conn(a) - conn(b) lies in the atom subgroup (see `conn_value`): Holds
+    with its coefficients over the subgroup generators, Fails with the two
+    cosets.  `desc` is the model's `atom_subgroup`, for callers that ask
+    about many pairs of one model."""
     model.check_owned(a, b)
+    if desc is None:
+        desc = atom_subgroup(model)
     diff = model.conn_value(a) - model.conn_value(b)
     ok, coeffs = desc.membership(diff)
-    if not ok:
-        return fails(
-            {
-                "value_difference": str(diff),
-                "coset_of_a": desc.coset_label(model.conn_value(a)),
-                "coset_of_b": desc.coset_label(model.conn_value(b)),
-            },
-            "analytic",
-        )
-    override = getattr(model, "quotient_certificate", None)
-    if override is not None:
-        pair = override(a, b)
-        if pair is None:
-            return inconclusive({"reason": "factorisation exceeded the degree cap"})
-        num, den = pair
-        return holds(Certificate(num, den, (a, b)))
-    num, den = _atom_split(model.certificate_atoms(), coeffs)
-    check = model.ambient.zero()
-    for e in num:
-        check = check + model.conn_value(e)
-    for e in den:
-        check = check - model.conn_value(e)
-    assert check == diff, "certificate does not balance the value difference"
-    return holds(Certificate(tuple(num), tuple(den), (a, b)))
-
-
-def _atom_split(atoms, coeffs) -> tuple[list[Element], list[Element]]:
-    """The numerator and the denominator of atom-subgroup membership
-    coefficients over `atoms`: the atoms with a positive and with a negative
-    coefficient, each repeated, so the value is sum(num) - sum(den)."""
-    num: list[Element] = []
-    den: list[Element] = []
-    for c, atom in zip(coeffs, atoms):
-        (num if c > 0 else den).extend([atom] * abs(c))
-    return num, den
+    if ok:
+        return holds({"coefficients": coeffs}, "analytic")
+    return fails(
+        {
+            "value_difference": str(diff),
+            "coset_of_a": desc.coset_label(model.conn_value(a)),
+            "coset_of_b": desc.coset_label(model.conn_value(b)),
+        },
+        "analytic",
+    )
 
 
 # -- almost / quasi atomicity -------------------------------------------------
 
 def _atom_multiplier(atoms, coeffs) -> list[Element]:
     """Atoms whose product times e is atomic, from e's membership
-    coefficients over `atoms`: the denominator, since e times it has the
-    numerator's value, plus one atom when the numerator is empty.  Complete
-    where the atomic elements are the nonzero atom products' values: on
-    value models, and on zxq (the order-0 non-units)."""
-    num, den = _atom_split(atoms, coeffs)
-    return den if num else den + list(atoms[:1])
+    coefficients over `atoms`: the denominator (each atom with a negative
+    coefficient c, repeated -c times), since e times it has the numerator's
+    value, plus one atom when the numerator is empty.  Complete where the
+    atomic elements are the nonzero atom products' values: on value models,
+    and on zxq (the order-0 non-units)."""
+    den = [atom for c, atom in zip(coeffs, atoms) for _ in range(-c)]
+    return den if any(c > 0 for c in coeffs) else den + list(atoms[:1])
 
 
 def _makes_atomic(model: DivisibilityModel, e: Element, b: Element | None) -> bool:

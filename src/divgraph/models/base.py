@@ -110,7 +110,13 @@ class DivisibilityModel(abc.ABC):
 
     @abc.abstractmethod
     def conn_value(self, a: Element) -> Vec:
-        """Value used for component/coset analysis."""
+        """Value used for component/coset analysis: a homomorphism from the
+        group of classes whose kernel lies in the group the atoms generate.
+        Value models map each class to its value, injectively; zxq maps a
+        class to its order at x = 0, and an order-0 class f/g equals
+        (2f)/(2g), a quotient of atomic elements.  So conn(a) - conn(b) lies
+        in the atom subgroup exactly when a/b is a quotient of atom products,
+        which `quotient_of_atomics` relies on."""
 
     @abc.abstractmethod
     def certificate_atoms(self) -> tuple[Element, ...]:

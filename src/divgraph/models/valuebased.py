@@ -26,6 +26,7 @@ class ValueModel(DivisibilityModel):
     exactly when it is one of `atoms()`."""
 
     unit_label = "1"  # label of the zero value; no nonzero value may share it
+    atom_values: tuple[Vec, ...]  # the value of every atom class
 
     # -- subclass hooks -----------------------------------------------------
 
@@ -39,10 +40,6 @@ class ValueModel(DivisibilityModel):
     @abc.abstractmethod
     def label_for(self, v: Vec) -> str:
         """Canonical label of a nonzero value."""
-
-    @abc.abstractmethod
-    def atoms(self) -> tuple[Element, ...]:
-        """Representatives of every atom class."""
 
     # -- generic operations -------------------------------------------------
 
@@ -62,6 +59,14 @@ class ValueModel(DivisibilityModel):
     def multiply(self, a: Element, b: Element) -> Element:
         self.check_owned(a, b)
         return self.element(a.value + b.value)
+
+    @cached_property
+    def _atoms(self) -> tuple[Element, ...]:
+        return tuple(sorted(map(self.element, self.atom_values), key=lambda e: e.label))
+
+    def atoms(self) -> tuple[Element, ...]:
+        """Representatives of every atom class, in label order; built once."""
+        return self._atoms
 
     @cached_property
     def _atom_labels(self) -> frozenset[str]:
@@ -170,6 +175,7 @@ class DVRModel(ValueModel):
 
     id = "dvr"
     ambient = Ambient(1)
+    atom_values = (Vec((1,)),)
 
     def contains_value(self, v: Vec) -> bool:
         return v.rat == 0 and v.ints[0] >= 0
@@ -182,9 +188,6 @@ class DVRModel(ValueModel):
         if k >= 1:
             return "pi" if k == 1 else f"pi^{k}"
         return "1/pi" if k == -1 else f"1/pi^{-k}"
-
-    def atoms(self) -> tuple[Element, ...]:
-        return (self.element(Vec((1,))),)
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
         (n,) = self.require_positive(spec.bounds, "max_exponent")
@@ -200,6 +203,7 @@ class AntimatterModel(ValueModel):
 
     id = "antimatter"
     ambient = Ambient(0, with_rat=True)
+    atom_values = ()
 
     def contains_value(self, v: Vec) -> bool:
         return v.rat >= 0
@@ -212,9 +216,6 @@ class AntimatterModel(ValueModel):
         if q > 0:
             return "x" if q == 1 else f"x^{fmt_exponent(q)}"
         return "1/x" if q == -1 else f"1/x^{fmt_exponent(-q)}"
-
-    def atoms(self) -> tuple[Element, ...]:
-        return ()
 
     def quasi_obstruction(self, window: Iterable[Element]) -> dict | None:
         witness = min(window, key=lambda e: e.label, default=None)
@@ -245,12 +246,11 @@ class NumericalMonoidModel(ValueModel):
         self.id = "numerical-monoid<" + ",".join(str(g) for g in gens) + ">"
         self._members = [True]  # _members[n]: n is a sum of generators
         # the minimal generators: those that are not a sum of two nonzero members
-        minimal = [
-            self.element(Vec((g,)))
+        self.atom_values = tuple(
+            Vec((g,))
             for g in gens
             if not any(self._member(h) and self._member(g - h) for h in range(1, g))
-        ]
-        self._atoms = tuple(sorted(minimal, key=lambda e: e.label))
+        )
 
     def _member(self, n: int) -> bool:
         if n < 0:
@@ -269,9 +269,6 @@ class NumericalMonoidModel(ValueModel):
 
     def label_for(self, v: Vec) -> str:
         return str(v.ints[0])
-
-    def atoms(self) -> tuple[Element, ...]:
-        return self._atoms
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
         (max_value,) = self.require_positive(spec.bounds, "max_value")
@@ -324,6 +321,7 @@ class D1Model(_TwoGeneratorValuationModel):
 
     id = "d1"
     ambient = Ambient(1, with_rat=True)
+    atom_values = (Vec((1,)),)
 
     def _exp_pair(self, v: Vec):
         return v.ints[0], v.rat
@@ -340,9 +338,6 @@ class D1Model(_TwoGeneratorValuationModel):
 
     def is_atomic_value(self, v: Vec) -> bool:
         return v.rat == 0 and v.ints[0] >= 1
-
-    def atoms(self) -> tuple[Element, ...]:
-        return (self.element(Vec((1,))),)
 
     def quasi_complement(self, a: Element) -> Element | None:
         self.check_owned(a)
@@ -373,6 +368,7 @@ class D2Model(_TwoGeneratorValuationModel):
 
     id = "d2"
     ambient = Ambient(2)
+    atom_values = (Vec((1, 0)), Vec((0, 1)))
 
     def _exp_pair(self, v: Vec):
         return v.ints[0], Fraction(v.ints[1])
@@ -390,10 +386,6 @@ class D2Model(_TwoGeneratorValuationModel):
     def is_atomic_value(self, v: Vec) -> bool:
         k, j = v.ints
         return v.rat == 0 and k >= 0 and j >= 0 and (k, j) != (0, 0)
-
-    def atoms(self) -> tuple[Element, ...]:
-        out = [self.element(Vec((0, 1))), self.element(Vec((1, 0)))]
-        return tuple(sorted(out, key=lambda e: e.label))
 
     def quasi_complement(self, a: Element) -> Element | None:
         self.check_owned(a)

@@ -7,17 +7,18 @@ are the integer primes and the Q-irreducible polynomials with constant term
 +-1: infinitely many, so this model has no atom list and answers each atom
 question from the split of the element itself.  One splitter,
 `_poly_atoms_and_constant`, splits the polynomial part for `is_atom`,
-factorizations, the boundary probe and quotient certificates: it removes
-the declared `atom` polynomials first, then factors the rest with the
-rational-root test.  `_prime_factors` splits the integer part: trial division
-below 1000, then Miller-Rabin, exact below 3.3e24, and Brent's variant of
-Pollard rho with a fixed step budget.  The split is unknown when the
-polynomial rest has degree above `degree_cap` or a factor of degree >= 4
-without a rational root, when a cofactor of at least 3.3e24 tests prime, or
-when rho finds no factor of a composite cofactor within its budget (in
-practice, only when all its prime factors exceed about 10^10): `is_atom` raises
-DegreeCapExceeded there, factorizations report `bound_too_small`, the
-boundary probe answers conservatively and no certificate is given.
+factorizations and the boundary probe: it removes the declared `atom`
+polynomials first, then factors the rest with the rational-root test.
+`_prime_factors` splits the integer part: trial division below 1000, then
+Miller-Rabin, exact below 3.3e24, and Brent's variant of Pollard rho with a
+fixed step budget.  The split is unknown when the polynomial rest has degree
+above `degree_cap` or a factor of degree >= 4 without a rational root, when
+a cofactor of at least 3.3e24 tests prime, or when rho finds no factor of a
+composite cofactor within its budget (in practice, only when all its prime
+factors exceed about 10^10): `is_atom` raises DegreeCapExceeded there,
+factorizations report `bound_too_small` and the boundary probe answers
+conservatively.  Connectivity needs no split: it reads only the order at
+x = 0 (`conn_value`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable
 
 from ..elements import Element
 from ..errors import DegreeCapExceeded, EmptyWindow, InvalidBounds
-from ..polynomials import ONE, QPoly, RationalFunction, factor_monic, rational_roots
+from ..polynomials import QPoly, RationalFunction, factor_monic, rational_roots
 from ..values import Ambient, Vec
 from .base import DivisibilityModel, FactorSearch, Factorization, WindowSpec
 
@@ -321,37 +322,6 @@ class ZxQModel(DivisibilityModel):
                 return None
             factors += rest
         return factors, prod((f.constant for f in factors), start=Fraction(1))
-
-    def quotient_certificate(
-        self, a: Element, b: Element
-    ) -> tuple[tuple[Element, ...], tuple[Element, ...]] | None:
-        """Atom multisets (P, Q) with a/b = prod(P)/prod(Q) up to a unit."""
-        self.check_owned(a, b)
-        r = a.symbolic.div(b.symbolic)
-        if r.order != 0:
-            return None
-        up_split = self._poly_atoms_and_constant(r.num)
-        down_split = self._poly_atoms_and_constant(r.den)
-        if up_split is None or down_split is None:
-            return None
-        (up_factors, up_const), (down_factors, down_const) = up_split, down_split
-        const = r.c * up_const / down_const
-        up_primes = _prime_factors(const.numerator)
-        down_primes = _prime_factors(const.denominator)
-        if up_primes is None or down_primes is None:
-            return None
-        up = self._atoms(up_factors, up_primes)
-        down = self._atoms(down_factors, down_primes)
-        # soundness: the certificate must reproduce the quotient class
-        acc = RationalFunction.from_poly(ONE)
-        for e in up:
-            acc = acc.mul(e.symbolic)
-        for e in down:
-            acc = acc.div(e.symbolic)
-        assert acc == r, "certificate does not reproduce the quotient"
-        return tuple(sorted(up, key=lambda e: e.label)), tuple(
-            sorted(down, key=lambda e: e.label)
-        )
 
     def quasi_obstruction(self, window) -> dict | None:
         for e in sorted(window, key=lambda x: x.label):

@@ -9,10 +9,10 @@ from __future__ import annotations
 import json
 
 from .connectivity import (
-    _quotient_of_atomics,
     atom_subgroup,
     is_almost_atomic,
     is_quasi_atomic,
+    quotient_of_atomics,
     weak_components,
 )
 from .errors import ConfigError, WindowTooLarge
@@ -203,10 +203,8 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) 
     reps = [graph.by_label(c[0]) for c in comps]
     for rep in reps:
         for v in graph.vertices:
-            verdict = _quotient_of_atomics(model, desc, v, rep)
+            verdict = quotient_of_atomics(model, v, rep, desc)
             same = cosets[v.label] == cosets[rep.label]
-            if verdict.status is Status.INCONCLUSIVE:
-                continue
             if same != (verdict.status is Status.HOLDS):
                 disagreements.append(
                     {

@@ -1,6 +1,9 @@
 """Weak components, cosets of the atom subgroup, and generalized atomicity."""
 
 from fractions import Fraction
+from functools import reduce
+
+import pytest
 
 from divgraph.connectivity import (
     atom_subgroup,
@@ -19,6 +22,7 @@ from divgraph.models import (
     ZxQModel,
 )
 from divgraph.models.base import WindowSpec
+from divgraph.models.valuebased import ValueModel
 from divgraph.values import vec
 from divgraph.verdicts import Status
 from helpers import prime_witness_check_zxq
@@ -85,6 +89,27 @@ class TestAtomSubgroup:
         assert la == lc
 
 
+def assert_quotient_of_atoms(m, a, b):
+    """quotient_of_atomics(a, b) Holds analytically with coefficients c over
+    certificate_atoms() whose conn values sum to conn(a) - conn(b); on a
+    value model, num (c > 0) and den (c < 0) also give a * prod(den) ==
+    b * prod(num).  Returns c."""
+    verdict = quotient_of_atomics(m, a, b)
+    assert verdict.status is Status.HOLDS and verdict.provenance == "analytic"
+    coeffs = verdict.evidence["coefficients"]
+    atoms = m.certificate_atoms()
+    assert len(coeffs) == len(atoms)
+    total = m.ambient.zero()
+    for c, p in zip(coeffs, atoms):
+        total = total + m.conn_value(p).scaled(c)
+    assert total == m.conn_value(a) - m.conn_value(b)
+    if isinstance(m, ValueModel):
+        num = [p for c, p in zip(coeffs, atoms) for _ in range(c)]
+        den = [p for c, p in zip(coeffs, atoms) for _ in range(-c)]
+        assert reduce(m.multiply, den, a) == reduce(m.multiply, num, b)
+    return coeffs
+
+
 class TestQuotientOfAtomics:
     def test_d1_refuted_by_values(self):
         m = D1Model()
@@ -99,22 +124,28 @@ class TestQuotientOfAtomics:
         m = D2Model()
         a = m.element(vec(2, -1))
         b = m.element(vec(0, 1))
-        verdict = quotient_of_atomics(m, a, b)
-        assert verdict.status is Status.HOLDS
-        cert = verdict.evidence
-        num = sorted(e.label for e in cert.numerator_atoms)
-        den = sorted(e.label for e in cert.denominator_atoms)
-        assert num == ["y", "y"] and den == ["x", "x"]
+        coeffs = assert_quotient_of_atoms(m, a, b)
+        # over the atoms (x, y): a/b = y^2 / x^2
+        assert [p.label for p in m.certificate_atoms()] == ["x", "y"]
+        assert coeffs == [-2, 2]
 
     def test_zxq_certificate(self):
         m = ZxQModel()
         a = m.from_coeffs((4, 4))  # 4(1 + x)
         b = m.from_coeffs((3,))
-        verdict = quotient_of_atomics(m, a, b)
-        assert verdict.status is Status.HOLDS
-        cert = verdict.evidence
-        assert sorted(e.label for e in cert.numerator_atoms) == ["1+x", "2", "2"]
-        assert [e.label for e in cert.denominator_atoms] == ["3"]
+        assert assert_quotient_of_atoms(m, a, b) == [0]
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (1, 4, 6, 4, 1),  # (1 + x)^4: above the default degree cap
+            (6 * 3317044064679887385962123,),  # a prime no test certifies
+        ],
+    )
+    def test_zxq_needs_no_split(self, coeffs):
+        # a/b has order 0, and an order-0 class f/g is (2f)/(2g)
+        m = ZxQModel()
+        assert assert_quotient_of_atoms(m, m.from_coeffs(coeffs), m.from_coeffs((2,))) == [0]
 
     def test_zxq_different_orders_fail(self):
         m = ZxQModel()
@@ -124,10 +155,7 @@ class TestQuotientOfAtomics:
     def test_reflexive_pair_holds_trivially(self):
         m = DVRModel()
         pi2 = m.element(vec(2))
-        verdict = quotient_of_atomics(m, pi2, pi2)
-        assert verdict.status is Status.HOLDS
-        assert verdict.evidence.numerator_atoms == ()
-        assert verdict.evidence.denominator_atoms == ()
+        assert assert_quotient_of_atoms(m, pi2, pi2) == [0]
 
 
 class TestAlmostAtomic:

@@ -19,7 +19,6 @@ PUBLIC = [
     "AlexandrovSpace",
     "Ambient",
     "AntimatterModel",
-    "Certificate",
     "D1Model",
     "D2Model",
     "DVRModel",
