@@ -45,7 +45,7 @@ from .topology import (
     poset_to_space,
     window_poset,
 )
-from .values import Ambient, Vec, vec
+from .values import Ambient, Vec
 from .verdicts import Status, Verdict
 
 __version__ = "0.1.0"
@@ -87,7 +87,6 @@ __all__ = [
     "quotient_of_atomics",
     "sinks",
     "topological_order",
-    "vec",
     "weak_components",
     "window_poset",
 ]

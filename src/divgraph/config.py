@@ -14,7 +14,11 @@ Grammar (one directive per line, `#` starts a comment):
 
 `bound search_bound N` is not a window bound: it is the length bound of
 the factorization oracle that `check` runs, used as given
-(`reports.DEFAULT_ORACLE_BOUND`, 24, when absent).
+(`reports.DEFAULT_ORACLE_BOUND`, 24, when absent).  A directive the kind
+does not read is an error: every kind reads `bound search_bound`,
+`flag include_fractional` and the window bounds its model class names in
+`window_bounds`; only numerical-monoid reads `generator`, and only zxq
+reads `element`, `atom` and `bound degree_cap`.
 """
 
 from __future__ import annotations
@@ -23,10 +27,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import InvalidBounds, ParseError
-from .models import build_model
+from .errors import ConfigError, InvalidBounds, ParseError
+from .models import KINDS, build_model
 from .models.base import DivisibilityModel, WindowSpec
 from .reports import DEFAULT_ORACLE_BOUND
+
+# what only some kinds read, besides the window bounds of each
+_KIND_DIRECTIVES = {
+    "numerical-monoid": ("generator",),
+    "zxq": ("element", "atom", "bound degree_cap"),
+}
 
 
 @dataclass
@@ -90,12 +100,14 @@ def parse_config(text: str) -> RunConfig:
     flags: dict = {}
     elements: list[tuple[Fraction, ...]] = []
     declared: list[tuple[Fraction, ...]] = []
+    first_line: dict[str, int] = {}  # directive (with its bound name) -> first line using it
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
         directive, args = toks[0], toks[1:]
+        first_line.setdefault(" ".join(toks[:2]) if directive == "bound" else directive, line_no)
         if directive == "kind":
             if len(args) != 1:
                 raise ParseError("kind takes exactly one argument", line=line_no)
@@ -113,6 +125,8 @@ def parse_config(text: str) -> RunConfig:
         elif directive == "flag":
             if len(args) != 2 or args[1] not in ("true", "false"):
                 raise ParseError("flag takes a name and true|false", line=line_no)
+            if args[0] != "include_fractional":
+                raise ConfigError(f"unknown flag {args[0]!r}", line=line_no)
             flags[args[0]] = args[1] == "true"
         elif directive == "element":
             if not args:
@@ -126,6 +140,12 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(f"unknown directive {directive!r}", line=line_no)
     if kind is None:
         raise ParseError("config is missing a kind directive")
+    if kind in KINDS:  # an unknown kind fails in build()
+        reads = {"kind", "flag", "bound search_bound", *_KIND_DIRECTIVES.get(kind, ())}
+        reads.update(f"bound {b}" for b in KINDS[kind].window_bounds)
+        for directive, line_no in first_line.items():
+            if directive not in reads:
+                raise ConfigError(f"kind {kind} does not read {directive!r}", line=line_no)
     return RunConfig(
         kind=kind,
         generators=tuple(generators),

@@ -27,7 +27,7 @@ def weak_components(graph: DivGraph) -> list[tuple[str, ...]]:
 
 def atom_subgroup(model: DivisibilityModel) -> SubgroupDescriptor:
     values = tuple(model.conn_value(p) for p in model.certificate_atoms())
-    return SubgroupDescriptor(model.ambient, values, no_atoms=not values)
+    return SubgroupDescriptor(model.ambient, values)
 
 
 # -- quotient of atomics -----------------------------------------------------

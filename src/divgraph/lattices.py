@@ -1,18 +1,18 @@
-"""Finitely generated subgroups of Z^d (+) Q with decidable membership.
+"""Subgroups of Z^d (+) Q generated by integer vectors, with decidable
+membership.
 
-The integer coordinates are handled with a column echelon form computed by
-unimodular column operations (transform tracked, so membership certificates
-come back as integer coefficients over the original generators).  The
-rational coordinate contributes, for each fixed integer part, a coset of a
-finitely generated subgroup of Q, which is cyclic; its generator is obtained
-from the kernel of the integer part via exact gcd arithmetic on fractions.
+Every generator has rational part 0 (an atom subgroup of the shipped models
+lies in Z^d), so the subgroup is an integer lattice in Z^d (+) 0.  It is
+handled with a column echelon form computed by unimodular column operations
+(transform tracked, so membership certificates come back as integer
+coefficients over the original generators).  A target with a nonzero
+rational part is never a member, and its coset representative keeps that
+rational part unchanged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .values import Ambient, Vec
 
@@ -65,71 +65,29 @@ def column_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[list[in
     return H, U, pivots
 
 
-def _fraction_gcd_with_comb(qs: list[Fraction]) -> tuple[Fraction, list[int]]:
-    """Generator s >= 0 of the subgroup of Q generated by qs, together with
-    integers m_i such that sum(m_i * qs[i]) == s."""
-    s = Fraction(0)
-    comb = [0] * len(qs)
-    for i, q in enumerate(qs):
-        if q == 0:
-            continue
-        if s == 0:
-            s, comb = abs(q), [0] * len(qs)
-            comb[i] = 1 if q > 0 else -1
-            continue
-        # gcd of s and q inside Q: put over a common denominator
-        den = s.denominator * q.denominator // math.gcd(s.denominator, q.denominator)
-        a, b = int(s * den), int(q * den)
-        # extended gcd
-        old_r, r = a, b
-        old_x, x = 1, 0
-        old_y, y = 0, 1
-        while r:
-            qq = old_r // r
-            old_r, r = r, old_r - qq * r
-            old_x, x = x, old_x - qq * x
-            old_y, y = y, old_y - qq * y
-        g = Fraction(abs(old_r), den)
-        sign = 1 if old_r >= 0 else -1
-        comb = [sign * old_x * m for m in comb]
-        comb[i] += sign * old_y
-        s = g
-    return s, comb
-
-
 @dataclass
 class SubgroupDescriptor:
-    """Subgroup of Z^dim (+) Q generated by `generators`, with normal form."""
+    """Subgroup of Z^dim (+) Q generated by `generators`, each with rational
+    part 0, with normal form."""
 
     ambient: Ambient
     generators: tuple[Vec, ...]
-    no_atoms: bool = False
 
     # derived, filled by __post_init__
     _H: list = field(init=False, repr=False)
     _U: list = field(init=False, repr=False)
     _pivots: list = field(init=False, repr=False)
-    _col_rats: list = field(init=False, repr=False)
-    _kernel_cols: list = field(init=False, repr=False)
-    _rat_gen: Fraction = field(init=False, repr=False)
-    _rat_comb: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = self.ambient.dim
-        gens = list(self.generators)
-        A = [[g.ints[i] for g in gens] for i in range(d)]
-        if not gens:
-            A = [[] for _ in range(d)]
+        for g in self.generators:
+            if g.rat != 0:
+                raise ValueError(f"generator {g} has a nonzero rational part")
+        A = [[g.ints[i] for g in self.generators] for i in range(self.ambient.dim)]
         self._H, self._U, self._pivots = column_echelon(A)
-        n = len(gens)
-        rats = [g.rat for g in gens]
-        # rational part attached to each echelon column (H = A U, same combo)
-        self._col_rats = [sum((self._U[i][j] * rats[i] for i in range(n)), Fraction(0)) for j in range(n)]
-        pivot_cols = {c for _, c in self._pivots}
-        self._kernel_cols = [j for j in range(n) if j not in pivot_cols]
-        self._rat_gen, self._rat_comb = _fraction_gcd_with_comb(
-            [self._col_rats[j] for j in self._kernel_cols]
-        )
+
+    @property
+    def no_atoms(self) -> bool:
+        return not self.generators
 
     # -- membership ---------------------------------------------------------
 
@@ -138,6 +96,8 @@ class SubgroupDescriptor:
         coefficients c with sum(c_i * generators_i) == g."""
         if len(g.ints) != self.ambient.dim:
             raise ValueError("ambient dimension mismatch")
+        if g.rat != 0:
+            return False, None
         n = len(self.generators)
         residual = list(g.ints)
         y = [0] * n
@@ -151,13 +111,6 @@ class SubgroupDescriptor:
                 residual[i] -= t * self._H[i][col]
         if any(residual):
             return False, None
-        rat_left = g.rat - sum((y[j] * self._col_rats[j] for j in range(n)), Fraction(0))
-        if rat_left != 0:
-            if self._rat_gen == 0 or (rat_left / self._rat_gen).denominator != 1:
-                return False, None
-            t = int(rat_left / self._rat_gen)
-            for m, j in zip(self._rat_comb, self._kernel_cols):
-                y[j] += t * m
         coeffs = [sum(self._U[i][j] * y[j] for j in range(n)) for i in range(n)]
         # exactness check against the original generators
         acc = Vec((0,) * self.ambient.dim)
@@ -172,19 +125,14 @@ class SubgroupDescriptor:
     # -- canonical coset representatives ------------------------------------
 
     def coset_rep(self, g: Vec) -> Vec:
-        """Deterministic canonical representative of g + subgroup."""
+        """Deterministic canonical representative of g + subgroup; the
+        rational part passes through, since the subgroup has none."""
         w = list(g.ints)
-        q = g.rat
         for row, col in self._pivots:
-            h = self._H[row][col]
-            t = w[row] // h
+            t = w[row] // self._H[row][col]
             for i in range(self.ambient.dim):
                 w[i] -= t * self._H[i][col]
-            q -= t * self._col_rats[col]
-        if self._rat_gen != 0:
-            t = q // self._rat_gen
-            q -= t * self._rat_gen
-        return Vec(tuple(w), q)
+        return Vec(tuple(w), g.rat)
 
     def coset_label(self, g: Vec) -> str:
         return str(self.coset_rep(g))
@@ -195,5 +143,7 @@ class SubgroupDescriptor:
             "ambient_rational": self.ambient.with_rat,
             "generators": sorted(str(g) for g in self.generators),
             "no_atoms": self.no_atoms,
-            "rational_part_generator": str(self._rat_gen),
+            # the generators have rational part 0, so the subgroup meets the
+            # rational axis only in 0
+            "rational_part_generator": "0",
         }

@@ -14,20 +14,22 @@ from .valuebased import (
 )
 from .zxq import ZxQModel
 
-KINDS = ("dvr", "antimatter", "numerical-monoid", "d1", "d2", "zxq")
+# kind name -> model class
+KINDS = {
+    "dvr": DVRModel,
+    "antimatter": AntimatterModel,
+    "numerical-monoid": NumericalMonoidModel,
+    "d1": D1Model,
+    "d2": D2Model,
+    "zxq": ZxQModel,
+}
 
 
 def build_model(kind: str, options: dict) -> DivisibilityModel:
-    if kind == "dvr":
-        return DVRModel()
-    if kind == "antimatter":
-        return AntimatterModel()
+    if kind not in KINDS:
+        raise UnknownModelKind(f"unknown model kind {kind!r}; known kinds: {', '.join(KINDS)}")
     if kind == "numerical-monoid":
         return NumericalMonoidModel(options.get("generators", ()))
-    if kind == "d1":
-        return D1Model()
-    if kind == "d2":
-        return D2Model()
     if kind == "zxq":
         from ..polynomials import QPoly
 
@@ -35,7 +37,7 @@ def build_model(kind: str, options: dict) -> DivisibilityModel:
         return ZxQModel(
             degree_cap=options.get("degree_cap", 3), declared_atoms=declared
         )
-    raise UnknownModelKind(f"unknown model kind {kind!r}; known kinds: {', '.join(KINDS)}")
+    return KINDS[kind]()
 
 
 __all__ = [

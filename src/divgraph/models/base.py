@@ -43,6 +43,8 @@ class FactorSearch:
 class DivisibilityModel(abc.ABC):
     id: str
     ambient: Ambient
+    # the `bound` names enumerate_window reads, in the order it reads them
+    window_bounds: tuple[str, ...] = ()
 
     # -- plumbing ------------------------------------------------------------
 

@@ -71,7 +71,7 @@ class ValueModel(DivisibilityModel):
     @cached_property
     def _atom_labels(self) -> frozenset[str]:
         # labels are canonical per value, so label equality is value equality;
-        # a str caches its hash where a Vec hashes its Fraction on every call
+        # a str caches its hash where a Vec rehashes its coordinates on every call
         return frozenset(p.label for p in self.atoms())
 
     def is_atom(self, a: Element) -> bool:
@@ -176,6 +176,7 @@ class DVRModel(ValueModel):
     id = "dvr"
     ambient = Ambient(1)
     atom_values = (Vec((1,)),)
+    window_bounds = ("max_exponent",)
 
     def contains_value(self, v: Vec) -> bool:
         return v.rat == 0 and v.ints[0] >= 0
@@ -190,7 +191,7 @@ class DVRModel(ValueModel):
         return "1/pi" if k == -1 else f"1/pi^{-k}"
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        (n,) = self.require_positive(spec.bounds, "max_exponent")
+        (n,) = self.require_positive(spec.bounds, *self.window_bounds)
         if spec.include_fractional:
             values = [Vec((k,)) for k in range(-n, n + 1)]
         else:
@@ -204,6 +205,7 @@ class AntimatterModel(ValueModel):
     id = "antimatter"
     ambient = Ambient(0, with_rat=True)
     atom_values = ()
+    window_bounds = ("max_value", "max_den")
 
     def contains_value(self, v: Vec) -> bool:
         return v.rat >= 0
@@ -225,7 +227,7 @@ class AntimatterModel(ValueModel):
         }
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        max_value, max_den = self.require_positive(spec.bounds, "max_value", "max_den")
+        max_value, max_den = self.require_positive(spec.bounds, *self.window_bounds)
         qs = _fraction_range(max_value, max_den, spec.include_fractional, spec.include_fractional)
         return self._window_from_values(
             [Vec((), q) for q in qs], spec.include_fractional
@@ -237,6 +239,7 @@ class NumericalMonoidModel(ValueModel):
 
     ambient = Ambient(1)
     unit_label = "0"  # labels are the values, so "1" names the value 1
+    window_bounds = ("max_value",)
 
     def __init__(self, generators: Iterable[int]):
         gens = tuple(sorted(set(int(g) for g in generators)))
@@ -271,7 +274,7 @@ class NumericalMonoidModel(ValueModel):
         return str(v.ints[0])
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        (max_value,) = self.require_positive(spec.bounds, "max_value")
+        (max_value,) = self.require_positive(spec.bounds, *self.window_bounds)
         if spec.include_fractional:
             # the value group: the multiples of the generators' gcd
             step = gcd(*self.generators)
@@ -281,7 +284,7 @@ class NumericalMonoidModel(ValueModel):
         return self._window_from_values(values, spec.include_fractional)
 
 
-def _power_label(sym: str, q: Fraction) -> str:
+def _power_label(sym: str, q: Fraction | int) -> str:
     if q == 1:
         return sym
     return f"{sym}^{fmt_exponent(q)}"
@@ -294,16 +297,16 @@ class _TwoGeneratorValuationModel(ValueModel):
     Q for the first model and in Z for the second.
     """
 
-    def _exp_pair(self, v: Vec) -> tuple[int, Fraction]:
+    def _exp_pair(self, v: Vec) -> tuple[int, Fraction | int]:
         raise NotImplementedError
 
     def label_for(self, v: Vec) -> str:
         k, e = self._exp_pair(v)
         num, den = [], []
         if k > 0:
-            num.append(_power_label("y", Fraction(k)))
+            num.append(_power_label("y", k))
         elif k < 0:
-            den.append(_power_label("y", Fraction(-k)))
+            den.append(_power_label("y", -k))
         if e > 0:
             num.append(_power_label("x", e))
         elif e < 0:
@@ -322,6 +325,7 @@ class D1Model(_TwoGeneratorValuationModel):
     id = "d1"
     ambient = Ambient(1, with_rat=True)
     atom_values = (Vec((1,)),)
+    window_bounds = ("k_max", "den_max", "alpha_max")
 
     def _exp_pair(self, v: Vec):
         return v.ints[0], v.rat
@@ -348,9 +352,7 @@ class D1Model(_TwoGeneratorValuationModel):
         return None
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        k_max, den_max, alpha_max = self.require_positive(
-            spec.bounds, "k_max", "den_max", "alpha_max"
-        )
+        k_max, den_max, alpha_max = self.require_positive(spec.bounds, *self.window_bounds)
         fr = spec.include_fractional
         alphas = _fraction_range(alpha_max, den_max, True, True)
         values = []
@@ -369,9 +371,10 @@ class D2Model(_TwoGeneratorValuationModel):
     id = "d2"
     ambient = Ambient(2)
     atom_values = (Vec((1, 0)), Vec((0, 1)))
+    window_bounds = ("k_max", "j_max")
 
     def _exp_pair(self, v: Vec):
-        return v.ints[0], Fraction(v.ints[1])
+        return v.ints[0], v.ints[1]
 
     def contains_value(self, v: Vec) -> bool:
         if v.rat != 0:
@@ -395,7 +398,7 @@ class D2Model(_TwoGeneratorValuationModel):
         return None
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        k_max, j_max = self.require_positive(spec.bounds, "k_max", "j_max")
+        k_max, j_max = self.require_positive(spec.bounds, *self.window_bounds)
         fr = spec.include_fractional
         values = []
         for k in range(-k_max if fr else 0, k_max + 1):

@@ -8,7 +8,7 @@ are lexicographic with the rational coordinate last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -19,18 +19,18 @@ class Ambient:
     dim: int
     with_rat: bool = False
 
-    def zero(self) -> "Vec":
-        return Vec((0,) * self.dim)
-
 
 @dataclass(frozen=True)
 class Vec:
-    ints: tuple[int, ...]
-    rat: Fraction = field(default=Fraction(0))
+    """A value: integer coordinates `ints` and one rational coordinate `rat`.
 
-    def __post_init__(self):
-        if not isinstance(self.rat, Fraction):
-            object.__setattr__(self, "rat", Fraction(self.rat))
+    `rat` keeps the exact number it is given, the int 0 by default, so a
+    model that never leaves Z^d never touches a Fraction.  Equality and
+    hashing do not see the difference: 0 == Fraction(0) and
+    hash(0) == hash(Fraction(0)), as for every integer-valued Fraction."""
+
+    ints: tuple[int, ...]
+    rat: Fraction | int = 0
 
     def _same_shape(self, other: "Vec") -> None:
         if len(self.ints) != len(other.ints):
@@ -61,12 +61,7 @@ class Vec:
         return "(" + ", ".join(parts) + ")"
 
 
-def vec(*ints: int, rat: Fraction | int | str = 0) -> Vec:
-    """Convenience constructor used heavily by tests and model code."""
-    return Vec(tuple(ints), Fraction(rat))
-
-
-def fmt_exponent(q: Fraction) -> str:
+def fmt_exponent(q: Fraction | int) -> str:
     """Render an exponent for canonical labels: 2 -> "2", 1/3 -> "(1/3")."""
     if q.denominator == 1:
         return str(q.numerator)

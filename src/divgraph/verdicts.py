@@ -32,23 +32,8 @@ class Verdict:
         return {
             "status": self.status.value,
             "provenance": self.provenance,
-            "evidence": _jsonable(self.evidence),
+            "evidence": self.evidence,
         }
-
-
-def _jsonable(x):
-    if x is None or isinstance(x, (str, int, bool)):
-        return x
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(x, (list, tuple, set, frozenset)):
-        items = [_jsonable(v) for v in x]
-        if isinstance(x, (set, frozenset)):
-            items = sorted(items, key=str)
-        return items
-    if hasattr(x, "label"):
-        return x.label
-    return str(x)
 
 
 def holds(evidence, provenance="window") -> Verdict:

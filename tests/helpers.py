@@ -56,11 +56,21 @@ def prime_witness_check_zxq(model, window) -> dict:
     }
 
 
+def vec(*ints, rat=0) -> Vec:
+    """The value with integer coordinates `ints` and rational part `rat`."""
+    return Vec(tuple(ints), rat)
+
+
+def zero(ambient) -> Vec:
+    """The zero value of `ambient`."""
+    return Vec((0,) * ambient.dim)
+
+
 def element_of_label(model, label):
     """The element of a shipped value model that a canonical label names:
     the inverse of `label_for`, checked by rendering the label back."""
     if label == model.unit_label:
-        return model.element(model.ambient.zero())
+        return model.element(zero(model.ambient))
     if isinstance(model, NumericalMonoidModel):
         return model.element(Vec((int(label),)))
     # num/den, where the split is the first "/" outside parentheses

@@ -35,9 +35,8 @@ from divgraph.topology import (
     poset_to_space,
     window_poset,
 )
-from divgraph.values import vec
 from divgraph.verdicts import Status
-from helpers import interval, prime_witness_check_zxq, space_to_poset
+from helpers import interval, prime_witness_check_zxq, space_to_poset, vec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

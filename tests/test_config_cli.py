@@ -152,6 +152,29 @@ class TestCLI:
         assert r.returncode == 2
         assert "error:" in r.stderr and "search_bound" in r.stderr
 
+    @pytest.mark.parametrize(
+        "config,line,name",
+        [
+            ("numerical_2_3.cfg", "bound k_max 3", "k_max"),
+            ("numerical_2_3.cfg", "flag include_fractionl true", "include_fractionl"),
+            ("numerical_2_3.cfg", "element 1 1", "element"),
+            ("numerical_2_3.cfg", "atom 1 1", "atom"),
+            ("d2.cfg", "generator 5", "generator"),
+            ("d2.cfg", "bound degree_cap 4", "degree_cap"),
+        ],
+    )
+    def test_directive_the_kind_does_not_read_is_rejected(
+        self, tmp_path, capsys, config, line, name
+    ):
+        text = (CONFIG_DIR / config).read_text()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text + line + "\n")
+        assert cli.main(["graph", "--config", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: line {len(text.splitlines()) + 1}: " in err
+        assert name in err
+
     def test_check_runs_the_oracle_with_the_bound_given(self, tmp_path, monkeypatch, capsys):
         bounds = []
 

@@ -23,9 +23,8 @@ from divgraph.models import (
 )
 from divgraph.models.base import WindowSpec
 from divgraph.models.valuebased import ValueModel
-from divgraph.values import vec
 from divgraph.verdicts import Status
-from helpers import prime_witness_check_zxq
+from helpers import prime_witness_check_zxq, vec, zero
 
 
 def win(model, **bounds):
@@ -99,7 +98,7 @@ def assert_quotient_of_atoms(m, a, b):
     coeffs = verdict.evidence["coefficients"]
     atoms = m.certificate_atoms()
     assert len(coeffs) == len(atoms)
-    total = m.ambient.zero()
+    total = zero(m.ambient)
     for c, p in zip(coeffs, atoms):
         total = total + m.conn_value(p).scaled(c)
     assert total == m.conn_value(a) - m.conn_value(b)

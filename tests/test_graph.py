@@ -20,9 +20,8 @@ from divgraph.models import (
     ZxQModel,
 )
 from divgraph.models.base import WindowSpec
-from divgraph.values import vec
 from divgraph.verdicts import Status
-from helpers import interval
+from helpers import interval, vec
 
 
 def win(model, **bounds):

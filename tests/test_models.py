@@ -22,7 +22,8 @@ from divgraph.models import (
 )
 from divgraph.models.base import FactorSearch, WindowSpec
 from divgraph.models.zxq import _prime_factors
-from divgraph.values import Vec, vec
+from divgraph.values import Vec
+from helpers import vec
 
 
 def window(model, **bounds):

@@ -3,7 +3,7 @@
 from itertools import combinations_with_replacement
 
 from divgraph.models import DVRModel, NumericalMonoidModel, ZxQModel
-from divgraph.values import vec
+from helpers import vec
 
 
 def exhaustive_multisets(generators, target, max_len):

@@ -52,7 +52,6 @@ PUBLIC = [
     "quotient_of_atomics",
     "sinks",
     "topological_order",
-    "vec",
     "weak_components",
     "window_poset",
 ]

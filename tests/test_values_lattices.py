@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from divgraph.lattices import SubgroupDescriptor, _fraction_gcd_with_comb, column_echelon
-from divgraph.values import Ambient, Vec, fmt_exponent, vec
+from divgraph.lattices import SubgroupDescriptor, column_echelon
+from divgraph.values import Ambient, Vec, fmt_exponent
+from helpers import vec, zero
 
 
 class TestVec:
@@ -31,8 +32,14 @@ class TestVec:
         assert fmt_exponent(Fraction(1, 3)) == "(1/3)"
 
     def test_is_zero(self):
-        assert Ambient(2).zero().is_zero
+        assert zero(Ambient(2)).is_zero
         assert not vec(0, rat=Fraction(1, 5)).is_zero
+
+    def test_int_rational_part_equals_fraction(self):
+        # integer coordinates stay ints; sets and dicts must not tell them apart
+        assert Vec((1,)) == Vec((1,), Fraction(0))
+        assert hash(Vec((1,))) == hash(Vec((1,), Fraction(0)))
+        assert type(Vec((1,)).rat) is int
 
 
 class TestColumnEchelon:
@@ -63,18 +70,6 @@ class TestColumnEchelon:
         assert H[0][0] == 1  # gcd(6, 10, 15)
 
 
-class TestFractionGcd:
-    def test_generator_and_combination(self):
-        qs = [Fraction(1, 2), Fraction(1, 3)]
-        s, comb = _fraction_gcd_with_comb(qs)
-        assert s == Fraction(1, 6)
-        assert sum(m * q for m, q in zip(comb, qs)) == s
-
-    def test_all_zero(self):
-        s, comb = _fraction_gcd_with_comb([Fraction(0), Fraction(0)])
-        assert s == 0 and comb == [0, 0]
-
-
 class TestSubgroup:
     def test_membership_with_certificate(self):
         desc = SubgroupDescriptor(Ambient(2), (vec(2, 0), vec(0, 3)))
@@ -84,18 +79,22 @@ class TestSubgroup:
         assert not vec(0, 1) in desc
 
     def test_rational_coordinate(self):
-        amb = Ambient(1, with_rat=True)
-        desc = SubgroupDescriptor(
-            amb, (vec(1, rat=Fraction(1, 2)), vec(0, rat=Fraction(1, 3)))
-        )
-        # (0, 1/6) = 2*(0, 1/3) - ... must be expressible: subgroup of Q part
-        ok, coeffs = desc.membership(vec(0, rat=Fraction(1, 3)))
-        assert ok
-        ok, _ = desc.membership(vec(0, rat=Fraction(1, 5)))
-        assert not ok
+        desc = SubgroupDescriptor(Ambient(1, with_rat=True), (vec(2),))
+        # an integer lattice meets the rational axis only in 0
+        assert desc.membership(vec(4, rat=Fraction(1, 3))) == (False, None)
+        assert desc.membership(vec(0, rat=Fraction(1, 5))) == (False, None)
+        assert desc.membership(vec(4)) == (True, [2])
+        # the rational part passes through the coset representative
+        assert desc.coset_rep(vec(5, rat=Fraction(1, 3))) == vec(1, rat=Fraction(1, 3))
+        assert desc.coset_rep(vec(-3, rat=Fraction(-2, 7))) == vec(1, rat=Fraction(-2, 7))
+
+    def test_rejects_a_generator_with_a_rational_part(self):
+        with pytest.raises(ValueError, match="rational part"):
+            SubgroupDescriptor(Ambient(1, with_rat=True), (vec(1), vec(0, rat=Fraction(1, 3))))
 
     def test_trivial_subgroup(self):
-        desc = SubgroupDescriptor(Ambient(1, with_rat=True), (), no_atoms=True)
+        desc = SubgroupDescriptor(Ambient(1, with_rat=True), ())
+        assert desc.no_atoms
         assert vec(0) in desc
         assert vec(1) not in desc
         assert vec(0, rat=Fraction(1, 2)) not in desc
