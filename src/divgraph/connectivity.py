@@ -77,21 +77,21 @@ def _makes_atomic(model: DivisibilityModel, e: Element, b: Element | None) -> bo
 def is_almost_atomic(model: DivisibilityModel, window) -> Verdict:
     """Fails when some element's value escapes the atom subgroup (no atom
     multiple can ever become atomic); otherwise each non-atomic element is
-    certified by its `_atom_multiplier`, Inconclusive where that fails."""
+    certified by its `_atom_multiplier`, Inconclusive where that fails.  The
+    window is taken as given: distinct elements in label order."""
     desc = atom_subgroup(model)
-    elems = sorted(set(window), key=lambda e: e.label)
-    coeffs = {e.label: desc.membership(model.conn_value(e))[1] for e in elems}
-    witnesses = [label for label, c in coeffs.items() if c is None]
+    coeffs = [desc.membership(model.conn_value(e))[1] for e in window]
+    witnesses = [e.label for e, c in zip(window, coeffs) if c is None]
     if witnesses:
         return fails({"value_outside_atom_subgroup": witnesses}, "analytic")
     atoms = model.certificate_atoms()
     certificates: dict[str, list[str]] = {}
     unresolved: list[str] = []
-    for e in elems:
+    for e, c in zip(window, coeffs):
         if model.is_atomic_element(e):
             certificates[e.label] = []
             continue
-        mult = _atom_multiplier(atoms, coeffs[e.label])
+        mult = _atom_multiplier(atoms, c)
         if model.is_atomic_element(reduce(model.multiply, mult, e)):
             certificates[e.label] = sorted(m.label for m in mult)
         else:
@@ -105,15 +105,15 @@ def is_quasi_atomic(model: DivisibilityModel, window) -> Verdict:
     """Fails on the model's `quasi_obstruction`; otherwise each non-atomic
     e is certified by an integral b with e*b atomic, the model's
     `quasi_complement` or else the product of e's `_atom_multiplier`, and
-    the verdict is Inconclusive where neither works."""
-    elems = sorted(set(window), key=lambda e: e.label)
-    obstruction = model.quasi_obstruction(elems)
+    the verdict is Inconclusive where neither works.  The window is taken as
+    given: distinct elements in label order."""
+    obstruction = model.quasi_obstruction(window)
     if obstruction is not None:
         return fails(obstruction, "analytic")
     desc = atom_subgroup(model)
     certificates: dict[str, str | None] = {}
     unresolved: list[str] = []
-    for e in elems:
+    for e in window:
         if model.is_atomic_element(e):
             certificates[e.label] = None  # already atomic, multiplier is a unit
             continue

@@ -32,12 +32,8 @@ class DivGraph:
             out[a.label].append(b)
         return {k: tuple(v) for k, v in out.items()}
 
-    @cached_property
-    def _by_label(self) -> dict[str, Element]:
-        return {v.label: v for v in self.vertices}
-
     def by_label(self, label: str) -> Element:
-        return self._by_label[label]
+        return next(v for v in self.vertices if v.label == label)
 
 
 @dataclass(frozen=True)
@@ -64,15 +60,16 @@ def cover_edge(model: DivisibilityModel, a: Element, b: Element) -> bool:
 
 
 def build_graph(model: DivisibilityModel, window) -> DivGraph:
-    vertices = tuple(sorted(set(window), key=lambda e: e.label))
+    """The graph on a window as `enumerate_window` returns it: distinct
+    elements in label order, taken as given."""
+    vertices = tuple(window)
     window_set = frozenset(vertices)
-    # labels are canonical per class, so a candidate is a vertex exactly when
-    # its label is a vertex's
-    index = {v.label: v for v in vertices}
+    # a candidate is found by value; the vertex found has its label rendered
+    index = {v: v for v in vertices}
     edges = []
     for a in vertices:
         for c in model.successor_candidates(a, vertices):
-            b = index.get(c.label)
+            b = index.get(c)
             if b is not None and b is not a and cover_edge(model, a, b):
                 edges.append((a, b))
     edges.sort(key=lambda ab: (ab[0].label, ab[1].label))
@@ -142,10 +139,11 @@ def window_analysis(graph: DivGraph) -> dict[str, _VertexInfo]:
     model = graph.model
     succ = graph.successors
     boundary = graph.boundary
-    order = topological_order(graph)  # also asserts acyclicity
+    # topological_order also asserts acyclicity
+    rank = {label: i for i, label in enumerate(topological_order(graph))}
     info: dict[str, _VertexInfo] = {}
-    for label in order:
-        v = graph._by_label[label]
+    for v in sorted(graph.vertices, key=lambda v: rank[v.label]):
+        label = v.label
         outs = succ[label]
         if not outs:
             if model.is_atom(v):

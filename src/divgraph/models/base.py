@@ -90,7 +90,8 @@ class DivisibilityModel(abc.ABC):
 
     @abc.abstractmethod
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        """Deterministic finite window, sorted by canonical label."""
+        """Deterministic finite window: distinct elements in label order, as
+        every function that takes a window takes it, with no sort of its own."""
 
     # -- the oracle and the hooks of graph construction and connectivity -------
 

@@ -26,7 +26,7 @@ class ValueModel(DivisibilityModel):
     exactly when it is one of `atoms()`."""
 
     unit_label = "1"  # label of the zero value; no nonzero value may share it
-    atom_values: tuple[Vec, ...]  # the value of every atom class
+    atom_values: frozenset[Vec]  # the value of every atom class
 
     # -- subclass hooks -----------------------------------------------------
 
@@ -44,9 +44,10 @@ class ValueModel(DivisibilityModel):
     # -- generic operations -------------------------------------------------
 
     def element(self, v: Vec) -> Element:
-        if v.is_zero:
-            return Element(self.id, self.unit_label, v)
-        return Element(self.id, self.label_for(v), v)
+        return Element(self.id, v, self._label)
+
+    def _label(self, v: Vec) -> str:
+        return self.unit_label if v.is_zero else self.label_for(v)
 
     def is_unit(self, a: Element) -> bool:
         self.check_owned(a)
@@ -68,15 +69,9 @@ class ValueModel(DivisibilityModel):
         """Representatives of every atom class, in label order; built once."""
         return self._atoms
 
-    @cached_property
-    def _atom_labels(self) -> frozenset[str]:
-        # labels are canonical per value, so label equality is value equality;
-        # a str caches its hash where a Vec rehashes its coordinates on every call
-        return frozenset(p.label for p in self.atoms())
-
     def is_atom(self, a: Element) -> bool:
         self.check_owned(a)
-        return a.label in self._atom_labels
+        return a.value in self.atom_values
 
     def is_atomic_element(self, a: Element) -> bool:
         self.check_owned(a)
@@ -146,15 +141,10 @@ class ValueModel(DivisibilityModel):
         return self.atoms()
 
     def _window_from_values(self, values: Iterable[Vec], include_unit: bool) -> tuple[Element, ...]:
-        seen: dict[str, Element] = {}
-        for v in values:
-            if v.is_zero and not include_unit:
-                continue
-            e = self.element(v)
-            seen[e.label] = e
-        if not seen:
+        elems = {self.element(v) for v in values if include_unit or not v.is_zero}
+        if not elems:
             raise EmptyWindow(f"window bounds exclude every element of model {self.id!r}")
-        return tuple(sorted(seen.values(), key=lambda e: e.label))
+        return tuple(sorted(elems, key=lambda e: e.label))
 
 
 def _fraction_range(max_abs: int, max_den: int, include_negative: bool, include_zero: bool):
@@ -175,7 +165,7 @@ class DVRModel(ValueModel):
 
     id = "dvr"
     ambient = Ambient(1)
-    atom_values = (Vec((1,)),)
+    atom_values = frozenset({Vec((1,))})
     window_bounds = ("max_exponent",)
 
     def contains_value(self, v: Vec) -> bool:
@@ -204,7 +194,7 @@ class AntimatterModel(ValueModel):
 
     id = "antimatter"
     ambient = Ambient(0, with_rat=True)
-    atom_values = ()
+    atom_values = frozenset()
     window_bounds = ("max_value", "max_den")
 
     def contains_value(self, v: Vec) -> bool:
@@ -220,7 +210,7 @@ class AntimatterModel(ValueModel):
         return "1/x" if q == -1 else f"1/x^{fmt_exponent(-q)}"
 
     def quasi_obstruction(self, window: Iterable[Element]) -> dict | None:
-        witness = min(window, key=lambda e: e.label, default=None)
+        witness = next(iter(window), None)
         return {
             "reason": "no atoms exist, so no product can become a product of atoms",
             "witness": witness.label if witness else None,
@@ -249,7 +239,7 @@ class NumericalMonoidModel(ValueModel):
         self.id = "numerical-monoid<" + ",".join(str(g) for g in gens) + ">"
         self._members = [True]  # _members[n]: n is a sum of generators
         # the minimal generators: those that are not a sum of two nonzero members
-        self.atom_values = tuple(
+        self.atom_values = frozenset(
             Vec((g,))
             for g in gens
             if not any(self._member(h) and self._member(g - h) for h in range(1, g))
@@ -324,7 +314,7 @@ class D1Model(_TwoGeneratorValuationModel):
 
     id = "d1"
     ambient = Ambient(1, with_rat=True)
-    atom_values = (Vec((1,)),)
+    atom_values = frozenset({Vec((1,))})
     window_bounds = ("k_max", "den_max", "alpha_max")
 
     def _exp_pair(self, v: Vec):
@@ -370,7 +360,7 @@ class D2Model(_TwoGeneratorValuationModel):
 
     id = "d2"
     ambient = Ambient(2)
-    atom_values = (Vec((1, 0)), Vec((0, 1)))
+    atom_values = frozenset({Vec((1, 0)), Vec((0, 1))})
     window_bounds = ("k_max", "j_max")
 
     def _exp_pair(self, v: Vec):

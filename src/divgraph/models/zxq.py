@@ -157,32 +157,32 @@ class ZxQModel(DivisibilityModel):
     # -- element plumbing ----------------------------------------------------
 
     def element_of(self, rf: RationalFunction) -> Element:
-        return Element(self.id, rf.label(), symbolic=rf)
+        return Element(self.id, rf, RationalFunction.label)
 
     def from_coeffs(self, coeffs: Iterable[Fraction]) -> Element:
         return self.element_of(RationalFunction.from_poly(QPoly.of(*coeffs)))
 
     def is_unit(self, a: Element) -> bool:
         self.check_owned(a)
-        return a.symbolic.is_unit_class
+        return a.value.is_unit_class
 
     def in_domain(self, a: Element) -> bool:
         self.check_owned(a)
-        return a.symbolic.in_domain()
+        return a.value.in_domain()
 
     def quotient(self, a: Element, b: Element) -> Element:
         self.check_owned(a, b)
-        return self.element_of(a.symbolic.div(b.symbolic))
+        return self.element_of(a.value.div(b.value))
 
     def multiply(self, a: Element, b: Element) -> Element:
         self.check_owned(a, b)
-        return self.element_of(a.symbolic.mul(b.symbolic))
+        return self.element_of(a.value.mul(b.value))
 
     # -- atoms ---------------------------------------------------------------
 
     def is_atom(self, a: Element) -> bool:
         self.check_owned(a)
-        rf = a.symbolic
+        rf = a.value
         if not rf.in_domain() or rf.is_unit_class or rf.order != 0:
             return False
         if rf.num.degree >= 1 and abs(rf.c * rf.num.constant) != 1:
@@ -203,7 +203,7 @@ class ZxQModel(DivisibilityModel):
 
     def is_atomic_element(self, a: Element) -> bool:
         self.check_owned(a)
-        rf = a.symbolic
+        rf = a.value
         return rf.in_domain() and not rf.is_unit_class and rf.order == 0
 
     def _atoms(self, factors: list[QPoly], primes: list[int]) -> list[Element]:
@@ -231,7 +231,7 @@ class ZxQModel(DivisibilityModel):
         self.check_owned(a)
         if max_length < 1:
             raise InvalidBounds("max_length must be >= 1")
-        rf = a.symbolic
+        rf = a.value
         if rf.is_unit_class or not rf.in_domain():
             return FactorSearch((), False)
         if rf.order >= 1:
@@ -255,23 +255,22 @@ class ZxQModel(DivisibilityModel):
             raise InvalidBounds("zxq windows are explicit: provide element coefficient rows")
         if spec.include_fractional:
             raise InvalidBounds("fractional windows are not supported for the zxq model")
-        seen: dict[str, Element] = {}
+        elems = set()
         for row in coeff_rows:
             e = self.from_coeffs(row)
             if not self.in_domain(e):
                 raise InvalidBounds(f"window element {e.label!r} has a non-integer constant term")
-            if self.is_unit(e):
-                continue
-            seen[e.label] = e
-        if not seen:
+            if not self.is_unit(e):
+                elems.add(e)
+        if not elems:
             raise EmptyWindow("zxq window is empty")
-        return tuple(sorted(seen.values(), key=lambda e: e.label))
+        return tuple(sorted(elems, key=lambda e: e.label))
 
     # -- boundary and connectivity hooks -------------------------------------
 
     def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:
         self.check_owned(a)
-        rf = a.symbolic
+        rf = a.value
         if rf.order >= 1:
             # infinitely many primes divide, so some successor escapes any
             # finite window
@@ -279,7 +278,7 @@ class ZxQModel(DivisibilityModel):
         split = self._atomize_order_zero(rf)
         if split is None:
             return True  # unknown factors: be conservative
-        for p in {e.label: e for e in self._atoms(*split)}.values():
+        for p in dict.fromkeys(self._atoms(*split)):
             q = self.quotient(a, p)
             if not self.is_unit(q) and q not in window:
                 return True
@@ -290,12 +289,12 @@ class ZxQModel(DivisibilityModel):
     ) -> list[Element]:
         # atoms have order 0 and is_atom rejects any other order before it
         # splits, so only the vertices of a's order can be edge targets
-        order = a.symbolic.order
-        return [b for b in vertices if b.symbolic.order == order]
+        order = a.value.order
+        return [b for b in vertices if b.value.order == order]
 
     def conn_value(self, a: Element) -> Vec:
         self.check_owned(a)
-        return Vec((a.symbolic.order,))
+        return Vec((a.value.order,))
 
     def certificate_atoms(self) -> tuple[Element, ...]:
         # every atom has order 0, so the prime 2 alone generates the subgroup
@@ -324,8 +323,8 @@ class ZxQModel(DivisibilityModel):
         return factors, prod((f.constant for f in factors), start=Fraction(1))
 
     def quasi_obstruction(self, window) -> dict | None:
-        for e in sorted(window, key=lambda x: x.label):
-            if e.symbolic.order >= 1:
+        for e in window:
+            if e.value.order >= 1:
                 return {
                     "reason": (
                         "every atom has order 0 at x=0, while any multiple of this "

@@ -121,7 +121,7 @@ def topology_report(model: DivisibilityModel, window, pair=None) -> dict:
 def atomicity_report(model: DivisibilityModel, window) -> dict:
     return {
         "model": model.id,
-        "window_size": len(set(window)),
+        "window_size": len(window),
         "AlmostAtomic": is_almost_atomic(model, window).to_jsonable(),
         "QuasiAtomic": is_quasi_atomic(model, window).to_jsonable(),
     }

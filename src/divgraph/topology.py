@@ -73,15 +73,15 @@ class AlexandrovSpace:
 
 
 def window_poset(model: DivisibilityModel, window) -> FinitePoset:
-    """The factorization order on a window: a <= b iff a == b or a/b is a
-    (nonempty) product of atoms."""
-    elems = tuple(sorted(set(window), key=lambda e: e.label))
+    """The factorization order on a window (distinct elements in label
+    order, taken as given): a <= b iff a == b or a/b is a (nonempty) product
+    of atoms."""
     rel = set()
-    for a in elems:
-        for b in elems:
-            if a == b or model.is_atomic_element(model.quotient(a, b)):
+    for a in window:
+        for b in window:
+            if a is b or model.is_atomic_element(model.quotient(a, b)):
                 rel.add((a.label, b.label))
-    return FinitePoset(tuple(e.label for e in elems), frozenset(rel))
+    return FinitePoset(tuple(e.label for e in window), frozenset(rel))
 
 
 def poset_to_space(p: FinitePoset) -> AlexandrovSpace:

@@ -46,8 +46,8 @@ def prime_witness_check_zxq(model, window) -> dict:
     irreducible elements."""
     elems = sorted(set(window), key=lambda e: e.label)
     atoms = [e.label for e in elems if model.is_atom(e)]
-    ideal = [e.label for e in elems if e.symbolic.order >= 1]
-    bad_atoms = [e.label for e in elems if model.is_atom(e) and e.symbolic.order >= 1]
+    ideal = [e.label for e in elems if e.value.order >= 1]
+    bad_atoms = [e.label for e in elems if model.is_atom(e) and e.value.order >= 1]
     return {
         "atoms": atoms,
         "ideal_members": ideal,

@@ -100,7 +100,7 @@ def test_criterion_03_zxq_orders(capsys):
         comps = weak_components(graph)
         by_order = {}
         for v in graph.vertices:
-            by_order.setdefault(v.symbolic.order, set()).add(v.label)
+            by_order.setdefault(v.value.order, set()).add(v.label)
         assert {frozenset(c) for c in comps} == {
             frozenset(s) for s in by_order.values()
         }

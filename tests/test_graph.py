@@ -156,7 +156,7 @@ class TestZxQGraph:
 
     def test_positive_order_always_boundary(self):
         for v in self.g.vertices:
-            if v.symbolic.order >= 1:
+            if v.value.order >= 1:
                 assert v.label in self.g.boundary
 
     def test_order_zero_closed(self):
