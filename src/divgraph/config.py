@@ -18,7 +18,8 @@ the factorization oracle that `check` runs, used as given
 does not read is an error: every kind reads `bound search_bound`,
 `flag include_fractional` and the window bounds its model class names in
 `window_bounds`; only numerical-monoid reads `generator`, and only zxq
-reads `element`, `atom` and `bound degree_cap`.
+reads `element`, `atom` and `bound degree_cap`.  Only `generator`,
+`element` and `atom` lines may repeat: they accumulate.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .models import KINDS, build_model
 from .models.base import DivisibilityModel, WindowSpec
 from .reports import DEFAULT_ORACLE_BOUND
 
+_REPEATABLE = ("generator", "element", "atom")  # any other directive appears once
 # what only some kinds read, besides the window bounds of each
 _KIND_DIRECTIVES = {
     "numerical-monoid": ("generator",),
@@ -100,19 +102,20 @@ def parse_config(text: str) -> RunConfig:
     flags: dict = {}
     elements: list[tuple[Fraction, ...]] = []
     declared: list[tuple[Fraction, ...]] = []
-    first_line: dict[str, int] = {}  # directive (with its bound name) -> first line using it
+    first_line: dict[str, int] = {}  # directive (with a bound or flag name) -> first line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
         directive, args = toks[0], toks[1:]
-        first_line.setdefault(" ".join(toks[:2]) if directive == "bound" else directive, line_no)
+        key = " ".join(toks[:2]) if directive in ("bound", "flag") else directive
+        if key in first_line and directive not in _REPEATABLE:
+            raise ParseError(f"{key!r} is repeated from line {first_line[key]}", line=line_no)
+        first_line.setdefault(key, line_no)
         if directive == "kind":
             if len(args) != 1:
                 raise ParseError("kind takes exactly one argument", line=line_no)
-            if kind is not None:
-                raise ParseError("duplicate kind directive", line=line_no)
             kind = args[0]
         elif directive == "generator":
             if not args:
@@ -141,7 +144,8 @@ def parse_config(text: str) -> RunConfig:
     if kind is None:
         raise ParseError("config is missing a kind directive")
     if kind in KINDS:  # an unknown kind fails in build()
-        reads = {"kind", "flag", "bound search_bound", *_KIND_DIRECTIVES.get(kind, ())}
+        reads = {"kind", "flag include_fractional", "bound search_bound"}
+        reads.update(_KIND_DIRECTIVES.get(kind, ()))
         reads.update(f"bound {b}" for b in KINDS[kind].window_bounds)
         for directive, line_no in first_line.items():
             if directive not in reads:

@@ -175,6 +175,37 @@ class TestCLI:
         assert f"error: line {len(text.splitlines()) + 1}: " in err
         assert name in err
 
+    @pytest.mark.parametrize(
+        "text,line,first,key",
+        [
+            (
+                "kind dvr\nbound max_exponent 3\n# again\nbound max_exponent 5\n"
+                "flag include_fractional true\nflag include_fractional false\n",
+                4, 2, "bound max_exponent",
+            ),
+            (
+                "kind dvr\nbound max_exponent 3\nflag include_fractional true\n"
+                "flag include_fractional false\n",
+                4, 3, "flag include_fractional",
+            ),
+            ("kind dvr\nbound max_exponent 3\nkind dvr\n", 3, 1, "kind"),
+        ],
+        ids=["bound", "flag", "kind"],
+    )
+    def test_repeated_directive_is_rejected(self, tmp_path, capsys, text, line, first, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert cli.main(["graph", "--config", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: line {line}: '{key}' is repeated from line {first}" in err
+
+    def test_accumulating_directives_repeat(self):
+        cfg = parse_config("kind zxq\nelement 2\nelement 3\natom 1 1 1\natom 1 0 1\n")
+        assert len(cfg.elements) == 2 and len(cfg.declared_atoms) == 2
+        cfg = parse_config("kind numerical-monoid\ngenerator 2\ngenerator 3 5\n")
+        assert cfg.generators == (2, 3, 5)
+
     def test_check_runs_the_oracle_with_the_bound_given(self, tmp_path, monkeypatch, capsys):
         bounds = []
 
