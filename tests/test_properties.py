@@ -244,6 +244,23 @@ def test_graph_edges_match_all_pairs(model_bounds, fractional):
     assert build_graph(m, w).edges == all_pairs_edges(m, w)
 
 
+@given(value_windows, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_labels_name_classes_one_to_one(model_bounds, fractional):
+    # elements compare by value and print by label, so label_for must be
+    # injective on every value a window or its quotients reach, the unit's
+    # label included
+    m, bounds = model_bounds
+    w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=fractional))
+    labels = [e.label for e in w]
+    assert labels == sorted(set(labels))  # distinct, in label order
+    pool = [*w, m.element(Vec((0,) * m.ambient.dim)), *(m.quotient(a, b) for a in w for b in w)]
+    by_value = {}
+    for e in pool:
+        assert by_value.setdefault(e, e.label) == e.label
+    assert len(set(by_value.values())) == len(by_value)
+
+
 def test_zxq_graph_edges_match_all_pairs():
     for path in sorted(CONFIG_DIR.glob("zxq*.cfg")):
         m, spec = load_config(path).build()
