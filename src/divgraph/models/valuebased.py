@@ -380,13 +380,6 @@ class D2Model(_TwoGeneratorValuationModel):
         k, j = v.ints
         return v.rat == 0 and k >= 0 and j >= 0 and (k, j) != (0, 0)
 
-    def quasi_complement(self, a: Element) -> Element | None:
-        self.check_owned(a)
-        j = a.value.ints[1]
-        if j < 0:
-            return self.element(Vec((2, -j)))
-        return None
-
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
         k_max, j_max = self.require_positive(spec.bounds, *self.window_bounds)
         fr = spec.include_fractional
