@@ -119,6 +119,8 @@ def topology_report(model: DivisibilityModel, window, pair=None) -> dict:
 
 
 def atomicity_report(model: DivisibilityModel, window) -> dict:
+    """Almost and quasi atomicity of a window, taken as given (distinct
+    elements in label order)."""
     return {
         "model": model.id,
         "window_size": len(window),
