@@ -218,7 +218,5 @@ _IMPLIES = (("BFD", "ACCP"), ("ACCP", "Atomic"), ("FFD", "BFD"), ("HFD", "BFD"))
 
 def _assert_chain(verdicts: dict[str, Verdict]) -> None:
     for stronger, weaker in _IMPLIES:
-        if verdicts[stronger].status is Status.HOLDS:
-            assert verdicts[weaker].status is not Status.FAILS, (
-                f"verdict chain violated: {stronger} holds but {weaker} fails"
-            )
+        if verdicts[stronger].status is Status.HOLDS and verdicts[weaker].status is Status.FAILS:
+            raise AssertionError(f"verdict chain violated: {stronger} holds but {weaker} fails")

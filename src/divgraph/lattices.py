@@ -116,7 +116,8 @@ class SubgroupDescriptor:
         acc = Vec((0,) * self.ambient.dim)
         for c, gen in zip(coeffs, self.generators):
             acc = acc + gen.scaled(c)
-        assert acc == g, "membership certificate failed to reproduce the target"
+        if acc != g:
+            raise AssertionError("membership certificate failed to reproduce the target")
         return True, coeffs
 
     def __contains__(self, g: Vec) -> bool:

@@ -4,10 +4,12 @@ A model is a computable presentation of a reduced divisibility monoid.  It
 answers what the reports read: quotients of class representatives (so the
 graph's edge test, a -> b iff a/b is an atom), the candidate edge targets of
 a vertex (`successor_candidates`, so the graph need not test every pair),
-atoms and atomic elements, finite windows, the atom-quotient successors that
-escape a window, the brute-force factorization oracle, and the values whose
-atom-generated subgroup gives the components.  Models are immutable after
-construction and all operations are pure functions of (model, inputs).
+atoms and atomic elements, the factorization order of a window as bit rows
+(`order_rows`, so the topology need not test every pair either), finite
+windows, the atom-quotient successors that escape a window, the brute-force
+factorization oracle, and the values whose atom-generated subgroup gives the
+components.  Models are immutable after construction and all operations are
+pure functions of (model, inputs).
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class DivisibilityModel(abc.ABC):
         """Deterministic finite window: distinct elements in label order, as
         every function that takes a window takes it, with no sort of its own."""
 
-    # -- the oracle and the hooks of graph construction and connectivity -------
+    # -- the oracle and the hooks of graph construction, topology, connectivity -
 
     @abc.abstractmethod
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
@@ -106,6 +108,12 @@ class DivisibilityModel(abc.ABC):
     ) -> Iterable[Element]:
         """Elements among which lie all edge targets of a in vertices; the
         graph tests those of them that are vertices."""
+
+    @abc.abstractmethod
+    def order_rows(self, window: tuple[Element, ...]) -> list[int]:
+        """The factorization order on a window, one bit row per element in
+        window order: bit j of row i is set iff window[i] is window[j] or
+        window[i]/window[j] is a (nonempty) product of atoms."""
 
     @abc.abstractmethod
     def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:

@@ -13,6 +13,7 @@ import abc
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import sub
 from typing import Iterable
 
 from ..elements import Element
@@ -127,6 +128,30 @@ class ValueModel(DivisibilityModel):
     ) -> list[Element]:
         # every quotient a/p, integral or not: a fractional window holds both
         return [self.quotient(a, p) for p in self.atoms()]
+
+    def order_rows(self, window: tuple[Element, ...]) -> list[int]:
+        # every atom value has rational part 0, so a/b can be atomic only when
+        # a and b have equal rational parts; within such a group the answer
+        # reads only the difference of the integer coordinates, and is asked
+        # once per distinct difference
+        self.check_owned(*window)
+        groups: dict = {}
+        for i, e in enumerate(window):
+            groups.setdefault(e.value.rat, []).append((i, e.value.ints))
+        atomic: dict[tuple[int, ...], bool] = {}
+        rows = [1 << i for i in range(len(window))]
+        for members in groups.values():
+            for i, a in members:
+                row = rows[i]
+                for j, b in members:
+                    d = tuple(map(sub, a, b))
+                    hit = atomic.get(d)
+                    if hit is None:
+                        hit = atomic[d] = self.is_atomic_value(Vec(d))
+                    if hit:
+                        row |= 1 << j
+                rows[i] = row
+        return rows
 
     def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:
         self.check_owned(a)

@@ -292,6 +292,20 @@ class ZxQModel(DivisibilityModel):
         order = a.value.order
         return [b for b in vertices if b.value.order == order]
 
+    def order_rows(self, window: tuple[Element, ...]) -> list[int]:
+        # atomic elements have order 0, so a/b can be atomic only when a and b
+        # have the same order; only those pairs are tested
+        groups: dict[int, list] = {}
+        for i, e in enumerate(window):
+            groups.setdefault(e.value.order, []).append((i, e))
+        rows = [1 << i for i in range(len(window))]
+        for members in groups.values():
+            for i, a in members:
+                for j, b in members:
+                    if i != j and self.is_atomic_element(self.quotient(a, b)):
+                        rows[i] |= 1 << j
+        return rows
+
     def conn_value(self, a: Element) -> Vec:
         self.check_owned(a)
         return Vec((a.value.order,))

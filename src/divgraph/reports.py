@@ -103,7 +103,7 @@ def topology_report(model: DivisibilityModel, window, pair=None) -> dict:
     report = {
         "model": model.id,
         "points": list(poset.elements),
-        "strict_relation_size": sum(1 for a, b in poset.relation if a != b),
+        "strict_relation_size": poset.strict_relation_size,
         "T0": is_T0(space),
         "min_open": {x: sorted(space.min_open[x]) for x in space.points},
         "components": [sorted(c) for c in comps],

@@ -4,7 +4,11 @@ Each one restates a definition directly so the tests can compare the
 package's answers against it.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from divgraph.graph import cover_edge
 from divgraph.models import NumericalMonoidModel
@@ -18,6 +22,20 @@ def all_pairs_edges(model, window) -> tuple:
     vertices = sorted(set(window), key=lambda e: e.label)
     return tuple(
         (a, b) for a in vertices for b in vertices if cover_edge(model, a, b)
+    )
+
+
+def all_pairs_order(model, window) -> tuple:
+    """The factorization order by its definition, as bit rows in window
+    order: bit j of row i is set iff window[i] is window[j] or
+    window[i]/window[j] is a (nonempty) product of atoms."""
+    return tuple(
+        sum(
+            1 << j
+            for j, b in enumerate(window)
+            if a is b or model.is_atomic_element(model.quotient(a, b))
+        )
+        for a in window
     )
 
 
@@ -37,7 +55,7 @@ def space_to_poset(s) -> FinitePoset:
     if not is_T0(s):
         raise ValueError("two points share a minimal open set")
     rel = frozenset((a, b) for b in s.points for a in s.min_open[b])
-    return FinitePoset(tuple(s.points), rel)
+    return FinitePoset.from_pairs(s.points, rel)
 
 
 def prime_witness_check_zxq(model, window) -> dict:
@@ -54,6 +72,19 @@ def prime_witness_check_zxq(model, window) -> dict:
         "ideal_atoms": bad_atoms,
         "holds": not bad_atoms,
     }
+
+
+def run_optimised(code: str) -> subprocess.CompletedProcess:
+    """Run code under `python -O`, where assert statements are stripped, with
+    this checkout's package first on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def vec(*ints, rat=0) -> Vec:

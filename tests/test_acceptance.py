@@ -278,7 +278,7 @@ def random_poset(rng, max_points=30):
                 if (b, c) in rel and (a, c) not in rel:
                     rel.add((a, c))
                     changed = True
-    return FinitePoset(points, frozenset(rel))
+    return FinitePoset.from_pairs(points, rel)
 
 
 def test_criterion_09_random_posets(capsys):

@@ -5,14 +5,18 @@ makes a layer do more work per vertex fails here even where the timing
 noise of a benchmark would hide it.
 """
 
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from divgraph import graph as graph_module
 from divgraph.config import load_config
-from divgraph.graph import build_graph
-from divgraph.models import D2Model
+from divgraph.graph import build_graph, classify, window_analysis
+from divgraph.models import D1Model, D2Model, NumericalMonoidModel, ZxQModel
 from divgraph.models.base import WindowSpec
 from divgraph.polynomials import RationalFunction
-from divgraph.reports import graph_report, topology_report
+from divgraph.reports import crosscheck_graph, graph_report, topology_report
 from divgraph.topology import window_poset
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -26,13 +30,24 @@ def counting(fn, calls: list):
     return wrapper
 
 
-def d2_window():
-    m = D2Model()
-    return m, m.enumerate_window(WindowSpec(m.id, {"k_max": 6, "j_max": 5}))
+LADDER = ("d2", "numerical", "d1", "zxq")
+
+
+def ladder_window(kind):
+    """A small window of each model kind; zxq is the bundled one."""
+    if kind == "zxq":
+        m, spec = load_config(CONFIG_DIR / "zxq_orders.cfg").build()
+        return m, m.enumerate_window(spec)
+    m, bounds = {
+        "d2": (D2Model(), {"k_max": 6, "j_max": 5}),
+        "numerical": (NumericalMonoidModel((2, 3)), {"max_value": 30}),
+        "d1": (D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}),
+    }[kind]
+    return m, m.enumerate_window(WindowSpec(m.id, bounds))
 
 
 def test_topology_renders_each_label_at_most_once(monkeypatch):
-    m, w = d2_window()
+    m, w = ladder_window("d2")
     calls = []
     monkeypatch.setattr(m, "label_for", counting(m.label_for, calls))
     topology_report(m, w)
@@ -41,17 +56,56 @@ def test_topology_renders_each_label_at_most_once(monkeypatch):
 
 
 def test_zxq_graph_renders_each_label_at_most_once(monkeypatch):
-    model, spec = load_config(CONFIG_DIR / "zxq_orders.cfg").build()
-    w = model.enumerate_window(spec)
+    m, w = ladder_window("zxq")
     calls = []
     monkeypatch.setattr(RationalFunction, "label", counting(RationalFunction.label, calls))
-    graph_report(build_graph(model, w))
+    graph_report(build_graph(m, w))
     assert len(w) == 12 and len(calls) <= len(w)
 
 
-def test_window_poset_quotients_at_most_every_pair(monkeypatch):
-    m, w = d2_window()
-    calls = []
-    monkeypatch.setattr(m, "quotient", counting(m.quotient, calls))
+def same_order_pairs(model, window) -> int:
+    """The ordered pairs whose quotient can be atomic: none on a value model,
+    which reads the order off values, and on zxq those of equal order at
+    x = 0, counted as the sum of the squared group sizes."""
+    if not isinstance(model, ZxQModel):
+        return 0
+    sizes = Counter(e.value.order for e in window)
+    return sum(n * n for n in sizes.values())
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_window_poset_quotients_only_same_order_pairs(monkeypatch, kind):
+    m, w = ladder_window(kind)
+    quotients, atomic = [], []
+    monkeypatch.setattr(m, "quotient", counting(m.quotient, quotients))
+    monkeypatch.setattr(m, "is_atomic_element", counting(m.is_atomic_element, atomic))
     window_poset(m, w)
-    assert len(calls) <= len(w) ** 2
+    bound = same_order_pairs(m, w)
+    assert len(quotients) <= bound and len(atomic) <= bound
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_classify_materialises_at_most_the_factorizations(monkeypatch, kind):
+    m, w = ladder_window(kind)
+    graph = build_graph(m, w)
+    infos = []
+
+    def recording(g):
+        infos.append(window_analysis(g))
+        return infos[-1]
+
+    monkeypatch.setattr(graph_module, "window_analysis", recording)
+    report = classify(m, graph)
+    materialised = sum(len(i.factorizations) for info in infos for i in info.values())
+    assert materialised <= sum(report.factorization_counts.values())
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_check_calls_the_oracle_once_per_closed_vertex(monkeypatch, kind):
+    m, w = ladder_window(kind)
+    graph = build_graph(m, w)
+    closed = sum(1 for i in window_analysis(graph).values() if not i.escapes)
+    calls = []
+    monkeypatch.setattr(m, "factorizations", counting(m.factorizations, calls))
+    assert crosscheck_graph(graph)["ok"]
+    assert closed and len(calls) == closed

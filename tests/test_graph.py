@@ -21,7 +21,7 @@ from divgraph.models import (
 )
 from divgraph.models.base import WindowSpec
 from divgraph.verdicts import Status
-from helpers import interval, vec
+from helpers import interval, run_optimised, vec
 
 
 def win(model, **bounds):
@@ -188,3 +188,15 @@ class TestChainInvariant:
         g = build_graph(model, win(model, **window))
         report = classify(model, g)  # classify asserts the chain internally
         assert set(report.verdicts) == {"Atomic", "ACCP", "BFD", "FFD", "HFD"}
+
+    def test_contradicted_chain_raises_under_python_O(self):
+        # BFD implies ACCP; the check must survive assert stripping
+        proc = run_optimised(
+            "from divgraph.graph import _assert_chain\n"
+            "from divgraph.verdicts import fails, holds\n"
+            "verdicts = {name: holds({}) for name in ('Atomic', 'ACCP', 'BFD', 'FFD', 'HFD')}\n"
+            "verdicts['ACCP'] = fails({})\n"
+            "_assert_chain(verdicts)\n"
+        )
+        assert proc.returncode != 0
+        assert "verdict chain violated: BFD holds but ACCP fails" in proc.stderr

@@ -31,10 +31,11 @@ from divgraph.topology import (
     connected_components_topology,
     is_T0,
     poset_to_space,
+    window_poset,
 )
 from divgraph.values import Ambient, Vec
 from divgraph.verdicts import Status
-from helpers import all_pairs_edges, element_of_label, space_to_poset
+from helpers import all_pairs_edges, all_pairs_order, element_of_label, space_to_poset
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,7 +65,7 @@ def random_posets(draw, max_points=12):
                 if b == c and (a, d) not in rel:
                     rel.add((a, d))
                     changed = True
-    return FinitePoset(points, frozenset(rel))
+    return FinitePoset.from_pairs(points, rel)
 
 
 @given(random_posets())
@@ -267,6 +268,26 @@ def test_zxq_graph_edges_match_all_pairs():
         w = m.enumerate_window(spec)
         edges = build_graph(m, w).edges
         assert edges and edges == all_pairs_edges(m, w), path.name
+
+
+# -- the factorization order against the all-pairs definition -----------------
+
+@given(value_windows, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_order_rows_match_all_pairs(model_bounds, fractional):
+    m, bounds = model_bounds
+    # value models compare only values of equal rational part, which is
+    # exact because every atom value has rational part 0
+    assert all(v.rat == 0 for v in m.atom_values)
+    w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=fractional))
+    assert window_poset(m, w).rows == all_pairs_order(m, w)
+
+
+def test_zxq_order_rows_match_all_pairs():
+    for path in sorted(CONFIG_DIR.glob("zxq*.cfg")):
+        m, spec = load_config(path).build()
+        w = m.enumerate_window(spec)
+        assert window_poset(m, w).rows == all_pairs_order(m, w), path.name
 
 
 # -- almost and quasi atomicity ------------------------------------------------

@@ -24,7 +24,7 @@ def win(model, **bounds):
 
 def diamond_poset():
     rel = {(x, x) for x in "abcd"} | {("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"), ("c", "d")}
-    return FinitePoset(("a", "b", "c", "d"), frozenset(rel))
+    return FinitePoset.from_pairs(("a", "b", "c", "d"), rel)
 
 
 class TestRoundTrip:
@@ -53,10 +53,10 @@ class TestRoundTrip:
 class TestAxiomsRejected:
     def poset(self, *pairs):
         rel = {(x, x) for x in "abc"} | set(pairs)
-        return FinitePoset(("a", "b", "c"), frozenset(rel))
+        return FinitePoset.from_pairs(("a", "b", "c"), rel)
 
     def test_missing_reflexive_pair(self):
-        p = FinitePoset(("a", "b"), frozenset({("a", "a"), ("a", "b")}))
+        p = FinitePoset.from_pairs(("a", "b"), {("a", "a"), ("a", "b")})
         with pytest.raises(AssertionError, match="missing reflexive pair for 'b'"):
             p.check_axioms()
 

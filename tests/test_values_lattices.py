@@ -6,7 +6,7 @@ import pytest
 
 from divgraph.lattices import SubgroupDescriptor, column_echelon
 from divgraph.values import Ambient, Vec, fmt_exponent
-from helpers import vec, zero
+from helpers import run_optimised, vec, zero
 
 
 class TestVec:
@@ -77,6 +77,19 @@ class TestSubgroup:
         assert ok and coeffs == [2, -2]
         assert not vec(1, 0) in desc
         assert not vec(0, 1) in desc
+
+    def test_wrong_certificate_raises_under_python_O(self):
+        # a tampered transform yields coefficients 6 for the target 4 over
+        # the generator 2; the exactness check must survive assert stripping
+        proc = run_optimised(
+            "from divgraph.lattices import SubgroupDescriptor\n"
+            "from divgraph.values import Ambient, Vec\n"
+            "desc = SubgroupDescriptor(Ambient(1), (Vec((2,)),))\n"
+            "desc._U = [[3]]\n"
+            "desc.membership(Vec((4,)))\n"
+        )
+        assert proc.returncode != 0
+        assert "membership certificate failed to reproduce the target" in proc.stderr
 
     def test_rational_coordinate(self):
         desc = SubgroupDescriptor(Ambient(1, with_rat=True), (vec(2),))
