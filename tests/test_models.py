@@ -337,6 +337,55 @@ class TestZxQ:
             self.m.enumerate_window(spec)
 
 
+# (coefficient row, expected label): classes of polynomials
+ZXQ_POLY_LABELS = [
+    ((5,), "5"),
+    ((-7,), "7"),
+    ((Fraction(3, 4),), "3/4"),
+    ((0, 1), "x"),
+    ((0, -3), "3x"),
+    ((0, Fraction(-1, 2)), "(1/2)x"),
+    ((1, 1), "1+x"),
+    ((-1, -1), "1+x"),
+    ((2, 2), "2+2x"),
+    ((1, 0, Fraction(1, 2)), "1+(1/2)x^2"),
+    ((3, Fraction(-2, 3), Fraction(1, 2)), "3+(-2/3)x+(1/2)x^2"),
+    ((0, 0, Fraction(5, 6), Fraction(-1, 3)), "(-5/6)x^2+(1/3)x^3"),
+    ((-4, 0, 0, -2), "4+2x^3"),
+    ((1, Fraction(1, 3), 0, 0, Fraction(7, 9)), "1+(1/3)x+(7/9)x^4"),
+    ((6, -9, 3), "6-9x+3x^2"),
+    ((Fraction(-5, 2), 0, 1), "-5/2+x^2"),
+]
+
+# (numerator row, denominator row, expected label of their quotient)
+ZXQ_QUOTIENT_LABELS = [
+    ((1, 1), (0, 2), "(1/2+(1/2)x)/(x)"),
+    ((2,), (1, 1), "(2)/(1+x)"),
+    ((1, 0, Fraction(1, 2)), (0, 0, 3), "(1/3+(1/6)x^2)/(x^2)"),
+    ((6, -9, 3), (2, -2), "-3+(3/2)x"),
+    ((1, 1), (1, -1), "(1+x)/(-1+x)"),
+    ((3,), (0, Fraction(1, 2), Fraction(-1, 4)), "(12)/(-2x+x^2)"),
+    ((0, 1), (Fraction(2, 3), Fraction(4, 3), Fraction(2, 3)), "((3/2)x)/(1+2x+x^2)"),
+    ((Fraction(1, 2), 1), (Fraction(-1, 3), 0, 2), "(1/4+(1/2)x)/(-1/6+x^2)"),
+    ((1, 2, 1), (1, 1), "1+x"),
+    ((-1, 1), (1, -1), "1"),
+    ((2,), (4,), "1/2"),
+    ((0, 0, 1), (0, 1, 1), "(x)/(1+x)"),
+]
+
+
+@pytest.mark.parametrize("row,label", ZXQ_POLY_LABELS)
+def test_zxq_polynomial_label(row, label):
+    assert ZxQModel().from_coeffs(row).label == label
+
+
+@pytest.mark.parametrize("num,den,label", ZXQ_QUOTIENT_LABELS)
+def test_zxq_quotient_label(num, den, label):
+    # a genuine fraction renders as (c*num)/(den) with den monic
+    m = ZxQModel()
+    assert m.quotient(m.from_coeffs(num), m.from_coeffs(den)).label == label
+
+
 class TestFactory:
     def test_known_kinds(self):
         assert build_model("dvr", {}).id == "dvr"
