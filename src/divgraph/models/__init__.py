@@ -31,11 +31,9 @@ def build_model(kind: str, options: dict) -> DivisibilityModel:
     if kind == "numerical-monoid":
         return NumericalMonoidModel(options.get("generators", ()))
     if kind == "zxq":
-        from ..polynomials import QPoly
-
-        declared = [QPoly.of(*row) for row in options.get("declared_atoms", ())]
         return ZxQModel(
-            degree_cap=options.get("degree_cap", 3), declared_atoms=declared
+            degree_cap=options.get("degree_cap", 3),
+            declared_atoms=options.get("declared_atoms", ()),
         )
     return KINDS[kind]()
 

@@ -6,7 +6,7 @@ units are +-1, so a class is a sign-normalised reduced fraction).  The atoms
 are the integer primes and the Q-irreducible polynomials with constant term
 +-1: infinitely many, so this model has no atom list and answers each atom
 question from the split of the element itself.  One splitter,
-`_poly_atoms_and_constant`, splits the polynomial part for `is_atom`,
+`_poly_atoms`, splits the polynomial part for `is_atom`,
 factorizations and the boundary probe: it removes the declared `atom`
 polynomials first, then factors the rest with the rational-root test.
 `_prime_factors` splits the integer part: trial division below 1000, then
@@ -25,12 +25,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, prod
+from math import gcd
 from typing import Iterable
 
 from ..elements import Element
 from ..errors import DegreeCapExceeded, EmptyWindow, InvalidBounds
-from ..polynomials import QPoly, RationalFunction, factor_monic, rational_roots
+from ..polynomials import (
+    Poly,
+    RationalFunction,
+    exact_div,
+    factor_monic,
+    poly_str,
+    primitive,
+    rational_roots,
+)
 from ..values import Ambient, Vec
 from .base import DivisibilityModel, FactorSearch, Factorization, WindowSpec
 
@@ -138,21 +146,25 @@ class ZxQModel(DivisibilityModel):
     id = "zxq"
     ambient = Ambient(1)  # connectivity sees only the order at x = 0
 
-    def __init__(self, degree_cap: int = 3, declared_atoms: Iterable[QPoly] = ()):
+    def __init__(self, degree_cap: int = 3, declared_atoms: Iterable[Iterable[Fraction]] = ()):
+        """declared_atoms: rows of rational coefficients in ascending degree."""
         if degree_cap < 1:
             raise InvalidBounds("degree_cap must be >= 1")
         self.degree_cap = degree_cap
-        declared_atoms = tuple(declared_atoms)
-        for p in declared_atoms:
-            if p.degree < 1:
-                raise InvalidBounds(f"declared atom {p} is constant, not a polynomial atom")
-            if abs(p.constant) != 1:
-                raise InvalidBounds(f"declared atom {p} has constant term {p.constant}, not +-1")
+        atoms = []
+        for row in declared_atoms:
+            name = poly_str(row)
+            if not any(row[1:]):
+                raise InvalidBounds(f"declared atom {name} is constant, not a polynomial atom")
+            if abs(row[0]) != 1:
+                raise InvalidBounds(f"declared atom {name} has constant term {row[0]}, not +-1")
+            p = primitive(row)[1]
             roots = rational_roots(p)
             if roots:
-                raise InvalidBounds(f"declared atom {p} has the rational root {roots[0]}")
-        # monic, as the splitter takes exact quotients of monic polynomials by them
-        self.declared_atoms = tuple(p.monic() for p in declared_atoms)
+                raise InvalidBounds(f"declared atom {name} has the rational root {roots[0]}")
+            atoms.append(p)
+        # primitive, as the splitter takes exact quotients of primitive polynomials by them
+        self.declared_atoms = tuple(atoms)
 
     # -- element plumbing ----------------------------------------------------
 
@@ -160,7 +172,7 @@ class ZxQModel(DivisibilityModel):
         return Element(self.id, rf, RationalFunction.label)
 
     def from_coeffs(self, coeffs: Iterable[Fraction]) -> Element:
-        return self.element_of(RationalFunction.from_poly(QPoly.of(*coeffs)))
+        return self.element_of(RationalFunction.make(coeffs))
 
     def is_unit(self, a: Element) -> bool:
         self.check_owned(a)
@@ -185,7 +197,7 @@ class ZxQModel(DivisibilityModel):
         rf = a.value
         if not rf.in_domain() or rf.is_unit_class or rf.order != 0:
             return False
-        if rf.num.degree >= 1 and abs(rf.c * rf.num.constant) != 1:
+        if len(rf.num) > 1 and abs(rf.c * rf.num[0]) != 1:
             # p = c * (p / c) with c = p(0) a non-unit integer
             return False
         split = self._atomize_order_zero(rf)
@@ -206,23 +218,25 @@ class ZxQModel(DivisibilityModel):
         rf = a.value
         return rf.in_domain() and not rf.is_unit_class and rf.order == 0
 
-    def _atoms(self, factors: list[QPoly], primes: list[int]) -> list[Element]:
-        """The atoms f / f(0) of monic factors f, then the prime atoms."""
-        polys = [f.scale(1 / f.constant) for f in factors] + [QPoly.const(p) for p in primes]
-        return [self.element_of(RationalFunction.from_poly(p)) for p in polys]
+    def _atoms(self, factors: list[Poly], primes: list[int]) -> list[Element]:
+        """The atoms f / f(0) of primitive factors f, then the prime atoms."""
+        rfs = [RationalFunction(Fraction(1, abs(f[0])), f, (1,)) for f in factors]
+        rfs += [RationalFunction(Fraction(p), (1,), (1,)) for p in primes]
+        return [self.element_of(rf) for rf in rfs]
 
     def _atomize_order_zero(
         self, rf: RationalFunction
-    ) -> tuple[list[QPoly], list[int]] | None:
-        """The split of an order-0 integral class: the monic irreducible
-        factors of its polynomial part and the primes of its constant, or None
-        when either cannot be split (see the module docstring)."""
+    ) -> tuple[list[Poly], list[int]] | None:
+        """The split of an order-0 integral class: the irreducible factors
+        f of its polynomial part and the primes of its constant term, or None
+        when either cannot be split (see the module docstring).  The atoms
+        f / f(0) have constant term 1, so the integer left to split is the
+        class's own constant term c * num(0)."""
         assert rf.in_domain() and rf.order == 0
-        split = self._poly_atoms_and_constant(rf.num)
-        if split is None:
+        factors = self._poly_atoms(rf.num)
+        if factors is None:
             return None
-        factors, const = split
-        primes = _prime_factors(int(rf.c * const))
+        primes = _prime_factors(rf.c.numerator * rf.num[0] // rf.c.denominator)
         if primes is None:
             return None
         return factors, primes
@@ -257,6 +271,9 @@ class ZxQModel(DivisibilityModel):
             raise InvalidBounds("fractional windows are not supported for the zxq model")
         elems = set()
         for row in coeff_rows:
+            if not any(row):
+                text = " ".join(map(str, row))
+                raise InvalidBounds(f"window element row {text!r} is zero, which names no class")
             e = self.from_coeffs(row)
             if not self.in_domain(e):
                 raise InvalidBounds(f"window element {e.label!r} has a non-integer constant term")
@@ -314,27 +331,24 @@ class ZxQModel(DivisibilityModel):
         # every atom has order 0, so the prime 2 alone generates the subgroup
         return tuple(self._atoms([], [2]))
 
-    def _poly_atoms_and_constant(
-        self, monic: QPoly
-    ) -> tuple[list[QPoly], Fraction] | None:
-        """Split a monic order-0 polynomial into monic irreducible factors f,
-        which stand for the atoms f / f(0), and the leftover rational constant
-        (the product of the f(0)): the declared atoms first, then
-        `factor_monic` on the rest.  None when the rest has degree above the
-        cap or `factor_monic` cannot split it."""
-        factors: list[QPoly] = []
+    def _poly_atoms(self, p: Poly) -> list[Poly] | None:
+        """Split a primitive order-0 polynomial into its primitive irreducible
+        factors f, which stand for the atoms f / f(0): the declared atoms
+        first, then `factor_monic` on the rest.  None when the rest has degree
+        above the cap or `factor_monic` cannot split it."""
+        factors: list[Poly] = []
         for d in self.declared_atoms:
-            while (q := monic.exact_div(d)) is not None:
+            while (q := exact_div(p, d)) is not None:
                 factors.append(d)
-                monic = q
-        if monic.degree > self.degree_cap:
+                p = q
+        if len(p) - 1 > self.degree_cap:
             return None
-        if monic.degree >= 1:
-            rest = factor_monic(monic)
+        if len(p) > 1:
+            rest = factor_monic(p)
             if rest is None:
                 return None
             factors += rest
-        return factors, prod((f.constant for f in factors), start=Fraction(1))
+        return factors
 
     def quasi_obstruction(self, window) -> dict | None:
         for e in window:

@@ -1,139 +1,115 @@
-"""Dense polynomials over Q and reduced rational functions.
+"""Primitive integer polynomials and reduced rational functions.
 
-Everything here is exact: coefficients are `fractions.Fraction`, division is
-only performed when it is exact or as polynomial long division with explicit
-remainder.  Rational functions are kept in a canonical form
+Everything here is exact.  A polynomial is a tuple of `int` coefficients in
+ascending degree, primitive (the gcd of its coefficients is 1) and with a
+positive leading coefficient.  By Gauss's lemma every nonzero rational
+function is, up to sign, a positive rational content times a ratio of two
+such polynomials, unique once they are coprime:
 
-    r = c * n(x) / d(x)
+    r = c * num(x) / den(x)
 
-with n, d monic and coprime and c a positive rational; the sign is a unit
-and is quotiented away by the canonicalisation.
+The sign is a unit and is quotiented away by this form.  The gcd of num and
+den is the primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): a
+pseudo-remainder, then its content divided out.  So every coefficient
+operation is an `int` operation, and only c is a `Fraction`.  Rows of
+rational coefficients are converted on the way in (`RationalFunction.make`)
+and rendered on the way out (`RationalFunction.label`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, isqrt, lcm
 
-
-def _norm(coeffs) -> tuple[Fraction, ...]:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+# coefficients in ascending degree
+Poly = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class QPoly:
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(*coeffs) -> "QPoly":
-        return QPoly(_norm(coeffs))
-
-    @staticmethod
-    def const(c) -> "QPoly":
-        return QPoly(_norm([c]))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        # degree of the zero polynomial is taken as -1
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1]
-
-    @property
-    def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    @property
-    def order(self) -> int:
-        """Index of the lowest nonzero coefficient; -1 for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return -1
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return QPoly(_norm(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + other.scale(Fraction(-1))
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if self.is_zero or other.is_zero:
-            return QPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(_norm(out))
-
-    def scale(self, c) -> "QPoly":
-        c = Fraction(c)
-        return QPoly(_norm(a * c for a in self.coeffs))
-
-    def monic(self) -> "QPoly":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
-
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            q = rem[i] / lead
-            quo[i - d] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] -= q * b
-        return QPoly(_norm(quo)), QPoly(_norm(rem))
-
-    def exact_div(self, other: "QPoly") -> "QPoly | None":
-        q, r = self.divmod(other)
-        return q if r.is_zero else None
-
-    def gcd(self, other: "QPoly") -> "QPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero else a
-
-    def eval(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        return poly_str(self)
+def primitive(row) -> tuple[Fraction, Poly]:
+    """A nonzero row of rational coefficients, ascending, as its positive
+    content and its primitive part: row = +-content * part."""
+    row = [Fraction(a) for a in row]
+    while row and row[-1] == 0:
+        row.pop()
+    if not row:
+        raise ZeroDivisionError("the zero polynomial is not a class representative")
+    den = lcm(*(a.denominator for a in row))
+    ints = [int(a * den) for a in row]
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return Fraction(abs(g), den), tuple(a // g for a in ints)
 
 
-ONE = QPoly.of(1)
+def _primitive_part(r: list[int]) -> Poly:
+    """r divided by its content, with a positive leading coefficient; () for zero."""
+    if not r:
+        return ()
+    g = gcd(*r)
+    return tuple(a // g for a in r) if r[-1] > 0 else tuple(-a // g for a in r)
 
 
-def poly_str(p: QPoly) -> str:
-    """Deterministic compact rendering, terms in ascending degree."""
-    if p.is_zero:
-        return "0"
+def _mul(a: Poly, b: Poly) -> Poly:
+    if len(a) == 1:  # the primitive constant 1
+        return b
+    if len(b) == 1:
+        return a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _pseudo_remainder(a: Poly, b: Poly) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b (b of positive
+    leading coefficient): each step scales by lc(b) / gcd, not lc(b)."""
+    r, n, lead = list(a), len(b), b[-1]
+    while len(r) >= n:
+        g = gcd(r[-1], lead)
+        s, t, k = lead // g, r[-1] // g, len(r) - n
+        r = [s * x for x in r]
+        for j, y in enumerate(b):
+            r[k + j] -= t * y
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """The gcd of two polynomials, by the primitive remainder sequence."""
+    while b:
+        a, b = b, _primitive_part(_pseudo_remainder(a, b))
+    return a
+
+
+def exact_div(p: Poly, d: Poly) -> Poly | None:
+    """p / d when d divides p in Z[x], else None.  For primitive d this is
+    division in Q[x] (Gauss's lemma)."""
+    r, n, lead = list(p), len(d) - 1, d[-1]
+    q = [0] * (len(p) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[i + n], lead)
+        if m:
+            return None
+        q[i] = c
+        if c:
+            for j, y in enumerate(d):
+                r[i + j] -= c * y
+    return tuple(q) if not any(r[:n]) else None
+
+
+def _low(p: Poly) -> int:
+    """Index of the lowest nonzero coefficient, the order at x = 0."""
+    return next(i for i, a in enumerate(p) if a)
+
+
+def poly_str(row) -> str:
+    """Deterministic compact rendering of rational coefficients, terms in
+    ascending degree."""
     parts = []
-    for i, c in enumerate(p.coeffs):
+    for i, c in enumerate(row):
         if c == 0:
             continue
         if i == 0:
@@ -149,124 +125,114 @@ def poly_str(p: QPoly) -> str:
             else:
                 term = f"({c}){x}"
         parts.append(term)
+    if not parts:
+        return "0"
     out = parts[0]
     for term in parts[1:]:
         out += term if term.startswith("-") else "+" + term
     return out
 
 
-def rational_roots(p: QPoly) -> list[Fraction]:
-    """All rational roots of p, with multiplicity, via the rational root test."""
-    if p.is_zero or p.degree == 0:
-        return []
-    # clear denominators and content so we can enumerate integer divisors
-    den = reduce(lcm, (c.denominator for c in p.coeffs), 1)
-    ints = [int(c * den) for c in p.coeffs]
-    content = reduce(gcd, (abs(a) for a in ints if a), 0)
-    ints = [a // content for a in ints]
-    ord_ = next(i for i, a in enumerate(ints) if a)
-    roots = [Fraction(0)] * ord_
-    ints = ints[ord_:]
-    if len(ints) == 1:
-        return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
+def _root_factors(p: Poly) -> tuple[list[tuple[int, int]], Poly]:
+    """The linear factors b*x - a, as (-a, b), of the rational roots a/b of
+    p, ascending with multiplicity, and the cofactor of their product.  A
+    root a/b in lowest terms has a dividing the lowest nonzero coefficient
+    and b the leading one (the rational root test)."""
+    low = _low(p)
+    factors, p = [(0, 1)] * low, p[low:]
+    if len(p) == 1:
+        return factors, p
 
     def divisors(n):
         small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
         return small + [n // d for d in small if d * d != n]
 
-    candidates = set()
-    for num in divisors(a0):
-        for den_ in divisors(an):
-            candidates.add(Fraction(num, den_))
-            candidates.add(Fraction(-num, den_))
-    q = QPoly(_norm(ints))
-    for cand in sorted(candidates):
-        while q.degree >= 1 and q.eval(cand) == 0:
-            roots.append(cand)
-            q = q.exact_div(QPoly.of(-cand, 1))
-    return roots
+    tops, bottoms = divisors(abs(p[0])), divisors(abs(p[-1]))
+    candidates = {Fraction(s * a, b) for a in tops for b in bottoms for s in (1, -1)}
+    for r in sorted(candidates):
+        lin = (-r.numerator, r.denominator)
+        while len(p) > 1 and (q := exact_div(p, lin)) is not None:
+            factors.append(lin)
+            p = q
+    return factors, p
 
 
-def factor_monic(p: QPoly) -> list[QPoly] | None:
-    """Monic irreducible factors of a monic p over Q, or None when a factor of
-    degree >= 4 without a rational root is left, which the root-based test
-    cannot decide."""
-    assert not p.is_zero
-    p = p.monic()
-    factors: list[QPoly] = []
-    for r in rational_roots(p):
-        lin = QPoly.of(-r, 1)
-        factors.append(lin)
-        p = p.exact_div(lin)
-    if p.degree == 0:
+def rational_roots(p: Poly) -> list[Fraction]:
+    """All rational roots of a nonzero integer polynomial, with multiplicity."""
+    return [Fraction(-a, b) for a, b in _root_factors(p)[0]]
+
+
+def factor_monic(p: Poly) -> list[Poly] | None:
+    """The irreducible factors of a primitive p over Q, each primitive with a
+    positive leading coefficient (monic up to a positive integer), whose
+    product is p; None when a factor of degree >= 4 without a rational root
+    is left, which the root-based test cannot decide."""
+    factors, rest = _root_factors(p)
+    if len(rest) == 1:
         return factors
-    if p.degree in (2, 3):
-        # no rational roots left, hence irreducible at these degrees
-        factors.append(p)
-        return factors
+    if len(rest) in (3, 4):
+        # no rational roots left, hence irreducible at degrees 2 and 3
+        return [*factors, rest]
     return None
 
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Canonical class representative c * num/den with num, den monic coprime,
-    c > 0.  The sign is a unit of the ambient domain and is dropped."""
+    """Canonical class representative c * num/den with num, den primitive,
+    coprime and of positive leading coefficient, and c > 0.  The sign is a
+    unit of the ambient domain and is dropped."""
 
     c: Fraction
-    num: QPoly
-    den: QPoly
+    num: Poly
+    den: Poly
 
     @staticmethod
-    def make(num: QPoly, den: QPoly = ONE) -> "RationalFunction":
-        if num.is_zero:
-            raise ZeroDivisionError("zero is not a class representative")
-        if den.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        g = num.gcd(den)
-        if g.degree >= 1:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        c = num.leading / den.leading
-        return RationalFunction(abs(c), num.monic(), den.monic())
+    def make(num, den=(1,)) -> "RationalFunction":
+        """The class of num/den, both rows of rational coefficients in
+        ascending degree."""
+        (cn, pn), (cd, pd) = primitive(num), primitive(den)
+        return RationalFunction._reduced(cn / cd, pn, pd)
 
     @staticmethod
-    def from_poly(p: QPoly) -> "RationalFunction":
-        return RationalFunction.make(p)
+    def _reduced(c: Fraction, num: Poly, den: Poly) -> "RationalFunction":
+        g = _gcd(num, den)
+        if len(g) > 1:
+            num, den = exact_div(num, g), exact_div(den, g)
+        return RationalFunction(c, num, den)
 
     def mul(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            self.num * other.num * QPoly.const(self.c * other.c), self.den * other.den
+        return RationalFunction._reduced(
+            self.c * other.c, _mul(self.num, other.num), _mul(self.den, other.den)
         )
 
     def div(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            self.num * other.den * QPoly.const(self.c / other.c), self.den * other.num
+        return RationalFunction._reduced(
+            self.c / other.c, _mul(self.num, other.den), _mul(self.den, other.num)
         )
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def to_poly(self) -> QPoly:
-        assert self.is_polynomial
-        return self.num.scale(self.c)
+        return len(self.den) == 1
 
     @property
     def order(self) -> int:
         """Order at x = 0 (can be negative for genuine fractions)."""
-        return self.num.order - self.den.order
+        return _low(self.num) - _low(self.den)
 
     @property
     def is_unit_class(self) -> bool:
-        return self.c == 1 and self.num.degree == 0 and self.den.degree == 0
+        return self.c == 1 and len(self.num) == len(self.den) == 1
 
     def in_domain(self) -> bool:
         """Membership in the ring of polynomials with integer constant term."""
-        # the constant term of c * num, without scaling every coefficient
-        return self.is_polynomial and (self.c * self.num.constant).denominator == 1
+        # c * num(0) is an integer iff the denominator of c divides num(0)
+        return self.is_polynomial and self.num[0] % self.c.denominator == 0
 
     def label(self) -> str:
+        """c * num / den printed with the denominator monic, and as a
+        polynomial when den = 1."""
+        lead = self.den[-1]
+        top = poly_str([self.c * a / lead for a in self.num])
         if self.is_polynomial:
-            return poly_str(self.to_poly())
-        return f"({poly_str(self.num.scale(self.c))})/({poly_str(self.den)})"
+            return top
+        return f"({top})/({poly_str([Fraction(b, lead) for b in self.den])})"

@@ -113,7 +113,7 @@ def topology_report(model: DivisibilityModel, window, pair=None) -> dict:
         report["chain_connected_pair"] = {
             "model": model.id,
             "pair": [a, b],
-            "chain_connected": chain_connected(space, a, b),
+            "chain_connected": chain_connected(space, a, b, comps),
         }
     return report
 

@@ -151,12 +151,15 @@ def is_T0(s: AlexandrovSpace) -> bool:
     return True
 
 
-def chain_connected(s: AlexandrovSpace, a, b) -> bool:
+def chain_connected(s: AlexandrovSpace, a, b, components=None) -> bool:
     """True iff a finite chain of points with pairwise-intersecting
-    consecutive minimal opens links a to b."""
+    consecutive minimal opens links a to b.  `components` is the partition
+    `connected_components_topology(s)` when the caller already has it."""
     if a not in s.min_open or b not in s.min_open:
         raise KeyError("both endpoints must be points of the space")
-    return any(a in c and b in c for c in connected_components_topology(s))
+    if components is None:
+        components = connected_components_topology(s)
+    return any(a in c and b in c for c in components)
 
 
 def connected_components_topology(s: AlexandrovSpace) -> list[frozenset]:

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from divgraph import graph as graph_module
+from divgraph import reports as reports_module
+from divgraph import topology as topology_module
 from divgraph.config import load_config
 from divgraph.graph import build_graph, classify, window_analysis
 from divgraph.models import D1Model, D2Model, NumericalMonoidModel, ZxQModel
@@ -61,6 +63,18 @@ def test_zxq_graph_renders_each_label_at_most_once(monkeypatch):
     monkeypatch.setattr(RationalFunction, "label", counting(RationalFunction.label, calls))
     graph_report(build_graph(m, w))
     assert len(w) == 12 and len(calls) <= len(w)
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_topology_pair_partitions_once(monkeypatch, kind):
+    # the pair's answer is read off the partition the report already has
+    m, w = ladder_window(kind)
+    calls = []
+    wrapper = counting(topology_module.connected_components_topology, calls)
+    monkeypatch.setattr(topology_module, "connected_components_topology", wrapper)
+    monkeypatch.setattr(reports_module, "connected_components_topology", wrapper)
+    report = topology_report(m, w, pair=(w[0].label, w[-1].label))
+    assert "chain_connected_pair" in report and len(calls) == 1
 
 
 def same_order_pairs(model, window) -> int:

@@ -200,6 +200,17 @@ class TestCLI:
         assert out == ""
         assert f"error: line {line}: '{key}' is repeated from line {first}" in err
 
+    @pytest.mark.parametrize("row", ["0", "0 0"])
+    @pytest.mark.parametrize("command", ["graph", "classify"])
+    def test_zero_zxq_element_is_rejected(self, tmp_path, capsys, command, row):
+        # the zero polynomial names no class; it once escaped as ZeroDivisionError
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"kind zxq\nelement 1 1\nelement {row}\n")
+        assert cli.main([command, "--config", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"window element row '{row}' is zero" in err
+
     def test_accumulating_directives_repeat(self):
         cfg = parse_config("kind zxq\nelement 2\nelement 3\natom 1 1 1\natom 1 0 1\n")
         assert len(cfg.elements) == 2 and len(cfg.declared_atoms) == 2

@@ -10,7 +10,7 @@ from divgraph.errors import (
     ElementForeignToModel,
     InvalidBounds,
 )
-from divgraph.polynomials import QPoly, rational_roots
+from divgraph.polynomials import rational_roots
 from divgraph.models import (
     AntimatterModel,
     D1Model,
@@ -241,7 +241,7 @@ class TestZxQ:
         quartic = self.m.from_coeffs((1, 0, 0, 0, 1))
         with pytest.raises(DegreeCapExceeded):
             self.m.is_atom(quartic)
-        declared = ZxQModel(declared_atoms=[QPoly.of(1, 0, 0, 0, 1)])
+        declared = ZxQModel(declared_atoms=[(1, 0, 0, 0, 1)])
         assert declared.is_atom(declared.from_coeffs((1, 0, 0, 0, 1)))
 
     def test_undecided_factor_below_cap_raises(self):
@@ -250,7 +250,7 @@ class TestZxQ:
         m = ZxQModel(degree_cap=5)
         with pytest.raises(DegreeCapExceeded, match="rational-root test"):
             m.is_atom(m.from_coeffs((1, 1, 0, 0, 1)))
-        declared = ZxQModel(degree_cap=5, declared_atoms=[QPoly.of(1, 1, 0, 0, 1)])
+        declared = ZxQModel(degree_cap=5, declared_atoms=[(1, 1, 0, 0, 1)])
         assert declared.is_atom(declared.from_coeffs((1, 1, 0, 0, 1)))
 
     @pytest.mark.parametrize(
@@ -264,12 +264,12 @@ class TestZxQ:
     )
     def test_declared_atoms_are_validated(self, coeffs, fragment):
         with pytest.raises(InvalidBounds, match=fragment):
-            ZxQModel(degree_cap=5, declared_atoms=[QPoly.of(*coeffs)])
+            ZxQModel(degree_cap=5, declared_atoms=[coeffs])
 
     def test_declared_atom_on_every_path(self):
         # factorizations and the boundary probe read the declaration that
         # is_atom reads (also when given as a one-pass iterator)
-        m = ZxQModel(degree_cap=5, declared_atoms=iter([QPoly.of(1, 1, 0, 0, 1)]))
+        m = ZxQModel(degree_cap=5, declared_atoms=iter([(1, 1, 0, 0, 1)]))
         atom, two = m.from_coeffs((1, 1, 0, 0, 1)), m.from_coeffs((2,))
         e = m.from_coeffs((2, 2, 0, 0, 2))
         assert m.is_atom(atom) and not m.is_atom(e)
@@ -288,7 +288,7 @@ class TestZxQ:
 
     def test_rational_roots_of_a_large_constant_term(self):
         # divisors are paired up to sqrt(n), not enumerated up to n
-        assert rational_roots(QPoly.of(1000000007, 1)) == [Fraction(-1000000007)]
+        assert rational_roots((1000000007, 1)) == [Fraction(-1000000007)]
 
     def test_large_prime_constant_is_an_atom(self):
         # 10^18 + 3 is prime; trial division up to its square root hung here
