@@ -36,10 +36,8 @@ def primitive(row) -> tuple[Fraction, Poly]:
         raise ZeroDivisionError("the zero polynomial is not a class representative")
     den = lcm(*(a.denominator for a in row))
     ints = [int(a * den) for a in row]
-    g = gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    return Fraction(abs(g), den), tuple(a // g for a in ints)
+    part = _primitive_part(ints)
+    return Fraction(abs(ints[-1]), den * part[-1]), part
 
 
 def _primitive_part(r: list[int]) -> Poly:
