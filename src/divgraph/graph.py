@@ -32,9 +32,6 @@ class DivGraph:
             out[a.label].append(b)
         return {k: tuple(v) for k, v in out.items()}
 
-    def by_label(self, label: str) -> Element:
-        return next(v for v in self.vertices if v.label == label)
-
 
 @dataclass(frozen=True)
 class FactorizationReport:

@@ -32,7 +32,6 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class Factorization:
-    target: Element
     atoms: tuple[Element, ...]  # sorted by label, repetitions allowed
 
 

@@ -119,7 +119,7 @@ class ValueModel(DivisibilityModel):
                     search(q, chosen + (p,), p.label)
 
         search(a, (), "")
-        facs = tuple(Factorization(a, found[labels]) for labels in sorted(found))
+        facs = tuple(Factorization(found[labels]) for labels in sorted(found))
         # any truncation means the list may be incomplete
         return FactorSearch(facs, hit_cap)
 

@@ -9,13 +9,15 @@ question from the split of the element itself.  One splitter,
 `_poly_atoms`, splits the polynomial part for `is_atom`,
 factorizations and the boundary probe: it removes the declared `atom`
 polynomials first, then factors the rest with the rational-root test.
-`_prime_factors` splits the integer part: trial division below 1000, then
-Miller-Rabin, exact below 3.3e24, and Brent's variant of Pollard rho with a
-fixed step budget.  The split is unknown when the polynomial rest has degree
-above `degree_cap` or a factor of degree >= 4 without a rational root, when
-a cofactor of at least 3.3e24 tests prime, or when rho finds no factor of a
-composite cofactor within its budget (in practice, only when all its prime
-factors exceed about 10^10): `is_atom` raises DegreeCapExceeded there,
+`polynomials._prime_factors` splits the integer part, and the end
+coefficients whose divisors the rational-root test tries: trial division
+below 1000, then Miller-Rabin, exact below 3.3e24, and Brent's variant of
+Pollard rho with a fixed step budget.  The split is unknown when the
+polynomial rest has degree above `degree_cap` or a factor of degree >= 4
+without a rational root, or when one of those integers has a cofactor of
+at least 3.3e24 that tests prime or a composite cofactor in which rho finds
+no factor within its budget (in practice, only when all its prime factors
+exceed about 10^10): `is_atom` raises DegreeCapExceeded there,
 factorizations report `bound_too_small` and the boundary probe answers
 conservatively.  Connectivity needs no split: it reads only the order at
 x = 0 (`conn_value`).
@@ -24,15 +26,16 @@ x = 0 (`conn_value`).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
-from math import gcd
 from typing import Iterable
 
 from ..elements import Element
 from ..errors import DegreeCapExceeded, EmptyWindow, InvalidBounds
 from ..polynomials import (
+    _MR_EXACT_BELOW,
+    _RHO_STEPS,
     Poly,
     RationalFunction,
+    _prime_factors,
     exact_div,
     factor_monic,
     poly_str,
@@ -41,105 +44,6 @@ from ..polynomials import (
 )
 from ..values import Ambient, Vec
 from .base import DivisibilityModel, FactorSearch, Factorization, WindowSpec
-
-
-# trial division stops here; a number below its square with no factor below
-# it is prime
-_TRIAL_LIMIT = 1000
-# Miller-Rabin with the first 13 prime bases is exact below this bound
-# (Sorenson and Webster, 2015); the first 12 are exact only below 3.2e23
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
-# Brent's rho gives up rather than pass this many steps of x -> x^2 + c.  It
-# needs about sqrt(p) steps to find a prime factor p.  Semiprimes p*q with q
-# a 14-digit prime split for 40 of 40 p in [5e9, 1e10], 37 of 40 in
-# [5e10, 1e11] and 12 of 40 in [5e11, 1e12]; giving up on a 41-digit
-# semiprime took 0.75-0.85 s on a shared x86-64 VM
-_RHO_STEPS = 1 << 20
-
-
-def _is_strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin on an odd n > 41 with the bases in _MR_BASES."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_factor(n: int) -> int | None:
-    """A nontrivial factor of an odd composite n: Brent's variant of
-    Pollard rho on x -> x^2 + c, trying c = 1, 2, ... until one splits n.
-    None when no factor turns up within _RHO_STEPS steps over all c."""
-    steps = 0
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            # r steps to move x, then at most r to catch up
-            if steps + 2 * r > _RHO_STEPS:
-                return None
-            steps += 2 * r
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            # the batched product hit 0 mod n: redo its steps one gcd at a time
-            g = 1
-            while g == 1:
-                if steps == _RHO_STEPS:
-                    return None
-                steps += 1
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _prime_factors(n: int) -> list[int] | None:
-    """The prime factors of |n| with multiplicity, in ascending order; None
-    when a cofactor at or above _MR_EXACT_BELOW tests prime, since it cannot
-    be certified prime there, or when rho finds no factor of a composite
-    cofactor within its step budget."""
-    n = abs(n)
-    out = []
-    d = 2
-    while d < _TRIAL_LIMIT and d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if m < _TRIAL_LIMIT**2 or _is_strong_probable_prime(m):
-            if m >= _MR_EXACT_BELOW:
-                return None
-            out.append(m)
-        else:
-            d = _rho_factor(m)
-            if d is None:
-                return None
-            pending += [d, m // d]
-    return sorted(out)
 
 
 class ZxQModel(DivisibilityModel):
@@ -160,6 +64,8 @@ class ZxQModel(DivisibilityModel):
                 raise InvalidBounds(f"declared atom {name} has constant term {row[0]}, not +-1")
             p = primitive(row)[1]
             roots = rational_roots(p)
+            if roots is None:
+                raise InvalidBounds(f"declared atom {name} has a coefficient that cannot be split")
             if roots:
                 raise InvalidBounds(f"declared atom {name} has the rational root {roots[0]}")
             atoms.append(p)
@@ -258,7 +164,7 @@ class ZxQModel(DivisibilityModel):
         atoms = self._atoms(*split)
         if len(atoms) > max_length:
             return FactorSearch((), True)
-        fac = Factorization(a, tuple(sorted(atoms, key=lambda e: e.label)))
+        fac = Factorization(tuple(sorted(atoms, key=lambda e: e.label)))
         return FactorSearch((fac,), False)
 
     # -- window construction -------------------------------------------------

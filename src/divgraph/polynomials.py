@@ -14,13 +14,17 @@ pseudo-remainder, then its content divided out.  So every coefficient
 operation is an `int` operation, and only c is a `Fraction`.  Rows of
 rational coefficients are converted on the way in (`RationalFunction.make`)
 and rendered on the way out (`RationalFunction.label`).
+
+Integers are split into primes in one place, `_prime_factors`, and the
+rational root test tries the divisors built from that split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import count
+from math import gcd, lcm
 
 # coefficients in ascending degree
 Poly = tuple[int, ...]
@@ -131,21 +135,129 @@ def poly_str(row) -> str:
     return out
 
 
-def _root_factors(p: Poly) -> tuple[list[tuple[int, int]], Poly]:
+# trial division stops here; a number below its square with no factor below
+# it is prime
+_TRIAL_LIMIT = 1000
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015); the first 12 are exact only below 3.2e23
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+# Brent's rho gives up rather than pass this many steps of x -> x^2 + c.  It
+# needs about sqrt(p) steps to find a prime factor p.  Semiprimes p*q with q
+# a 14-digit prime split for 40 of 40 p in [5e9, 1e10], 37 of 40 in
+# [5e10, 1e11] and 12 of 40 in [5e11, 1e12]; giving up on a 41-digit
+# semiprime took 0.75-0.85 s on a shared x86-64 VM
+_RHO_STEPS = 1 << 20
+
+
+def _is_strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin on an odd n > 41 with the bases in _MR_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int | None:
+    """A nontrivial factor of an odd composite n: Brent's variant of
+    Pollard rho on x -> x^2 + c, trying c = 1, 2, ... until one splits n.
+    None when no factor turns up within _RHO_STEPS steps over all c."""
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            # r steps to move x, then at most r to catch up
+            if steps + 2 * r > _RHO_STEPS:
+                return None
+            steps += 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batched product hit 0 mod n: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                if steps == _RHO_STEPS:
+                    return None
+                steps += 1
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int] | None:
+    """The prime factors of |n| with multiplicity, in ascending order; None
+    when a cofactor at or above _MR_EXACT_BELOW tests prime, since it cannot
+    be certified prime there, or when rho finds no factor of a composite
+    cofactor within its step budget."""
+    n = abs(n)
+    out = []
+    d = 2
+    while d < _TRIAL_LIMIT and d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_LIMIT**2 or _is_strong_probable_prime(m):
+            if m >= _MR_EXACT_BELOW:
+                return None
+            out.append(m)
+        else:
+            d = _rho_factor(m)
+            if d is None:
+                return None
+            pending += [d, m // d]
+    return sorted(out)
+
+
+def _divisors(n: int) -> set[int] | None:
+    """The positive divisors of n != 0; None when `_prime_factors` cannot split n."""
+    primes = _prime_factors(n)
+    if primes is None:
+        return None
+    out = {1}
+    for q in primes:
+        out |= {d * q for d in out}
+    return out
+
+
+def _root_factors(p: Poly) -> tuple[list[tuple[int, int]], Poly] | None:
     """The linear factors b*x - a, as (-a, b), of the rational roots a/b of
     p, ascending with multiplicity, and the cofactor of their product.  A
     root a/b in lowest terms has a dividing the lowest nonzero coefficient
-    and b the leading one (the rational root test)."""
+    and b the leading one (the rational root test).  None when either of
+    those coefficients cannot be split into primes."""
     low = _low(p)
     factors, p = [(0, 1)] * low, p[low:]
     if len(p) == 1:
         return factors, p
-
-    def divisors(n):
-        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-        return small + [n // d for d in small if d * d != n]
-
-    tops, bottoms = divisors(abs(p[0])), divisors(abs(p[-1]))
+    tops, bottoms = _divisors(p[0]), _divisors(p[-1])
+    if tops is None or bottoms is None:
+        return None
     candidates = {Fraction(s * a, b) for a in tops for b in bottoms for s in (1, -1)}
     for r in sorted(candidates):
         lin = (-r.numerator, r.denominator)
@@ -155,23 +267,25 @@ def _root_factors(p: Poly) -> tuple[list[tuple[int, int]], Poly]:
     return factors, p
 
 
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of a nonzero integer polynomial, with multiplicity."""
-    return [Fraction(-a, b) for a, b in _root_factors(p)[0]]
+def rational_roots(p: Poly) -> list[Fraction] | None:
+    """All rational roots of a nonzero integer polynomial, with multiplicity;
+    None when they are unknown (see `_root_factors`)."""
+    split = _root_factors(p)
+    return None if split is None else [Fraction(-a, b) for a, b in split[0]]
 
 
 def factor_monic(p: Poly) -> list[Poly] | None:
     """The irreducible factors of a primitive p over Q, each primitive with a
     positive leading coefficient (monic up to a positive integer), whose
     product is p; None when a factor of degree >= 4 without a rational root
-    is left, which the root-based test cannot decide."""
-    factors, rest = _root_factors(p)
-    if len(rest) == 1:
-        return factors
-    if len(rest) in (3, 4):
-        # no rational roots left, hence irreducible at degrees 2 and 3
-        return [*factors, rest]
-    return None
+    is left, which the root-based test cannot decide, or when the rational
+    roots are unknown."""
+    split = _root_factors(p)
+    if split is None or len(split[1]) not in (1, 3, 4):
+        return None
+    factors, rest = split
+    # no rational roots left, hence irreducible at degrees 2 and 3
+    return factors if len(rest) == 1 else [*factors, rest]
 
 
 @dataclass(frozen=True)

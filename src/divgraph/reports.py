@@ -137,9 +137,12 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) 
     """Independent consistency check of a (possibly tampered) graph:
 
     1. per closed vertex, the path-spelled factorization multisets must agree
-       with the brute-force search over the model itself;
-    2. the weak components, the topological components, and the
-       quotient-of-atomics verdicts must induce the same partition.
+       with the brute-force search over the model itself, and the model's
+       `is_atomic_element` with whether that search found any;
+    2. the weak components must coincide with the topological components;
+    3. each vertex must be a quotient of atomics over the first member of its
+       weak component, so the components refine the cosets of the atom
+       subgroup (on divisor-closed windows the two partitions coincide).
 
     A vertex whose oracle search needs more than `oracle_bound` atoms is not
     compared; the report lists such vertices under `skipped_oracle_bound`
@@ -172,6 +175,11 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) 
                     "oracle": sorted(map(list, oracle)),
                 }
             )
+        atomic = model.is_atomic_element(v)
+        if atomic != bool(oracle):
+            disagreements.append(
+                {"kind": "atomic_element", "vertex": v.label, "is_atomic_element": atomic}
+            )
 
     comps = weak_components(graph)
     cmap = {label: comp[0] for comp in comps for label in comp}
@@ -187,35 +195,14 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) 
             }
         )
 
-    # window components must refine the coset partition; on divisor-closed
-    # windows the two partitions coincide
     desc = atom_subgroup(model)
-    cosets = {v.label: desc.coset_label(model.conn_value(v)) for v in graph.vertices}
-    for comp in comps:
-        labels = {cosets[x] for x in comp}
-        if len(labels) > 1:
-            disagreements.append(
-                {
-                    "kind": "component_spans_cosets",
-                    "component": list(comp),
-                    "coset_labels": sorted(labels),
-                }
-            )
-
-    reps = [graph.by_label(c[0]) for c in comps]
-    for rep in reps:
-        for v in graph.vertices:
-            verdict = quotient_of_atomics(model, v, rep, desc)
-            same = cosets[v.label] == cosets[rep.label]
-            if same != (verdict.status is Status.HOLDS):
-                disagreements.append(
-                    {
-                        "kind": "quotient_of_atomics",
-                        "pair": [v.label, rep.label],
-                        "same_coset": same,
-                        "verdict": verdict.status.value,
-                    }
-                )
+    vertex = {v.label: v for v in graph.vertices}
+    for v in graph.vertices:
+        rep = vertex[cmap[v.label]]
+        verdict = quotient_of_atomics(model, v, rep, desc)
+        if verdict.status is Status.FAILS:
+            pair = [v.label, rep.label]
+            disagreements.append({"kind": "component_spans_cosets", "pair": pair, **verdict.evidence})
     report = {
         "model": model.id,
         "vertex_count": len(graph.vertices),

@@ -44,9 +44,6 @@ class Vec:
         self._same_shape(other)
         return Vec(tuple(a - b for a, b in zip(self.ints, other.ints)), self.rat - other.rat)
 
-    def __neg__(self) -> "Vec":
-        return Vec(tuple(-a for a in self.ints), -self.rat)
-
     def scaled(self, m: int) -> "Vec":
         return Vec(tuple(m * a for a in self.ints), m * self.rat)
 

@@ -235,8 +235,8 @@ def test_criterion_07_three_way_equivalence(capsys):
             assert len(pairs_by_comp) == len(set(cosets.values())), name
 
             # quotient-of-atomics agrees with component membership
-            reps = [graph.by_label(c[0]) for c in weak_components(graph)]
-            for rep in reps:
+            vertex = {v.label: v for v in graph.vertices}
+            for rep in (vertex[c[0]] for c in weak_components(graph)):
                 for v in graph.vertices:
                     verdict = quotient_of_atomics(model, v, rep)
                     assert verdict.status is not Status.INCONCLUSIVE, (name, v.label)

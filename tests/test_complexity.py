@@ -15,6 +15,7 @@ from divgraph import reports as reports_module
 from divgraph import topology as topology_module
 from divgraph.config import load_config
 from divgraph.graph import build_graph, classify, window_analysis
+from divgraph.lattices import SubgroupDescriptor
 from divgraph.models import D1Model, D2Model, NumericalMonoidModel, ZxQModel
 from divgraph.models.base import WindowSpec
 from divgraph.polynomials import RationalFunction
@@ -123,3 +124,17 @@ def test_check_calls_the_oracle_once_per_closed_vertex(monkeypatch, kind):
     monkeypatch.setattr(m, "factorizations", counting(m.factorizations, calls))
     assert crosscheck_graph(graph)["ok"]
     assert closed and len(calls) == closed
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_check_tests_each_vertex_against_its_component_once(monkeypatch, kind):
+    # one quotient-of-atomics test per vertex, not one per (vertex, component)
+    m, w = ladder_window(kind)
+    graph = build_graph(m, w)
+    calls, labels = [], []
+    wrapper = counting(reports_module.quotient_of_atomics, calls)
+    monkeypatch.setattr(reports_module, "quotient_of_atomics", wrapper)
+    label = counting(SubgroupDescriptor.coset_label, labels)
+    monkeypatch.setattr(SubgroupDescriptor, "coset_label", label)
+    assert crosscheck_graph(graph)["ok"]
+    assert len(calls) <= len(w) and not labels

@@ -3,16 +3,19 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from divgraph import cli
 from divgraph.config import parse_config
+from divgraph.connectivity import weak_components
 from divgraph.errors import ParseError, UnknownModelKind
 from divgraph.graph import DivGraph, build_graph
 from divgraph.models.base import WindowSpec
 from divgraph.reports import crosscheck_graph
+from divgraph.values import Vec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -309,6 +312,18 @@ class TestCLI:
         assert report["sinks"] == ["1000000000000000003", "2"]
         assert report["boundary"] == []
 
+    def test_graph_on_a_large_constant_term_finishes(self, tmp_path):
+        # the rational root test listed the divisors of 10^18 + 3 by trial
+        # division up to its square root, which took minutes
+        cfg = tmp_path / "large_root.cfg"
+        cfg.write_text("kind zxq\nbound degree_cap 3\nelement 1000000000000000003 1\nelement 2\n")
+        r = run_cli("graph", "--config", str(cfg), timeout=10)
+        assert r.returncode == 0, r.stderr
+        report = json.loads(r.stdout)
+        # (10^18 + 3)(1 + x/(10^18 + 3)): both atom quotients leave the window
+        assert report["boundary"] == ["1000000000000000003+x"]
+        assert report["sinks"] == ["2"]
+
     def test_graph_on_an_unsplit_composite_constant_finishes(self, tmp_path):
         # a product of two 21-digit primes: without a step budget, Pollard
         # rho needs about 10^10 steps to split it
@@ -338,3 +353,39 @@ class TestTamperedGraph:
         assert not report["ok"]
         kinds = {d["kind"] for d in report["disagreements"]}
         assert "factorization" in kinds
+
+    def test_crosscheck_compares_atomic_elements_with_the_oracle(self, monkeypatch):
+        from divgraph.models import NumericalMonoidModel
+
+        m = NumericalMonoidModel((2, 3))
+        g = build_graph(m, m.enumerate_window(WindowSpec(m.id, {"max_value": 10})))
+        assert crosscheck_graph(g)["ok"]
+        # the graph, the order and the oracle never ask this predicate
+        is_atomic = m.is_atomic_element
+        monkeypatch.setattr(m, "is_atomic_element", lambda e: is_atomic(e) != (e.label == "4"))
+        report = crosscheck_graph(g)
+        assert not report["ok"]
+        assert report["disagreements"] == [
+            {"kind": "atomic_element", "vertex": "4", "is_atomic_element": False}
+        ]
+
+    def test_crosscheck_detects_a_vertex_off_its_components_coset(self, monkeypatch):
+        from divgraph.models import D1Model
+
+        m = D1Model()
+        bounds = {"k_max": 3, "den_max": 3, "alpha_max": 1}
+        g = build_graph(m, m.enumerate_window(WindowSpec(m.id, bounds)))
+        assert crosscheck_graph(g)["ok"]
+        rep, moved = next(c for c in weak_components(g) if len(c) > 1)[:2]
+        conn_value = m.conn_value
+
+        def shifted(e):
+            # off the atom subgroup, which has no rational part
+            v = conn_value(e)
+            return Vec(v.ints, v.rat + Fraction(1, 2)) if e.label == moved else v
+
+        monkeypatch.setattr(m, "conn_value", shifted)
+        report = crosscheck_graph(g)
+        assert not report["ok"]
+        spans = [d for d in report["disagreements"] if d["kind"] == "component_spans_cosets"]
+        assert [d["pair"] for d in spans] == [[moved, rep]]

@@ -10,7 +10,6 @@ from divgraph.errors import (
     ElementForeignToModel,
     InvalidBounds,
 )
-from divgraph.polynomials import rational_roots
 from divgraph.models import (
     AntimatterModel,
     D1Model,
@@ -21,7 +20,7 @@ from divgraph.models import (
     build_model,
 )
 from divgraph.models.base import FactorSearch, WindowSpec
-from divgraph.models.zxq import _prime_factors
+from divgraph.polynomials import _prime_factors, factor_monic, rational_roots
 from divgraph.values import Vec
 from helpers import vec
 
@@ -260,6 +259,8 @@ class TestZxQ:
             ((2, 0, 0, 0, 1), "constant term 2"),
             ((1, 0, 0, 0, -1), "rational root"),
             ((1, 1), "rational root"),
+            # the least prime above the range where Miller-Rabin is exact
+            ((1, 0, 3317044064679887385962123), "cannot be split"),
         ],
     )
     def test_declared_atoms_are_validated(self, coeffs, fragment):
@@ -287,8 +288,14 @@ class TestZxQ:
         assert len(ZxQModel(degree_cap=4).factorizations(e, 10).found[0].atoms) == 4
 
     def test_rational_roots_of_a_large_constant_term(self):
-        # divisors are paired up to sqrt(n), not enumerated up to n
+        # the divisors are built from the prime split, not found by trial up to sqrt(n)
         assert rational_roots((1000000007, 1)) == [Fraction(-1000000007)]
+
+    def test_roots_are_unknown_when_an_end_coefficient_cannot_be_split(self):
+        big = 3317044064679887385962123  # prime, but past the exact Miller-Rabin range
+        for p in ((big, 1), (1, 0, big)):
+            assert rational_roots(p) is None and factor_monic(p) is None
+        assert self.m.factorizations(self.m.from_coeffs((big, 1)), 10) == FactorSearch((), True)
 
     def test_large_prime_constant_is_an_atom(self):
         # 10^18 + 3 is prime; trial division up to its square root hung here

@@ -325,8 +325,8 @@ def test_d2_components_agree_with_quotients(k_max, j_max):
     g = build_graph(m, win(m, k_max=k_max, j_max=j_max))
     comps = weak_components(g)
     cmap = {label: comp[0] for comp in comps for label in comp}
-    reps = [g.by_label(c[0]) for c in comps]
-    for rep in reps:
+    vertex = {v.label: v for v in g.vertices}
+    for rep in (vertex[c[0]] for c in comps):
         for v in g.vertices:
             verdict = quotient_of_atomics(m, v, rep)
             assert verdict.status is not Status.INCONCLUSIVE

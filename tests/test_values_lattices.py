@@ -15,7 +15,6 @@ class TestVec:
         b = vec(4, -1, rat=Fraction(1, 6))
         assert a + b == vec(5, 1, rat=Fraction(1, 2))
         assert a - b == vec(-3, 3, rat=Fraction(1, 6))
-        assert -a == vec(-1, -2, rat=Fraction(-1, 3))
         assert a.scaled(3) == vec(3, 6, rat=1)
 
     def test_shape_mismatch(self):
