@@ -13,13 +13,12 @@ Grammar (one directive per line, `#` starts a comment):
                                 constant term +-1, no rational root)
 
 `bound search_bound N` is not a window bound: it is the length bound of
-the factorization oracle that `check` runs, used as given
-(`reports.DEFAULT_ORACLE_BOUND`, 24, when absent).  A directive the kind
-does not read is an error: every kind reads `bound search_bound`,
-`flag include_fractional` and the window bounds its model class names in
-`window_bounds`; only numerical-monoid reads `generator`, and only zxq
-reads `element`, `atom` and `bound degree_cap`.  Only `generator`,
-`element` and `atom` lines may repeat: they accumulate.
+the factorization oracle that `check` runs, used as given (default: the
+window size).  A directive the kind does not read is an error: every kind
+reads `bound search_bound`, `flag include_fractional` and the window bounds
+its model class names in `window_bounds`; only numerical-monoid reads
+`generator`, and only zxq reads `element`, `atom` and `bound degree_cap`.
+Only `generator`, `element` and `atom` lines may repeat: they accumulate.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from pathlib import Path
 from .errors import ConfigError, InvalidBounds, ParseError
 from .models import KINDS, build_model
 from .models.base import DivisibilityModel, WindowSpec
-from .reports import DEFAULT_ORACLE_BOUND
 
 _REPEATABLE = ("generator", "element", "atom")  # any other directive appears once
 # what only some kinds read, besides the window bounds of each
@@ -51,8 +49,9 @@ class RunConfig:
     declared_atoms: tuple[tuple[Fraction, ...], ...] = ()
 
     @property
-    def search_bound(self) -> int:
-        return self.bounds.get("search_bound", DEFAULT_ORACLE_BOUND)
+    def search_bound(self) -> int | None:
+        """The oracle bound given, or None for `check`'s default."""
+        return self.bounds.get("search_bound")
 
     def build(self) -> tuple[DivisibilityModel, WindowSpec]:
         options = {}

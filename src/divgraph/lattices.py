@@ -120,9 +120,6 @@ class SubgroupDescriptor:
             raise AssertionError("membership certificate failed to reproduce the target")
         return True, coeffs
 
-    def __contains__(self, g: Vec) -> bool:
-        return self.membership(g)[0]
-
     # -- canonical coset representatives ------------------------------------
 
     def coset_rep(self, g: Vec) -> Vec:

@@ -84,15 +84,38 @@ class ValueModel(DivisibilityModel):
 
     # -- the atom-list oracle -------------------------------------------------
 
-    def _atom_quotients(self, a: Element) -> list[tuple[Element, Element]]:
-        """The pairs (p, a/p) over the atoms p with a/p integral (possibly a
-        unit: the zero value lies in every value monoid)."""
-        out = []
-        for p in self.atoms():
-            q = self.quotient(a, p)
-            if self.in_domain(q):
-                out.append((p, q))
-        return out
+    @cached_property
+    def _suffix_memo(self) -> dict:
+        """(value, floor atom index) -> (suffixes, height, room) of `_suffixes`."""
+        return {}
+
+    def _suffixes(self, v: Vec, floor: int, room: int) -> tuple[set, int]:
+        """The factorizations of v into at most `room` atoms of index >= floor,
+        as sorted tuples of atom indices, and the height of the search tree
+        (the most atoms divided off along one branch), cut at `room` with a
+        step left, so it exceeds `room` exactly when the search was cut.
+
+        A stored result answers when it was computed with the same room, or
+        was complete (height <= its room) with a height within this room."""
+        memo = self._suffix_memo
+        hit = memo.get((v, floor))
+        if hit is not None and (hit[2] == room or hit[1] <= min(hit[2], room)):
+            return hit[0], hit[1]
+        atoms = self.atoms()
+        found: set[tuple[int, ...]] = set()
+        height = 0
+        for i in range(floor, len(atoms)):
+            q = v - atoms[i].value
+            if not self.contains_value(q):
+                continue
+            if room == 0:
+                height = 1
+                break
+            rest, h = ({()}, 0) if q.is_zero else self._suffixes(q, i, room - 1)
+            found.update((i,) + s for s in rest)
+            height = max(height, h + 1)
+        memo[v, floor] = (found, height, room)
+        return found, height
 
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
         self.check_owned(a)
@@ -100,28 +123,14 @@ class ValueModel(DivisibilityModel):
             raise InvalidBounds("max_length must be >= 1")
         if self.is_unit(a):
             return FactorSearch((), False)
-        # atoms are chosen in label order, so each multiset is found once,
-        # already sorted
-        found: dict[tuple[str, ...], tuple[Element, ...]] = {}
-        hit_cap = False
-
-        def search(target: Element, chosen: tuple[Element, ...], floor_label: str):
-            nonlocal hit_cap
-            steps = [(p, q) for p, q in self._atom_quotients(target) if p.label >= floor_label]
-            if len(chosen) == max_length and steps:
-                hit_cap = True
-                return
-            for p, q in steps:
-                if self.is_unit(q):
-                    atoms = chosen + (p,)
-                    found[tuple(e.label for e in atoms)] = atoms
-                else:
-                    search(q, chosen + (p,), p.label)
-
-        search(a, (), "")
-        facs = tuple(Factorization(found[labels]) for labels in sorted(found))
+        # atoms are chosen in index order, which is label order, so each
+        # multiset is found once, already sorted, and sorting the index
+        # tuples sorts the label tuples
+        found, height = self._suffixes(a.value, 0, max_length)
+        atoms = self.atoms()
+        facs = tuple(Factorization(tuple(atoms[i] for i in s)) for s in sorted(found))
         # any truncation means the list may be incomplete
-        return FactorSearch(facs, hit_cap)
+        return FactorSearch(facs, height > max_length)
 
     def successor_candidates(
         self, a: Element, vertices: tuple[Element, ...]
@@ -155,8 +164,11 @@ class ValueModel(DivisibilityModel):
 
     def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:
         self.check_owned(a)
+        # an integral quotient a/p may be a unit: the zero value lies in every
+        # value monoid
+        quotients = (self.quotient(a, p) for p in self.atoms())
         return any(
-            not self.is_unit(q) and q not in window for _, q in self._atom_quotients(a)
+            self.in_domain(q) and not self.is_unit(q) and q not in window for q in quotients
         )
 
     def conn_value(self, a: Element) -> Vec:

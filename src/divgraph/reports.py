@@ -130,10 +130,9 @@ def atomicity_report(model: DivisibilityModel, window) -> dict:
 
 
 MAX_CHECK_VERTICES = 500
-DEFAULT_ORACLE_BOUND = 24
 
 
-def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> dict:
+def crosscheck_graph(graph: DivGraph, oracle_bound: int | None = None) -> dict:
     """Independent consistency check of a (possibly tampered) graph:
 
     1. per closed vertex, the path-spelled factorization multisets must agree
@@ -146,13 +145,17 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int = DEFAULT_ORACLE_BOUND) 
 
     A vertex whose oracle search needs more than `oracle_bound` atoms is not
     compared; the report lists such vertices under `skipped_oracle_bound`
-    (the key is absent when there are none).
+    (the key is absent when there are none).  The bound defaults to the
+    window size: from a vertex that does not escape, every node of the
+    search is a distinct window element, so no factorization is longer.
     """
     model = graph.model
     if len(graph.vertices) > MAX_CHECK_VERTICES:
         raise WindowTooLarge(
             f"check is exhaustive and limited to {MAX_CHECK_VERTICES} vertices"
         )
+    if oracle_bound is None:
+        oracle_bound = len(graph.vertices)
     disagreements: list[dict] = []
     skipped: list[str] = []
 

@@ -234,7 +234,17 @@ class TestCLI:
         assert cli.main(["check", "--config", str(cfg)]) == 0
         assert cli.main(["check", "--config", str(low)]) == 0
         capsys.readouterr()
-        assert bounds == [24, 9]
+        # None leaves the bound to crosscheck_graph: the window size
+        assert bounds == [None, 9]
+
+    def test_check_bounds_the_oracle_by_the_window_by_default(self, tmp_path):
+        # every factorization of a vertex that does not escape runs through
+        # distinct window elements, so the window size bounds them all
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("kind numerical-monoid\ngenerator 2 3\nbound max_value 80\n")
+        report = json.loads(run_cli("check", "--config", str(cfg)).stdout)
+        assert report["vertex_count"] == 79
+        assert "skipped_oracle_bound" not in report and report["ok"] is True
 
     def test_check_lists_vertices_past_the_oracle_bound(self, tmp_path):
         cfg = CONFIG_DIR / "numerical_2_3.cfg"

@@ -2,7 +2,10 @@
 
 from itertools import combinations_with_replacement
 
-from divgraph.models import DVRModel, NumericalMonoidModel, ZxQModel
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from divgraph.models import D2Model, DVRModel, NumericalMonoidModel, ZxQModel
 from helpers import vec
 
 
@@ -43,12 +46,56 @@ class TestNumericalOracle:
         assert search.bound_too_small  # the all-2s factorization has length 13
 
 
+def numeric_search(model, target, max_length):
+    search = model.factorizations(model.element(vec(target)), max_length)
+    found = {tuple(sorted(int(a.label) for a in f.atoms)) for f in search.found}
+    return found, search.bound_too_small
+
+
+@given(
+    st.lists(st.integers(2, 12), min_size=1, max_size=4, unique=True),
+    st.lists(st.tuples(st.integers(1, 45), st.integers(1, 16)), min_size=1, max_size=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_memoised_oracle_matches_exhaustive_search(generators, queries):
+    # one model answers every query, bounds in the order drawn, so a result
+    # stored under one bound is read under another; a fresh model answers
+    # each query from an empty memo
+    shared = NumericalMonoidModel(generators)
+    atoms = [int(a.label) for a in shared.atoms()]
+    for target, max_length in queries:
+        if not shared._member(target):
+            continue
+        every = exhaustive_multisets(atoms, target, target // min(atoms))
+        expected = (
+            {f for f in every if len(f) <= max_length},
+            any(len(f) > max_length for f in every),
+        )
+        assert numeric_search(shared, target, max_length) == expected
+        fresh = NumericalMonoidModel(generators)
+        assert numeric_search(fresh, target, max_length) == expected
+
+
 class TestDVROracle:
     def test_unique_chain(self):
         m = DVRModel()
         search = m.factorizations(m.element(vec(7)), 10)
         assert len(search.found) == 1
         assert len(search.found[0].atoms) == 7
+
+
+class TestD2Oracle:
+    def test_infinite_chain_stays_truncated(self):
+        # y^2 / x^n is integral for every n, so the search below y^2 never
+        # ends, whatever bound it was asked with before
+        m = D2Model()
+        y2 = m.element(vec(2, 0))
+        for bound in (5, 12, 1, 5):
+            search = m.factorizations(y2, bound)
+            assert search.bound_too_small, bound
+            assert [[a.label for a in f.atoms] for f in search.found] == (
+                [["y", "y"]] if bound >= 2 else []
+            )
 
 
 class TestZxQOracle:
