@@ -17,7 +17,6 @@ from .elements import Element
 from .errors import DivGraphError
 from .graph import (
     DivGraph,
-    FactorizationReport,
     build_graph,
     classify,
     cover_edge,
@@ -61,7 +60,6 @@ __all__ = [
     "DivGraphError",
     "DivisibilityModel",
     "Element",
-    "FactorizationReport",
     "FinitePoset",
     "NumericalMonoidModel",
     "RunConfig",

@@ -4,16 +4,30 @@ Vertices are window elements; there is an edge a -> b exactly when the
 quotient a/b is an atom.  A complete path ends at an atom vertex and spells
 a factorization one atom per edge, with the terminal atom contributing the
 final factor (k edges = k+1 atoms).
+
+The classifier counts the multisets that complete paths spell instead of
+listing them.  Atoms are indexed in label order, and a path is canonical
+when its atom indices never decrease along it, the terminal atom last.
+Every multiset has at most one canonical path, and exactly one when all
+paths below its vertex can be sorted inside the window (`_sortable`; true
+wherever the window holds every atom quotient of a vertex below, so at
+every vertex that does not escape).  There one pass counts the canonical
+paths per vertex and smallest atom index allowed.  Below a vertex where a
+sorted path can be missing (a zxq vertex whose quotient by one of its atoms
+lies outside the window, say) the multisets are listed, as index tuples.
 """
 
 from __future__ import annotations
 
 import graphlib
+from bisect import bisect
+from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .elements import Element
-from .models.base import DivisibilityModel
+from .models.base import DivisibilityModel, FactorSearch
 from .verdicts import Status, Verdict, fails, holds, inconclusive
 
 
@@ -23,6 +37,9 @@ class DivGraph:
     vertices: tuple[Element, ...]
     edges: tuple[tuple[Element, Element], ...]
     boundary: frozenset[str]  # labels of vertices with successors outside
+    # the atom a/b of each edge (a, b), or None where build_graph did not know
+    # it without a quotient; None as a whole means None for every edge
+    edge_atoms: tuple[Element | None, ...] | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def successors(self) -> dict[str, tuple[Element, ...]]:
@@ -31,22 +48,6 @@ class DivGraph:
         for a, b in self.edges:
             out[a.label].append(b)
         return {k: tuple(v) for k, v in out.items()}
-
-
-@dataclass(frozen=True)
-class FactorizationReport:
-    verdicts: dict[str, Verdict]
-    factorization_lengths: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    factorization_counts: dict[str, int] = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "verdicts": {k: v.to_jsonable() for k, v in sorted(self.verdicts.items())},
-            "factorization_lengths": {
-                k: list(v) for k, v in sorted(self.factorization_lengths.items())
-            },
-            "factorization_counts": dict(sorted(self.factorization_counts.items())),
-        }
 
 
 def cover_edge(model: DivisibilityModel, a: Element, b: Element) -> bool:
@@ -65,15 +66,21 @@ def build_graph(model: DivisibilityModel, window) -> DivGraph:
     index = {v: v for v in vertices}
     edges = []
     for a in vertices:
-        for c in model.successor_candidates(a, vertices):
+        for c, p in model.successor_candidates(a, vertices):
             b = index.get(c)
             if b is not None and b is not a and cover_edge(model, a, b):
-                edges.append((a, b))
-    edges.sort(key=lambda ab: (ab[0].label, ab[1].label))
+                edges.append((a, b, p))
+    edges.sort(key=lambda abp: (abp[0].label, abp[1].label))
     boundary = frozenset(
         v.label for v in vertices if model.boundary_probe(v, window_set)
     )
-    return DivGraph(model, vertices, tuple(edges), boundary)
+    return DivGraph(
+        model,
+        vertices,
+        tuple((a, b) for a, b, _ in edges),
+        boundary,
+        tuple(p for _, _, p in edges),
+    )
 
 
 def topological_order(graph: DivGraph) -> list[str]:
@@ -123,51 +130,230 @@ def sinks(graph: DivGraph) -> tuple[set[Element], list[str]]:
     return atom_sinks, sorted(artifacts)
 
 
+def _sortable(steps: list[dict[int, int]], term: list[int], v: int) -> bool:
+    """Whether each two atoms that a path from v divides off first can swap
+    places inside the window: v -a-> y -b-> z with b < a has v -b-> y' -a-> z,
+    and v -a-> y with y the terminal atom b < a has v -b-> y' with y' the
+    terminal atom a.  When this holds at every vertex below v, sorting the
+    atoms of any path from v one swap at a time keeps it a path, so every
+    multiset spelled from v has its canonical path."""
+    out = steps[v]
+    for a, y in out.items():
+        t = term[y]
+        if 0 <= t < a and ((y2 := out.get(t)) is None or term[y2] != a):
+            return False
+        for b, z in steps[y].items():
+            if b < a and ((y2 := out.get(b)) is None or steps[y2].get(a) != z):
+                return False
+    return True
+
+
+class _Paths:
+    """The complete paths of a graph, counted in one pass in topological
+    order (divisors first).  Vertices are window positions and atoms are
+    indexed in label order.  `count[v][f]` is the number of canonical paths
+    from v whose atom indices are all >= f (the floor), and `lengths[v][f]`
+    has bit n set when one of them spells n atoms.  `spelled` holds, for
+    each vertex below which `_sortable` fails somewhere, the spelled
+    multisets as sorted index tuples, and their number and length bits
+    replace that vertex's `count[v][0]` and `lengths[v][0]`; so those two
+    are each vertex's own, and no count at a floor above 0 is read where
+    `spelled` holds."""
+
+    def __init__(self, graph: DivGraph):
+        model = graph.model
+        vertices = graph.vertices
+        pos = {v.label: n for n, v in enumerate(vertices)}
+        edge_atoms = graph.edge_atoms or (None,) * len(graph.edges)
+        quotients = [
+            model.quotient(a, b) if p is None else p
+            for (a, b), p in zip(graph.edges, edge_atoms)
+        ]
+        # a complete path ends at a sink, so its terminal atoms are the sinks
+        # that are atoms
+        sources = {a.label for a, _ in graph.edges}
+        atom_sinks = [
+            n for n, v in enumerate(vertices) if v.label not in sources and model.is_atom(v)
+        ]
+        # number the distinct atoms as first met, then rank them by label
+        first: dict[Element, int] = {}
+        met = [first.setdefault(p, len(first)) for p in quotients]
+        met += [first.setdefault(vertices[n], len(first)) for n in atom_sinks]
+        self.atoms = tuple(sorted(first, key=lambda e: e.label))
+        self.index = {a: i for i, a in enumerate(self.atoms)}
+        rank = [self.index[a] for a in first]
+        self.steps = steps = [{} for _ in vertices]  # atom index -> target
+        for (a, b), m in zip(graph.edges, met):
+            steps[pos[a.label]][rank[m]] = pos[b.label]
+        self.term = term = [-1] * len(vertices)  # atom index of an atom sink
+        for n, m in zip(atom_sinks, met[len(quotients) :]):
+            term[n] = rank[m]
+
+        k = len(self.atoms)
+        self.count = count = [[]] * len(vertices)
+        self.lengths = lengths = [[]] * len(vertices)
+        self.spelled: dict[int, set[tuple[int, ...]]] = {}
+        self.escapes = [False] * len(vertices)
+        self.dead = [False] * len(vertices)
+        self.agreed: set = set()  # (node, vertex, floor) that `found_by` found equal
+        boundary = graph.boundary
+        # topological_order also asserts acyclicity
+        for label in topological_order(graph):
+            v = pos[label]
+            out, t = steps[v], term[v]
+            c, m = [0] * (k + 1), [0] * (k + 1)
+            if t >= 0:
+                c[t], m[t] = 1, 2
+            for i, w in out.items():
+                c[i] += count[w][i]
+                m[i] |= lengths[w][i] << 1
+            for f in range(k - 1, -1, -1):
+                c[f] += c[f + 1]
+                m[f] |= m[f + 1]
+            count[v], lengths[v] = c, m
+            if out:
+                self.escapes[v] = label in boundary or any(self.escapes[w] for w in out.values())
+                self.dead[v] = any(self.dead[w] for w in out.values())
+            else:
+                self.escapes[v] = label in boundary
+                self.dead[v] = t < 0 and label not in boundary
+            if any(w in self.spelled for w in out.values()) or not _sortable(steps, term, v):
+                found = self.spelled[v] = self._spell(v)
+                c[0] = len(found)
+                m[0] = reduce(or_, (1 << len(fac) for fac in found), 0)
+
+    def _spell(self, v: int) -> set[tuple[int, ...]]:
+        """The multisets the paths from v spell, each as a sorted index tuple."""
+        t = self.term[v]
+        found = {(t,)} if t >= 0 else set()
+        for i, w in self.steps[v].items():
+            for tail in self.tuples(w):
+                j = bisect(tail, i)
+                found.add((*tail[:j], i, *tail[j:]))
+        return found
+
+    def canonical(self, v: int) -> Iterator[tuple[int, ...]]:
+        """The atom index tuples of the canonical paths from v."""
+        count, steps, term = self.count, self.steps, self.term
+
+        def moves(u, f):
+            # the terminal atom, or the edges whose paths go on to one
+            if term[u] >= f:
+                yield term[u], None
+            for i, w in steps[u].items():
+                if i >= f and count[w][i]:
+                    yield i, w
+
+        path: list[int] = []  # the atoms taken to the vertex on top of the stack
+        stack = [moves(v, 0)]
+        while stack:
+            move = next(stack[-1], None)
+            if move is None:
+                stack.pop()
+                if path:
+                    path.pop()
+            elif move[1] is None:
+                yield (*path, move[0])
+            else:
+                path.append(move[0])
+                stack.append(moves(move[1], move[0]))
+
+    def tuples(self, v: int):
+        """The multisets spelled from v, as sorted index tuples."""
+        return self.spelled[v] if v in self.spelled else self.canonical(v)
+
+
+class _Multisets(Set):
+    """The complete atom multisets of one vertex: the len is their count,
+    and iteration renders them as sorted label tuples."""
+
+    def __init__(self, paths: _Paths, v: int):
+        self.paths, self.v = paths, v
+
+    def __len__(self) -> int:
+        return self.paths.count[self.v][0]
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        atoms = self.paths.atoms
+        for t in self.paths.tuples(self.v):
+            yield tuple(atoms[i].label for i in t)
+
+    def __contains__(self, labels) -> bool:
+        return any(labels == t for t in self)
+
+    def found_by(self, search: FactorSearch) -> bool:
+        """Whether an oracle search found exactly these multisets."""
+        p, v = self.paths, self.v
+        # the search's atom indices, as indices into this graph's atoms
+        remap = [p.index.get(a) for a in search.atoms]
+        tree = search.tree
+        if v in p.spelled:
+            found = () if tree is None else tree.tuples()
+            return {tuple(remap[i] for i in t) for t in found} == p.spelled[v]
+        if tree is None:
+            return not p.count[v][0]
+        # the two sets split by first atom: the search's step (i, rest) holds
+        # the tuples that start with i, and so does the edge u -i-> w (or u
+        # the terminal atom i); equal counts and each part of the search's
+        # inside the graph's make the sets equal, part by part
+        seen = set()
+        todo = [(tree, v, 0)]
+        while todo:
+            key = todo.pop()
+            if key in seen or key in p.agreed:
+                continue
+            seen.add(key)
+            node, u, f = key
+            if node.count != p.count[u][f]:
+                return False
+            for i, rest in node.steps:
+                j = remap[i]
+                if rest is None:
+                    if p.term[u] != j:
+                        return False
+                elif (w := p.steps[u].get(j)) is None:
+                    return False
+                else:
+                    todo.append((rest, w, j))
+        p.agreed |= seen
+        return True
+
+
 @dataclass(frozen=True)
 class _VertexInfo:
-    factorizations: frozenset[tuple[str, ...]]  # complete atom multisets
+    factorizations: _Multisets  # complete atom multisets
+    lengths: int  # bit n set iff some complete multiset has n atoms
     escapes: bool  # some path can leave the window or is unresolved
     dead: bool  # some path ends at a non-atom with no continuation anywhere
 
 
 def window_analysis(graph: DivGraph) -> dict[str, _VertexInfo]:
-    """Per-vertex complete-factorization multisets via dynamic programming
-    over the (acyclic) graph."""
-    model = graph.model
-    succ = graph.successors
-    boundary = graph.boundary
-    # topological_order also asserts acyclicity
-    rank = {label: i for i, label in enumerate(topological_order(graph))}
-    info: dict[str, _VertexInfo] = {}
-    for v in sorted(graph.vertices, key=lambda v: rank[v.label]):
-        label = v.label
-        outs = succ[label]
-        if not outs:
-            if model.is_atom(v):
-                info[label] = _VertexInfo(frozenset({(label,)}), label in boundary, False)
-            elif label in boundary:
-                info[label] = _VertexInfo(frozenset(), True, False)
-            else:
-                info[label] = _VertexInfo(frozenset(), False, True)
-            continue
-        facs: set[tuple[str, ...]] = set()
-        escapes = label in boundary
-        dead = False
-        for w in outs:
-            step = model.quotient(v, w).label
-            child = info[w.label]
-            facs.update(tuple(sorted(f + (step,))) for f in child.factorizations)
-            escapes = escapes or child.escapes
-            dead = dead or child.dead
-        info[label] = _VertexInfo(frozenset(facs), escapes, dead)
-    return info
-
-
-def classify(model: DivisibilityModel, graph: DivGraph) -> FactorizationReport:
-    info = window_analysis(graph)
-    lengths = {
-        l: tuple(sorted({len(f) for f in i.factorizations})) for l, i in info.items()
+    """Per-vertex complete factorizations (counted, see `_Paths`), their
+    lengths, and whether a path escapes the window or dead-ends in it."""
+    paths = _Paths(graph)
+    return {
+        v.label: _VertexInfo(
+            _Multisets(paths, n), paths.lengths[n][0], paths.escapes[n], paths.dead[n]
+        )
+        for n, v in enumerate(graph.vertices)
     }
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def classify(model: DivisibilityModel, graph: DivGraph) -> dict:
+    """The factorization verdicts of a window, with each vertex's sorted
+    factorization lengths and its factorization count."""
+    info = window_analysis(graph)
+    lengths = {l: _bits(i.lengths) for l, i in info.items()}
     counts = {l: len(i.factorizations) for l, i in info.items()}
     dead = sorted(l for l, i in info.items() if i.dead)
     open_ = sorted(l for l, i in info.items() if i.escapes)
@@ -207,7 +393,11 @@ def classify(model: DivisibilityModel, graph: DivGraph) -> FactorizationReport:
         verdicts["HFD"] = termination_verdict({"all_lengths_equal": True})
 
     _assert_chain(verdicts)
-    return FactorizationReport(verdicts, lengths, counts)
+    return {
+        "verdicts": verdicts,
+        "factorization_lengths": lengths,
+        "factorization_counts": counts,
+    }
 
 
 _IMPLIES = (("BFD", "ACCP"), ("ACCP", "Atomic"), ("FFD", "BFD"), ("HFD", "BFD"))

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 from ..elements import Element
 from ..errors import ElementForeignToModel, InvalidBounds
@@ -35,10 +36,54 @@ class Factorization:
     atoms: tuple[Element, ...]  # sorted by label, repetitions allowed
 
 
+class Suffixes:
+    """A node of a factorization search: the factorizations of one element
+    into atoms from some index on, as sorted tuples of atom indices.  Each
+    step (i, rest) divides off atom i, in increasing i; rest is the node of
+    the quotient, or None when the quotient is the unit.  Searches share
+    the nodes they both reach, so the tree stays small where the tuples are
+    many; nodes compare by identity."""
+
+    __slots__ = ("steps", "count")
+
+    def __init__(self, steps: tuple[tuple[int, "Suffixes | None"], ...], count: int):
+        self.steps = steps
+        self.count = count  # the number of tuples
+
+    def tuples(self) -> Iterator[tuple[int, ...]]:
+        """The index tuples in increasing order, without recursion."""
+        path: list[int] = []  # the steps taken to the node on top of the stack
+        stack = [iter(self.steps)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if path:
+                    path.pop()
+            elif step[1] is None:
+                yield (*path, step[0])
+            else:
+                path.append(step[0])
+                stack.append(iter(step[1].steps))
+
+
 @dataclass(frozen=True)
 class FactorSearch:
-    found: tuple[Factorization, ...]
+    """An oracle's answer for one element: its factorizations into at most
+    the bound's number of atoms, and whether the bound cut the search.
+    `tree` holds them as sorted tuples of indices into `atoms` (label
+    order), None when there are none; `found` renders them on first read."""
+
+    atoms: tuple[Element, ...]
     bound_too_small: bool
+    tree: Suffixes | None = None
+
+    @cached_property
+    def found(self) -> tuple[Factorization, ...]:
+        if self.tree is None:
+            return ()
+        atoms = self.atoms
+        return tuple(Factorization(tuple(atoms[i] for i in t)) for t in self.tree.tuples())
 
 
 class DivisibilityModel(abc.ABC):
@@ -104,9 +149,10 @@ class DivisibilityModel(abc.ABC):
     @abc.abstractmethod
     def successor_candidates(
         self, a: Element, vertices: tuple[Element, ...]
-    ) -> Iterable[Element]:
-        """Elements among which lie all edge targets of a in vertices; the
-        graph tests those of them that are vertices."""
+    ) -> Iterable[tuple[Element, Element | None]]:
+        """Elements among which lie all edge targets of a in vertices, each
+        with the atom a/candidate when the model knows it without taking the
+        quotient (else None); the graph tests those that are vertices."""
 
     @abc.abstractmethod
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:

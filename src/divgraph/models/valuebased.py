@@ -19,7 +19,7 @@ from typing import Iterable
 from ..elements import Element
 from ..errors import EmptyWindow, InvalidBounds
 from ..values import Ambient, Vec, fmt_exponent
-from .base import DivisibilityModel, FactorSearch, Factorization, WindowSpec
+from .base import DivisibilityModel, FactorSearch, Suffixes, WindowSpec
 
 
 class ValueModel(DivisibilityModel):
@@ -86,57 +86,88 @@ class ValueModel(DivisibilityModel):
 
     @cached_property
     def _suffix_memo(self) -> dict:
-        """(value, floor atom index) -> (suffixes, height, room) of `_suffixes`."""
+        """(value, floor atom index) -> (node, height, room) of `_suffixes`."""
         return {}
 
-    def _suffixes(self, v: Vec, floor: int, room: int) -> tuple[set, int]:
+    def _suffixes(self, v: Vec, floor: int, room: int) -> tuple[Suffixes, int]:
         """The factorizations of v into at most `room` atoms of index >= floor,
-        as sorted tuples of atom indices, and the height of the search tree
-        (the most atoms divided off along one branch), cut at `room` with a
-        step left, so it exceeds `room` exactly when the search was cut.
+        as a `Suffixes` node, and the height of the search tree (the most
+        atoms divided off along one branch), cut at `room` with a step left,
+        so it exceeds `room` exactly when the search was cut.
 
         A stored result answers when it was computed with the same room, or
-        was complete (height <= its room) with a height within this room."""
+        was complete (height <= its room) with a height within this room.
+        The search keeps its own stack, so its depth is not Python's."""
         memo = self._suffix_memo
-        hit = memo.get((v, floor))
-        if hit is not None and (hit[2] == room or hit[1] <= min(hit[2], room)):
-            return hit[0], hit[1]
         atoms = self.atoms()
-        found: set[tuple[int, ...]] = set()
-        height = 0
-        for i in range(floor, len(atoms)):
-            q = v - atoms[i].value
-            if not self.contains_value(q):
+
+        def stored(v, floor, room):
+            hit = memo.get((v, floor))
+            if hit is not None and (hit[2] == room or hit[1] <= min(hit[2], room)):
+                return hit[0], hit[1]
+            return None
+
+        done = stored(v, floor, room)
+        if done is not None:
+            return done
+        # a frame: value, floor, room, next atom index, steps, height
+        stack = [[v, floor, room, floor, [], 0]]
+        while stack:
+            frame = stack[-1]
+            v, floor, room, i, steps, height = frame
+            child = None
+            while i < len(atoms):
+                q = v - atoms[i].value
+                if not self.contains_value(q):
+                    i += 1
+                    continue
+                if room == 0:
+                    height = 1
+                    break
+                done = (None, 0) if q.is_zero else stored(q, i, room - 1)
+                if done is None:
+                    child = [q, i, room - 1, i, [], 0]
+                    break
+                node, h = done
+                if node is None or node.count:
+                    steps.append((i, node))
+                height = max(height, h + 1)
+                i += 1
+            if child is not None:
+                frame[3], frame[5] = i, height
+                stack.append(child)
                 continue
-            if room == 0:
-                height = 1
-                break
-            rest, h = ({()}, 0) if q.is_zero else self._suffixes(q, i, room - 1)
-            found.update((i,) + s for s in rest)
-            height = max(height, h + 1)
-        memo[v, floor] = (found, height, room)
-        return found, height
+            node = Suffixes(tuple(steps), sum(1 if n is None else n.count for _, n in steps))
+            memo[v, floor] = (node, height, room)
+            stack.pop()
+            if stack:
+                # hand the result to the parent, which resumes after atom i
+                parent = stack[-1]
+                i = parent[3]
+                if node.count:
+                    parent[4].append((i, node))
+                parent[5] = max(parent[5], height + 1)
+                parent[3] = i + 1
+        return node, height
 
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
         self.check_owned(a)
         if max_length < 1:
             raise InvalidBounds("max_length must be >= 1")
-        if self.is_unit(a):
-            return FactorSearch((), False)
-        # atoms are chosen in index order, which is label order, so each
-        # multiset is found once, already sorted, and sorting the index
-        # tuples sorts the label tuples
-        found, height = self._suffixes(a.value, 0, max_length)
         atoms = self.atoms()
-        facs = tuple(Factorization(tuple(atoms[i] for i in s)) for s in sorted(found))
+        if self.is_unit(a):
+            return FactorSearch(atoms, False)
+        # atoms are chosen in index order, which is label order, so each
+        # multiset is found once, already sorted
+        node, height = self._suffixes(a.value, 0, max_length)
         # any truncation means the list may be incomplete
-        return FactorSearch(facs, height > max_length)
+        return FactorSearch(atoms, height > max_length, node if node.count else None)
 
     def successor_candidates(
         self, a: Element, vertices: tuple[Element, ...]
-    ) -> list[Element]:
+    ) -> list[tuple[Element, Element]]:
         # every quotient a/p, integral or not: a fractional window holds both
-        return [self.quotient(a, p) for p in self.atoms()]
+        return [(self.quotient(a, p), p) for p in self.atoms()]
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
         # every atom value has rational part 0, so a/b can be atomic only when

@@ -43,7 +43,7 @@ from ..polynomials import (
     rational_roots,
 )
 from ..values import Ambient, Vec
-from .base import DivisibilityModel, FactorSearch, Factorization, WindowSpec
+from .base import DivisibilityModel, FactorSearch, Suffixes, WindowSpec
 
 
 class ZxQModel(DivisibilityModel):
@@ -161,11 +161,21 @@ class ZxQModel(DivisibilityModel):
         split = self._atomize_order_zero(rf)
         if split is None:
             return FactorSearch((), True)
-        atoms = self._atoms(*split)
+        atoms = sorted(self._atoms(*split), key=lambda e: e.label)
         if len(atoms) > max_length:
             return FactorSearch((), True)
-        fac = Factorization(tuple(sorted(atoms, key=lambda e: e.label)))
-        return FactorSearch((fac,), False)
+        # the one factorization, as a chain of nodes over its distinct atoms;
+        # sorted, equal atoms are neighbours
+        distinct: list[Element] = []
+        chain = []
+        for a in atoms:
+            if not distinct or a.label != distinct[-1].label:
+                distinct.append(a)
+            chain.append(len(distinct) - 1)
+        node = None
+        for i in reversed(chain):
+            node = Suffixes(((i, node),), 1)
+        return FactorSearch(tuple(distinct), False, node)
 
     # -- window construction -------------------------------------------------
 
@@ -209,11 +219,12 @@ class ZxQModel(DivisibilityModel):
 
     def successor_candidates(
         self, a: Element, vertices: tuple[Element, ...]
-    ) -> list[Element]:
+    ) -> list[tuple[Element, None]]:
         # atoms have order 0 and is_atom rejects any other order before it
-        # splits, so only the vertices of a's order can be edge targets
+        # splits, so only the vertices of a's order can be edge targets; the
+        # atom a/b is left to whoever needs it
         order = a.value.order
-        return [b for b in vertices if b.value.order == order]
+        return [(b, None) for b in vertices if b.value.order == order]
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
         # atomic elements have order 0, so a/b can be atomic only when a and b

@@ -68,10 +68,9 @@ def graph_report(graph: DivGraph) -> dict:
 
 def classify_report(graph: DivGraph) -> dict:
     report = classify(graph.model, graph)
-    out = report.to_jsonable()
-    out["model"] = graph.model.id
-    out["vertex_count"] = len(graph.vertices)
-    return out
+    # to_json sorts the keys, and renders the length tuples as lists
+    report["verdicts"] = {k: v.to_jsonable() for k, v in report["verdicts"].items()}
+    return {**report, "model": graph.model.id, "vertex_count": len(graph.vertices)}
 
 
 def components_report(graph: DivGraph) -> dict:
@@ -137,7 +136,9 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int | None = None) -> dict:
 
     1. per closed vertex, the path-spelled factorization multisets must agree
        with the brute-force search over the model itself, and the model's
-       `is_atomic_element` with whether that search found any;
+       `is_atomic_element` with whether that search found any (the two are
+       compared as atom index tuples, shared subtree by shared subtree, and
+       rendered as labels only for a disagreement);
     2. the weak components must coincide with the topological components;
     3. each vertex must be a quotient of atomics over the first member of its
        weak component, so the components refine the cosets of the atom
@@ -168,18 +169,18 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int | None = None) -> dict:
         if search.bound_too_small:
             skipped.append(v.label)
             continue
-        oracle = {tuple(sorted(e.label for e in f.atoms)) for f in search.found}
-        if oracle != set(i.factorizations):
+        if not i.factorizations.found_by(search):
+            # labels are rendered only here, for the report
             disagreements.append(
                 {
                     "kind": "factorization",
                     "vertex": v.label,
                     "path_based": sorted(map(list, i.factorizations)),
-                    "oracle": sorted(map(list, oracle)),
+                    "oracle": sorted([e.label for e in f.atoms] for f in search.found),
                 }
             )
         atomic = model.is_atomic_element(v)
-        if atomic != bool(oracle):
+        if atomic != (search.tree is not None):
             disagreements.append(
                 {"kind": "atomic_element", "vertex": v.label, "is_atomic_element": atomic}
             )

@@ -25,6 +25,31 @@ def all_pairs_edges(model, window) -> tuple:
     )
 
 
+def spelled_multisets(graph) -> dict:
+    """The atom multisets that the complete paths from each vertex spell, by
+    their definition: every path followed, its edge quotients and terminal
+    atom collected and sorted as labels, per vertex label."""
+    model = graph.model
+    succ = {v.label: [] for v in graph.vertices}
+    for a, b in graph.edges:
+        succ[a.label].append(b)
+    memo = {}
+
+    def spelled(v):
+        if v.label not in memo:
+            if not succ[v.label]:
+                memo[v.label] = {(v.label,)} if model.is_atom(v) else set()
+            else:
+                memo[v.label] = {
+                    tuple(sorted(f + (model.quotient(v, w).label,)))
+                    for w in succ[v.label]
+                    for f in spelled(w)
+                }
+        return memo[v.label]
+
+    return {v.label: spelled(v) for v in graph.vertices}
+
+
 def all_pairs_order(model, window) -> tuple:
     """The factorization order by its definition, as bit rows in window
     order: bit j of row i is set iff window[i] is window[j] or

@@ -73,7 +73,7 @@ def test_criterion_01_dvr_chain(capsys):
         for k in range(2, 11):
             label = "pi" if k - 1 == 1 else f"pi^{k - 1}"
             assert [e.label for e in succ["pi" if k == 1 else f"pi^{k}"]] == [label]
-        assert all(v.status is Status.HOLDS for v in report.verdicts.values())
+        assert all(v.status is Status.HOLDS for v in report["verdicts"].values())
         assert elapsed < 1.0
 
     emit(capsys, "criterion-01-dvr-chain", body)
@@ -89,7 +89,7 @@ def test_criterion_02_antimatter(capsys):
         for x in space.points:
             assert space.min_open[x] == frozenset({x})
         report = classify(model, graph)
-        assert report.verdicts["Atomic"].status is Status.FAILS
+        assert report["verdicts"]["Atomic"].status is Status.FAILS
 
     emit(capsys, "criterion-02-antimatter", body)
 
@@ -158,7 +158,7 @@ def test_criterion_05_d2(capsys):
         assert len(weak_components(graph)) == 1
         assert is_almost_atomic(model, window).status is Status.HOLDS
         report = classify(model, graph)
-        atomic = report.verdicts["Atomic"]
+        atomic = report["verdicts"]["Atomic"]
         assert atomic.status is Status.FAILS
         witness = model.element(vec(2, -1))
         assert witness.label in atomic.evidence["non_atomic"]
@@ -195,7 +195,7 @@ def test_criterion_06_numerical_oracle(capsys):
                 assert got == reference, (name, v.label)
         m23, _, g23 = load("numerical_2_3.cfg")
         report = classify(m23, g23)
-        hfd = report.verdicts["HFD"]
+        hfd = report["verdicts"]["HFD"]
         assert hfd.status is Status.FAILS
         assert hfd.evidence["unequal_lengths"]["6"] == [2, 3]
 
@@ -321,7 +321,7 @@ def test_criterion_10_implication_chains(capsys):
     def body():
         for name in ALL_CONFIGS:
             model, window, graph = load(name)
-            verdicts = classify(model, graph).verdicts
+            verdicts = classify(model, graph)["verdicts"]
             for stronger, weaker in (
                 ("ACCP", "Atomic"),
                 ("BFD", "ACCP"),

@@ -101,18 +101,41 @@ def test_window_poset_quotients_only_same_order_pairs(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", LADDER)
 def test_classify_materialises_at_most_the_factorizations(monkeypatch, kind):
+    # classify counts canonical paths; it builds index tuples only where a
+    # sorted path can be missing, which no whole value-model window has
     m, w = ladder_window(kind)
     graph = build_graph(m, w)
-    infos = []
+    built = []
+    paths = graph_module._Paths
+    spell, canonical = paths._spell, paths.canonical
 
-    def recording(g):
-        infos.append(window_analysis(g))
-        return infos[-1]
+    def spelling(self, v):
+        found = spell(self, v)
+        built.extend(found)
+        return found
 
-    monkeypatch.setattr(graph_module, "window_analysis", recording)
+    def listing(self, v):
+        for t in canonical(self, v):
+            built.append(t)
+            yield t
+
+    monkeypatch.setattr(paths, "_spell", spelling)
+    monkeypatch.setattr(paths, "canonical", listing)
     report = classify(m, graph)
-    materialised = sum(len(i.factorizations) for info in infos for i in info.values())
-    assert materialised <= sum(report.factorization_counts.values())
+    bound = sum(report["factorization_counts"].values()) if kind == "zxq" else 0
+    assert len(built) <= bound
+
+
+@pytest.mark.parametrize("kind", [k for k in LADDER if k != "zxq"])
+def test_classify_takes_no_quotient_after_build_graph(monkeypatch, kind):
+    # build_graph keeps the atom of each value-model edge, so the count
+    # needs no quotient to name it
+    m, w = ladder_window(kind)
+    graph = build_graph(m, w)
+    calls = []
+    monkeypatch.setattr(m, "quotient", counting(m.quotient, calls))
+    classify(m, graph)
+    assert graph.edges and not calls
 
 
 @pytest.mark.parametrize("kind", LADDER)

@@ -364,6 +364,20 @@ class TestTamperedGraph:
         kinds = {d["kind"] for d in report["disagreements"]}
         assert "factorization" in kinds
 
+    def test_crosscheck_detects_a_factorization_the_oracle_lacks(self, monkeypatch):
+        from divgraph.models import NumericalMonoidModel
+
+        m = NumericalMonoidModel((2, 3))
+        g = build_graph(m, m.enumerate_window(WindowSpec(m.id, {"max_value": 10})))
+        # an oracle that takes 4 for a non-member misses 6 = 2 + 2 + 2, which
+        # the graph's paths still spell
+        contains = m.contains_value
+        monkeypatch.setattr(m, "contains_value", lambda v: v != Vec((4,)) and contains(v))
+        report = crosscheck_graph(g)
+        found = {d["vertex"]: d for d in report["disagreements"] if d["kind"] == "factorization"}
+        assert found["6"]["path_based"] == [["2", "2", "2"], ["3", "3"]]
+        assert found["6"]["oracle"] == [["3", "3"]]
+
     def test_crosscheck_compares_atomic_elements_with_the_oracle(self, monkeypatch):
         from divgraph.models import NumericalMonoidModel
 

@@ -56,7 +56,7 @@ class TestDVRChain:
 
     def test_all_five_hold(self):
         report = classify(self.m, self.g)
-        assert all(v.status is Status.HOLDS for v in report.verdicts.values())
+        assert all(v.status is Status.HOLDS for v in report["verdicts"].values())
 
 
 class TestAntimatterGraph:
@@ -82,8 +82,8 @@ class TestAntimatterGraph:
 
     def test_atomic_fails(self):
         report = classify(self.m, self.g)
-        assert report.verdicts["Atomic"].status is Status.FAILS
-        assert report.verdicts["ACCP"].status is Status.FAILS
+        assert report["verdicts"]["Atomic"].status is Status.FAILS
+        assert report["verdicts"]["ACCP"].status is Status.FAILS
 
 
 class TestNumericalGraph:
@@ -106,8 +106,8 @@ class TestNumericalGraph:
 
     def test_unequal_lengths_detected(self):
         report = classify(self.m, self.g)
-        assert report.verdicts["HFD"].status is Status.FAILS
-        assert report.factorization_lengths["6"] == (2, 3)
+        assert report["verdicts"]["HFD"].status is Status.FAILS
+        assert report["factorization_lengths"]["6"] == (2, 3)
 
     def test_topological_order_targets_first(self):
         order = topological_order(self.g)
@@ -168,9 +168,34 @@ class TestZxQGraph:
 
     def test_classification(self):
         report = classify(self.m, self.g)
-        assert report.verdicts["Atomic"].status is Status.FAILS
-        assert report.verdicts["Atomic"].provenance == "analytic"
-        assert report.verdicts["ACCP"].status is Status.INCONCLUSIVE
+        assert report["verdicts"]["Atomic"].status is Status.FAILS
+        assert report["verdicts"]["Atomic"].provenance == "analytic"
+        assert report["verdicts"]["ACCP"].status is Status.INCONCLUSIVE
+
+
+def test_escaping_vertex_counts_a_multiset_with_no_sorted_path():
+    # 6+6x -3-> 2+2x -2-> 1+x spells {1+x, 2, 3}, but the sorted path would
+    # divide off 1+x first and pass through 6, which the window lacks; the
+    # vertex escapes (its quotient 3+3x is outside), and the multiset still
+    # counts once
+    m = ZxQModel()
+    g = build_graph(m, zxq_window(m, [(6, 6), (2, 2), (2,), (3,), (1, 1)]))
+    info = window_analysis(g)["6+6x"]
+    assert info.escapes and not info.dead
+    assert len(info.factorizations) == 1
+    assert set(info.factorizations) == {("1+x", "2", "3")}
+    assert classify(m, g)["factorization_counts"]["6+6x"] == 1
+
+
+def test_sub_window_counts_a_multiset_with_no_sorted_path():
+    # in <2,3>, 7 -3-> 4 -2-> 2 spells {2, 2, 3}; the sorted path would
+    # start 7 -2-> 5, outside the window {2, 4, 7}, so 7 escapes
+    m = NumericalMonoidModel((2, 3))
+    g = build_graph(m, tuple(m.element(vec(n)) for n in (2, 4, 7)))
+    info = window_analysis(g)["7"]
+    assert info.escapes and not info.dead
+    assert set(info.factorizations) == {("2", "2", "3")}
+    assert classify(m, g)["factorization_lengths"]["7"] == (3,)
 
 
 class TestChainInvariant:
@@ -187,7 +212,7 @@ class TestChainInvariant:
     def test_never_contradicted(self, model, window):
         g = build_graph(model, win(model, **window))
         report = classify(model, g)  # classify asserts the chain internally
-        assert set(report.verdicts) == {"Atomic", "ACCP", "BFD", "FFD", "HFD"}
+        assert set(report["verdicts"]) == {"Atomic", "ACCP", "BFD", "FFD", "HFD"}
 
     def test_contradicted_chain_raises_under_python_O(self):
         # BFD implies ACCP; the check must survive assert stripping

@@ -76,6 +76,24 @@ def test_memoised_oracle_matches_exhaustive_search(generators, queries):
         assert numeric_search(fresh, target, max_length) == expected
 
 
+class TestDeepSearch:
+    # each search divides off more atoms along one branch than Python's
+    # recursion limit allows frames
+    def test_numerical_search_of_1200_atoms(self):
+        m = NumericalMonoidModel((2, 3))
+        search = m.factorizations(m.element(vec(2400)), 1300)
+        assert not search.bound_too_small
+        # 2400 = 2x + 3y for y = 0, 2, ..., 800, with x + y = 1200 - y/2 atoms
+        assert sorted(len(f.atoms) for f in search.found) == list(range(800, 1201))
+
+    def test_d2_chain_cut_at_2000(self):
+        # y^2 / x^n is integral for every n, so the chain below y^2 is cut
+        m = D2Model()
+        search = m.factorizations(m.element(vec(2, 0)), 2000)
+        assert search.bound_too_small
+        assert [[a.label for a in f.atoms] for f in search.found] == [["y", "y"]]
+
+
 class TestDVROracle:
     def test_unique_chain(self):
         m = DVRModel()

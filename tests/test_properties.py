@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
+from math import floor, gcd
 from pathlib import Path
 
 from hypothesis import assume, given, settings
@@ -35,7 +36,13 @@ from divgraph.topology import (
 )
 from divgraph.values import Ambient, Vec
 from divgraph.verdicts import Status
-from helpers import all_pairs_edges, all_pairs_order, element_of_label, space_to_poset
+from helpers import (
+    all_pairs_edges,
+    all_pairs_order,
+    element_of_label,
+    space_to_poset,
+    spelled_multisets,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -206,7 +213,7 @@ def test_classify_chain_never_contradicted(gens, max_value):
     g = build_graph(m, win(m, max_value=max_value))
     report = classify(m, g)  # internal assertion enforces the chain
     order = ["Atomic", "ACCP", "BFD", "FFD", "HFD"]
-    assert set(report.verdicts) == set(order)
+    assert set(report["verdicts"]) == set(order)
 
 
 # -- graph edges against the all-pairs definition ------------------------------
@@ -243,6 +250,62 @@ def test_graph_edges_match_all_pairs(model_bounds, fractional):
     m, bounds = model_bounds
     w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=fractional))
     assert build_graph(m, w).edges == all_pairs_edges(m, w)
+
+
+@given(value_windows, st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_counts_match_the_spelled_multisets(model_bounds, fractional, data):
+    # the classifier counts canonical paths and lists multisets only where a
+    # sorted path can be missing; a sub-window (some elements dropped) makes
+    # such places
+    m, bounds = model_bounds
+    w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=fractional))
+    if data.draw(st.booleans()):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w)))
+        w = tuple(e for e, k in zip(w, keep) if k) or w
+    g = build_graph(m, w)
+    reference = spelled_multisets(g)
+    info = window_analysis(g)
+    report = classify(m, g)
+    for label, expected in reference.items():
+        assert len(info[label].factorizations) == len(expected), label
+        assert report["factorization_counts"][label] == len(expected), label
+        lengths = tuple(sorted({len(f) for f in expected}))
+        assert report["factorization_lengths"][label] == lengths, label
+        assert set(info[label].factorizations) == expected, label
+
+
+def popoviciu(a: int, b: int, n: int) -> int:
+    """The number of ways to write n as x*a + y*b with x, y >= 0, for coprime
+    a and b (Popoviciu, 1953): n/(ab) - {b'n/a} - {a'n/b} + 1, where
+    b'b = 1 mod a, a'a = 1 mod b and {q} is the fractional part of q."""
+
+    def frac(q: Fraction) -> Fraction:
+        return q - floor(q)
+
+    count = Fraction(n, a * b) - frac(Fraction(pow(b, -1, a) * n, a))
+    count -= frac(Fraction(pow(a, -1, b) * n, b)) - 1
+    assert count.denominator == 1
+    return int(count)
+
+
+@given(st.integers(2, 9), st.integers(3, 13), st.integers(9, 80))
+@settings(max_examples=40, deadline=None)
+def test_counts_match_popoviciu(a, b, max_value):
+    assume(a < b and gcd(a, b) == 1)
+    m = NumericalMonoidModel((a, b))
+    g = build_graph(m, win(m, max_value=max_value))
+    counts = classify(m, g)["factorization_counts"]
+    assert counts == {v.label: popoviciu(a, b, v.value.ints[0]) for v in g.vertices}
+
+
+def test_counts_match_popoviciu_on_ladder_windows():
+    # the numerical windows of the benchmark's value ladder are this size
+    for a, b, max_value in ((2, 3, 200), (2, 5, 182), (3, 7, 150)):
+        m = NumericalMonoidModel((a, b))
+        g = build_graph(m, win(m, max_value=max_value))
+        counts = classify(m, g)["factorization_counts"]
+        assert counts == {v.label: popoviciu(a, b, v.value.ints[0]) for v in g.vertices}
 
 
 @given(value_windows, st.booleans())

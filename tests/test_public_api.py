@@ -26,7 +26,6 @@ PUBLIC = [
     "DivGraphError",
     "DivisibilityModel",
     "Element",
-    "FactorizationReport",
     "FinitePoset",
     "NumericalMonoidModel",
     "RunConfig",
