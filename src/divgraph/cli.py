@@ -23,6 +23,7 @@ from .reports import (
     crosscheck_graph,
     dot_export,
     graph_report,
+    require_checkable,
     to_json,
     topology_report,
 )
@@ -92,6 +93,7 @@ def _run(args) -> int:
     elif args.command == "atomicity":
         report = atomicity_report(model, window)
     elif args.command == "check":
+        require_checkable(window)  # before the graph is built
         report = crosscheck_graph(graph(), cfg.search_bound)
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(args.command)

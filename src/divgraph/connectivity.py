@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .elements import Element
-from .graph import DivGraph, partition
+from .graph import DivGraph, _bits, classes
 from .lattices import SubgroupDescriptor
 from .models.base import DivisibilityModel
 from .verdicts import Verdict, fails, holds, inconclusive
@@ -16,11 +16,15 @@ from .verdicts import Verdict, fails, holds, inconclusive
 
 def weak_components(graph: DivGraph) -> list[tuple[str, ...]]:
     """Partition of the vertex labels under undirected reachability, each
-    component sorted, components ordered by smallest label."""
-    groups = partition(
-        [v.label for v in graph.vertices], ((a.label, b.label) for a, b in graph.edges)
-    )
-    return sorted((tuple(sorted(g)) for g in groups), key=lambda c: c[0])
+    component in vertex (label) order, components in order of their first
+    vertex."""
+    pos = {v.label: i for i, v in enumerate(graph.vertices)}
+    near = [0] * len(pos)
+    for a, b in graph.edges:
+        i, j = pos[a.label], pos[b.label]
+        near[i] |= 1 << j
+        near[j] |= 1 << i
+    return [tuple(graph.vertices[i].label for i in _bits(c)) for c in classes(near)]
 
 
 # -- the subgroup generated by the atom values -------------------------------

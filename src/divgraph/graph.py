@@ -94,23 +94,30 @@ def topological_order(graph: DivGraph) -> list[str]:
     return list(ts.static_order())
 
 
-def partition(points, pairs) -> list[list]:
-    """Classes of the equivalence on points generated by pairs (union-find),
-    each class in points order, classes in order of their first member."""
-    parent = {x: x for x in points}
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of mask, in increasing order."""
+    # the "0b" prefix ends the reversed string and holds no "1"
+    return tuple([i for i, c in enumerate(reversed(bin(mask))) if c == "1"])
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for x, y in pairs:
-        parent[find(x)] = find(y)
-    groups: dict = {}
-    for x in points:
-        groups.setdefault(find(x), []).append(x)
-    return list(groups.values())
+def classes(near: list[int]) -> list[int]:
+    """Classes of the equivalence on 0..len(near)-1 generated by i ~ j for
+    each bit j of near[i] (a symmetric relation), as bit masks in order of
+    their lowest member.  A class grows from its lowest bit, and each near[i]
+    is read once, when i joins its class."""
+    out = []
+    left = (1 << len(near)) - 1
+    while left:
+        grown = todo = left & -left
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = near[low.bit_length() - 1] & ~grown
+            grown |= new
+            todo |= new
+        left &= ~grown
+        out.append(grown)
+    return out
 
 
 def sinks(graph: DivGraph) -> tuple[set[Element], list[str]]:
@@ -337,16 +344,6 @@ def window_analysis(graph: DivGraph) -> dict[str, _VertexInfo]:
         )
         for n, v in enumerate(graph.vertices)
     }
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def classify(model: DivisibilityModel, graph: DivGraph) -> dict:

@@ -104,8 +104,8 @@ def topology_report(model: DivisibilityModel, window, pair=None) -> dict:
         "points": list(poset.elements),
         "strict_relation_size": poset.strict_relation_size,
         "T0": is_T0(space),
-        "min_open": {x: sorted(space.min_open[x]) for x in space.points},
-        "components": [sorted(c) for c in comps],
+        "min_open": space.min_open,
+        "components": comps,
     }
     if pair:
         a, b = pair
@@ -131,6 +131,14 @@ def atomicity_report(model: DivisibilityModel, window) -> dict:
 MAX_CHECK_VERTICES = 500
 
 
+def require_checkable(window) -> None:
+    """Refuse a window too large for the exhaustive search of `check`."""
+    if len(window) > MAX_CHECK_VERTICES:
+        raise WindowTooLarge(
+            f"check is exhaustive and limited to {MAX_CHECK_VERTICES} vertices"
+        )
+
+
 def crosscheck_graph(graph: DivGraph, oracle_bound: int | None = None) -> dict:
     """Independent consistency check of a (possibly tampered) graph:
 
@@ -151,10 +159,7 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int | None = None) -> dict:
     search is a distinct window element, so no factorization is longer.
     """
     model = graph.model
-    if len(graph.vertices) > MAX_CHECK_VERTICES:
-        raise WindowTooLarge(
-            f"check is exhaustive and limited to {MAX_CHECK_VERTICES} vertices"
-        )
+    require_checkable(graph.vertices)
     if oracle_bound is None:
         oracle_bound = len(graph.vertices)
     disagreements: list[dict] = []
@@ -189,7 +194,7 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int | None = None) -> dict:
     cmap = {label: comp[0] for comp in comps for label in comp}
     space = poset_to_space(window_poset(model, graph.vertices))
     topo = connected_components_topology(space)
-    topo_map = {x: min(c) for c in topo for x in c}
+    topo_map = {x: c[0] for c in topo for x in c}
     if topo_map != cmap:
         disagreements.append(
             {

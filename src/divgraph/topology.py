@@ -1,9 +1,10 @@
 """Finite Alexandrov-space view of a divisibility window.
 
-A finite poset and the space of its down-sets determine each other.  The
-poset is held as bit rows, one per element; the space is built
-extensionally (minimal open sets stored as explicit point sets), so the
-basis axioms are directly checkable.
+A finite poset and the space of its down-sets determine each other.  Both
+are held as bit masks over the points in window order: the poset as one
+row per element, the space as one mask per minimal open set (the column of
+its point), so the order and basis axioms are checked on bits and the
+components are one bitset closure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import partition
+from .graph import _bits, classes
 from .models.base import DivisibilityModel
 
 
@@ -24,31 +25,11 @@ class FinitePoset:
     elements: tuple
     rows: tuple[int, ...]
 
-    @classmethod
-    def from_pairs(cls, elements, pairs) -> FinitePoset:
-        """The order whose (a, b) pairs, a <= b, are exactly `pairs`."""
-        elements = tuple(elements)
-        index = {a: i for i, a in enumerate(elements)}
-        rows = [0] * len(elements)
-        for a, b in pairs:
-            if a not in index or b not in index:
-                raise AssertionError(f"pair {a!r}, {b!r} names a non-element")
-            rows[index[a]] |= 1 << index[b]
-        return cls(elements, tuple(rows))
-
-    @cached_property
-    def _index(self) -> dict:
-        return {a: i for i, a in enumerate(self.elements)}
-
     @cached_property
     def cols(self) -> tuple[int, ...]:
         """The transposed rows: bit i of cols[j] is set iff
         elements[i] <= elements[j]."""
-        n = len(self.rows)
-        # character j of a padded, reversed binary string is bit j, so zip
-        # turns the strings of the rows into those of the columns
-        strings = [format(row, f"0{n}b")[::-1] for row in self.rows]
-        return tuple(int("".join(col)[::-1], 2) for col in zip(*strings))
+        return _transpose(self.rows)
 
     @property
     def relation(self) -> Set:
@@ -58,9 +39,6 @@ class FinitePoset:
     @property
     def strict_relation_size(self) -> int:
         return sum(row.bit_count() for row in self.rows) - len(self.rows)
-
-    def leq(self, a, b) -> bool:
-        return bool(self.rows[self._index[a]] >> self._index[b] & 1)
 
     def check_axioms(self) -> None:
         rows, n = self.rows, len(self.rows)
@@ -101,28 +79,46 @@ class _Relation(Set):
 
     def __contains__(self, pair) -> bool:
         a, b = pair
-        index = self._poset._index
-        return a in index and b in index and self._poset.leq(a, b)
+        elements = self._poset.elements
+        if a not in elements or b not in elements:
+            return False
+        return bool(self._poset.rows[elements.index(a)] >> elements.index(b) & 1)
 
 
-def _bits(row: int) -> list[int]:
-    """Indices of the set bits of row, lowest first."""
-    # the "0b" prefix ends the reversed string and holds no "1"
-    return [i for i, c in enumerate(reversed(bin(row))) if c == "1"]
+def _transpose(masks) -> tuple[int, ...]:
+    """The transposed bit matrix: bit i of the j-th mask returned is bit j
+    of masks[i]."""
+    n = len(masks)
+    # character j of a padded, reversed binary string is bit j, so zip
+    # turns the strings of the masks into those of the transposed ones
+    strings = [format(mask, f"0{n}b")[::-1] for mask in masks]
+    return tuple(int("".join(col)[::-1], 2) for col in zip(*strings))
 
 
 @dataclass(frozen=True)
 class AlexandrovSpace:
+    """A finite space held as its minimal open sets: bit j of opens[i] is
+    set iff points[j] lies in the minimal open set U of points[i]."""
+
     points: tuple
-    min_open: dict  # point -> frozenset of points
+    opens: tuple[int, ...]
+
+    @property
+    def min_open(self) -> dict:
+        """Read-only view: each point's minimal open set as its points in
+        points order, in a new dict on each read."""
+        points = self.points
+        return {x: tuple(points[j] for j in _bits(m)) for x, m in zip(points, self.opens)}
 
     def check_basis(self) -> None:
-        for x in self.points:
-            if x not in self.min_open[x]:
+        opens = self.opens
+        for i, x in enumerate(self.points):
+            if not opens[i] >> i & 1:
                 raise AssertionError(f"{x!r} missing from its own minimal open")
-            for y in self.min_open[x]:
-                if not self.min_open[y] <= self.min_open[x]:
-                    raise AssertionError(f"basis coherence violated at {x!r}, {y!r}")
+            outside = ~opens[i]
+            for j in _bits(opens[i]):
+                if opens[j] & outside:
+                    raise AssertionError(f"basis coherence violated at {x!r}, {self.points[j]!r}")
 
 
 def window_poset(model: DivisibilityModel, window) -> FinitePoset:
@@ -134,38 +130,31 @@ def window_poset(model: DivisibilityModel, window) -> FinitePoset:
 
 
 def poset_to_space(p: FinitePoset) -> AlexandrovSpace:
-    """The space whose minimal open set U_a is the down-set of a, read off
-    the column of a."""
-    points = p.elements
-    min_open = {a: frozenset(points[i] for i in _bits(col)) for a, col in zip(points, p.cols)}
-    return AlexandrovSpace(points, min_open)
+    """The space whose minimal open set U_a is the down-set of a, the column
+    of a."""
+    return AlexandrovSpace(p.elements, p.cols)
 
 
 def is_T0(s: AlexandrovSpace) -> bool:
-    seen = {}
-    for x in s.points:
-        key = s.min_open[x]
-        if key in seen:
-            return False
-        seen[key] = x
-    return True
+    return len(set(s.opens)) == len(s.opens)
 
 
 def chain_connected(s: AlexandrovSpace, a, b, components=None) -> bool:
     """True iff a finite chain of points with pairwise-intersecting
     consecutive minimal opens links a to b.  `components` is the partition
     `connected_components_topology(s)` when the caller already has it."""
-    if a not in s.min_open or b not in s.min_open:
+    if a not in s.points or b not in s.points:
         raise KeyError("both endpoints must be points of the space")
     if components is None:
         components = connected_components_topology(s)
     return any(a in c and b in c for c in components)
 
 
-def connected_components_topology(s: AlexandrovSpace) -> list[frozenset]:
+def connected_components_topology(s: AlexandrovSpace) -> list[tuple]:
     """Partition of the points under the chain-connectedness equivalence,
-    deterministically ordered by smallest member.  Since x lies in U_x,
-    U_x and U_y meet exactly when both contain some z, so linking each x to
-    the points of U_x generates the same equivalence as the pairwise test."""
-    groups = partition(s.points, ((x, y) for x in s.points for y in s.min_open[x]))
-    return sorted((frozenset(g) for g in groups), key=lambda g: min(map(str, g)))
+    each class in points order, classes in order of their first point.
+    Since x lies in U_x, U_x and U_y meet exactly when both contain some z,
+    so linking each x to the points of U_x, and each of those back to x,
+    generates the same equivalence as the pairwise test."""
+    near = [down | up for down, up in zip(s.opens, _transpose(s.opens))]
+    return [tuple(s.points[i] for i in _bits(c)) for c in classes(near)]

@@ -1,7 +1,7 @@
-"""Reference constructions that only the tests read.
+"""Reference constructions and shared fixtures that only the tests read.
 
-Each one restates a definition directly so the tests can compare the
-package's answers against it.
+Each construction restates a definition directly so the tests can compare
+the package's answers against it.
 """
 
 import os
@@ -10,10 +10,31 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from divgraph.config import load_config
 from divgraph.graph import cover_edge
-from divgraph.models import NumericalMonoidModel
+from divgraph.models import D1Model, D2Model, NumericalMonoidModel
+from divgraph.models.base import WindowSpec
 from divgraph.topology import FinitePoset, is_T0
 from divgraph.values import Vec
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# the model kinds of `ladder_window`
+LADDER = ("d2", "numerical", "d1", "zxq")
+
+
+def ladder_window(kind):
+    """A small window of each model kind, as (model, window); zxq is the
+    bundled one."""
+    if kind == "zxq":
+        m, spec = load_config(CONFIG_DIR / "zxq_orders.cfg").build()
+        return m, m.enumerate_window(spec)
+    m, bounds = {
+        "d2": (D2Model(), {"k_max": 6, "j_max": 5}),
+        "numerical": (NumericalMonoidModel((2, 3)), {"max_value": 30}),
+        "d1": (D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}),
+    }[kind]
+    return m, m.enumerate_window(WindowSpec(m.id, bounds))
 
 
 def all_pairs_edges(model, window) -> tuple:
@@ -74,13 +95,30 @@ def interval(model, a, b, universe) -> set:
     return {x for x in universe if preceq(a, x) and preceq(x, b)}
 
 
+def poset_from_pairs(elements, pairs) -> FinitePoset:
+    """The order whose (a, b) pairs, a <= b, are exactly `pairs`."""
+    elements = tuple(elements)
+    index = {a: i for i, a in enumerate(elements)}
+    rows = [0] * len(elements)
+    for a, b in pairs:
+        if a not in index or b not in index:
+            raise AssertionError(f"pair {a!r}, {b!r} names a non-element")
+        rows[index[a]] |= 1 << index[b]
+    return FinitePoset(elements, tuple(rows))
+
+
 def space_to_poset(s) -> FinitePoset:
     """The specialisation order of a T0 Alexandrov space: a <= b iff a lies
-    in the minimal open set of b."""
+    in the minimal open set of b (bit i of the mask of b)."""
     if not is_T0(s):
         raise ValueError("two points share a minimal open set")
-    rel = frozenset((a, b) for b in s.points for a in s.min_open[b])
-    return FinitePoset.from_pairs(s.points, rel)
+    rel = frozenset(
+        (a, b)
+        for b, mask in zip(s.points, s.opens)
+        for i, a in enumerate(s.points)
+        if mask >> i & 1
+    )
+    return poset_from_pairs(s.points, rel)
 
 
 def prime_witness_check_zxq(model, window) -> dict:

@@ -28,7 +28,6 @@ from divgraph.graph import (
 )
 from divgraph.models import D1Model, D2Model, NumericalMonoidModel
 from divgraph.topology import (
-    FinitePoset,
     chain_connected,
     connected_components_topology,
     is_T0,
@@ -36,7 +35,13 @@ from divgraph.topology import (
     window_poset,
 )
 from divgraph.verdicts import Status
-from helpers import interval, prime_witness_check_zxq, space_to_poset, vec
+from helpers import (
+    interval,
+    poset_from_pairs,
+    prime_witness_check_zxq,
+    space_to_poset,
+    vec,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -86,8 +91,8 @@ def test_criterion_02_antimatter(capsys):
         assert graph.edges == ()
         assert len(weak_components(graph)) == 20
         space = poset_to_space(window_poset(model, window))
-        for x in space.points:
-            assert space.min_open[x] == frozenset({x})
+        assert space.opens == tuple(1 << i for i in range(len(window)))
+        assert space.min_open == {x: (x,) for x in space.points}
         report = classify(model, graph)
         assert report["verdicts"]["Atomic"].status is Status.FAILS
 
@@ -278,7 +283,7 @@ def random_poset(rng, max_points=30):
                 if (b, c) in rel and (a, c) not in rel:
                     rel.add((a, c))
                     changed = True
-    return FinitePoset.from_pairs(points, rel)
+    return poset_from_pairs(points, rel)
 
 
 def test_criterion_09_random_posets(capsys):

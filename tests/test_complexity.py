@@ -6,23 +6,20 @@ noise of a benchmark would hide it.
 """
 
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from divgraph import graph as graph_module
 from divgraph import reports as reports_module
 from divgraph import topology as topology_module
-from divgraph.config import load_config
 from divgraph.graph import build_graph, classify, window_analysis
 from divgraph.lattices import SubgroupDescriptor
-from divgraph.models import D1Model, D2Model, NumericalMonoidModel, ZxQModel
+from divgraph.models import NumericalMonoidModel, ZxQModel
 from divgraph.models.base import WindowSpec
 from divgraph.polynomials import RationalFunction
 from divgraph.reports import crosscheck_graph, graph_report, topology_report
 from divgraph.topology import window_poset
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from helpers import LADDER, ladder_window
 
 
 def counting(fn, calls: list):
@@ -31,22 +28,6 @@ def counting(fn, calls: list):
         return fn(*args)
 
     return wrapper
-
-
-LADDER = ("d2", "numerical", "d1", "zxq")
-
-
-def ladder_window(kind):
-    """A small window of each model kind; zxq is the bundled one."""
-    if kind == "zxq":
-        m, spec = load_config(CONFIG_DIR / "zxq_orders.cfg").build()
-        return m, m.enumerate_window(spec)
-    m, bounds = {
-        "d2": (D2Model(), {"k_max": 6, "j_max": 5}),
-        "numerical": (NumericalMonoidModel((2, 3)), {"max_value": 30}),
-        "d1": (D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}),
-    }[kind]
-    return m, m.enumerate_window(WindowSpec(m.id, bounds))
 
 
 def test_topology_renders_each_label_at_most_once(monkeypatch):

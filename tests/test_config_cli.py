@@ -259,6 +259,23 @@ class TestCLI:
             run_cli("check", "--config", str(cfg)).stdout
         )
 
+    def test_check_refuses_an_oversized_window_before_building(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        builds = []
+
+        def counting(model, window):
+            builds.append(window)
+            return build_graph(model, window)
+
+        monkeypatch.setattr(cli, "build_graph", counting)
+        cfg = tmp_path / "big.cfg"
+        # <2,3> holds every value from 2 on, so the window is 2..502
+        cfg.write_text("kind numerical-monoid\ngenerator 2 3\nbound max_value 502\n")
+        assert cli.main(["check", "--config", str(cfg)]) == 2
+        assert "limited to 500 vertices" in capsys.readouterr().err
+        assert builds == []
+
     def test_graph_built_only_when_read(self, monkeypatch, capsys):
         cfg = str(CONFIG_DIR / "zxq_orders.cfg")
 

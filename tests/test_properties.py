@@ -27,7 +27,6 @@ from divgraph.models import (
 )
 from divgraph.models.base import WindowSpec
 from divgraph.topology import (
-    FinitePoset,
     chain_connected,
     connected_components_topology,
     is_T0,
@@ -40,6 +39,7 @@ from helpers import (
     all_pairs_edges,
     all_pairs_order,
     element_of_label,
+    poset_from_pairs,
     space_to_poset,
     spelled_multisets,
 )
@@ -72,7 +72,7 @@ def random_posets(draw, max_points=12):
                 if b == c and (a, d) not in rel:
                     rel.add((a, d))
                     changed = True
-    return FinitePoset.from_pairs(points, rel)
+    return poset_from_pairs(points, rel)
 
 
 @given(random_posets())
@@ -112,9 +112,9 @@ def test_topology_components_match_comparability_graph(p):
     changed = True
     while changed:
         changed = False
-        for x in s.points:
-            for y in s.points:
-                if s.min_open[x] & s.min_open[y] and not pairwise[y] <= pairwise[x]:
+        for x, u in zip(s.points, s.opens):
+            for y, v in zip(s.points, s.opens):
+                if u & v and not pairwise[y] <= pairwise[x]:
                     pairwise[x] |= pairwise[y]
                     changed = True
     assert {frozenset(g) for g in pairwise.values()} == {frozenset(c) for c in comps}

@@ -8,14 +8,13 @@ from divgraph.models import AntimatterModel, DVRModel, NumericalMonoidModel, ZxQ
 from divgraph.models.base import WindowSpec
 from divgraph.topology import (
     AlexandrovSpace,
-    FinitePoset,
     chain_connected,
     connected_components_topology,
     is_T0,
     poset_to_space,
     window_poset,
 )
-from helpers import space_to_poset
+from helpers import poset_from_pairs, space_to_poset
 
 
 def win(model, **bounds):
@@ -24,7 +23,7 @@ def win(model, **bounds):
 
 def diamond_poset():
     rel = {(x, x) for x in "abcd"} | {("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"), ("c", "d")}
-    return FinitePoset.from_pairs(("a", "b", "c", "d"), rel)
+    return poset_from_pairs(("a", "b", "c", "d"), rel)
 
 
 class TestRoundTrip:
@@ -39,12 +38,14 @@ class TestRoundTrip:
 
     def test_min_opens_are_down_sets(self):
         s = poset_to_space(diamond_poset())
-        assert s.min_open["d"] == frozenset("abcd")
-        assert s.min_open["b"] == frozenset("ab")
-        assert s.min_open["a"] == frozenset("a")
+        # points a, b, c, d are bits 0..3
+        assert s.opens == (0b0001, 0b0011, 0b0101, 0b1111)
+        assert s.min_open["d"] == ("a", "b", "c", "d")
+        assert s.min_open["b"] == ("a", "b")
+        assert s.min_open["a"] == ("a",)
 
     def test_not_t0_rejected(self):
-        s = AlexandrovSpace(("a", "b"), {"a": frozenset("ab"), "b": frozenset("ab")})
+        s = AlexandrovSpace(("a", "b"), (0b11, 0b11))
         assert not is_T0(s)
         with pytest.raises(ValueError):
             space_to_poset(s)
@@ -53,10 +54,10 @@ class TestRoundTrip:
 class TestAxiomsRejected:
     def poset(self, *pairs):
         rel = {(x, x) for x in "abc"} | set(pairs)
-        return FinitePoset.from_pairs(("a", "b", "c"), rel)
+        return poset_from_pairs(("a", "b", "c"), rel)
 
     def test_missing_reflexive_pair(self):
-        p = FinitePoset.from_pairs(("a", "b"), {("a", "a"), ("a", "b")})
+        p = poset_from_pairs(("a", "b"), {("a", "a"), ("a", "b")})
         with pytest.raises(AssertionError, match="missing reflexive pair for 'b'"):
             p.check_axioms()
 
@@ -78,16 +79,15 @@ class TestAxiomsRejected:
 
 class TestBasisRejected:
     def test_point_outside_its_minimal_open(self):
-        s = AlexandrovSpace(("a", "b"), {"a": frozenset("a"), "b": frozenset("a")})
+        # U_b = {a}
+        s = AlexandrovSpace(("a", "b"), (0b01, 0b01))
         with pytest.raises(AssertionError, match="'b' missing from its own minimal open"):
             s.check_basis()
 
     def test_minimal_open_not_closed_downward(self):
         # b lies in U_a, so U_b must lie in U_a, but c is in U_b only
-        s = AlexandrovSpace(
-            ("a", "b", "c"),
-            {"a": frozenset("ab"), "b": frozenset("bc"), "c": frozenset("c")},
-        )
+        # U_a = {a, b}, U_b = {b, c}, U_c = {c}
+        s = AlexandrovSpace(("a", "b", "c"), (0b011, 0b110, 0b100))
         with pytest.raises(AssertionError, match="basis coherence violated at 'a', 'b'"):
             s.check_basis()
 
@@ -99,8 +99,8 @@ class TestWindowPoset:
         p.check_axioms()
         # pi <= pi^k for every k: quotient is a power of the atom
         for k in range(2, 6):
-            assert p.leq(f"pi^{k}", "pi")
-        assert not p.leq("pi", "pi^2")
+            assert (f"pi^{k}", "pi") in p.relation
+        assert ("pi", "pi^2") not in p.relation
 
     def test_antimatter_discrete(self):
         m = AntimatterModel()
@@ -108,8 +108,8 @@ class TestWindowPoset:
         p = window_poset(m, w)
         s = poset_to_space(p)
         # no atomic elements at all: every minimal open is a singleton
-        for x in s.points:
-            assert s.min_open[x] == frozenset({x})
+        assert s.opens == tuple(1 << i for i in range(len(w)))
+        assert s.min_open == {x: (x,) for x in s.points}
         assert len(connected_components_topology(s)) == len(w)
 
 
