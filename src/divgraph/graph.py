@@ -61,9 +61,9 @@ def build_graph(model: DivisibilityModel, window) -> DivGraph:
     """The graph on a window as `enumerate_window` returns it: distinct
     elements in label order, taken as given."""
     vertices = tuple(window)
-    window_set = frozenset(vertices)
-    # a candidate is found by value; the vertex found has its label rendered
-    index = {v: v for v in vertices}
+    # candidates and probes name values, so the vertices are found by value
+    # and no element is hashed; the vertex found has its label rendered
+    index = {v.value: v for v in vertices}
     edges = []
     for a in vertices:
         for c, p in model.successor_candidates(a, vertices):
@@ -72,7 +72,7 @@ def build_graph(model: DivisibilityModel, window) -> DivGraph:
                 edges.append((a, b, p))
     edges.sort(key=lambda abp: (abp[0].label, abp[1].label))
     boundary = frozenset(
-        v.label for v in vertices if model.boundary_probe(v, window_set)
+        v.label for v in vertices if model.boundary_probe(v, index)
     )
     return DivGraph(
         model,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from ..elements import Element
 from ..errors import ElementForeignToModel, InvalidBounds
@@ -149,10 +149,13 @@ class DivisibilityModel(abc.ABC):
     @abc.abstractmethod
     def successor_candidates(
         self, a: Element, vertices: tuple[Element, ...]
-    ) -> Iterable[tuple[Element, Element | None]]:
-        """Elements among which lie all edge targets of a in vertices, each
-        with the atom a/candidate when the model knows it without taking the
-        quotient (else None); the graph tests those that are vertices."""
+    ) -> Iterable[tuple[object, Element | None]]:
+        """The values of the elements among which lie all edge targets of a
+        in vertices, each with the atom a/candidate when the model knows it
+        without taking the quotient (else None).  Where the model can list
+        a's atoms, these are the quotients a/p by them; elsewhere a subset of
+        vertices.  The graph finds the candidates among its vertices by
+        value and tests those with `cover_edge`."""
 
     @abc.abstractmethod
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
@@ -161,8 +164,12 @@ class DivisibilityModel(abc.ABC):
         window[i]/window[j] is a (nonempty) product of atoms."""
 
     @abc.abstractmethod
-    def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:
-        """True when a has an atom-quotient successor outside the window."""
+    def boundary_probe(self, a: Element, window: Container) -> bool:
+        """True when a has an atom-quotient successor outside the window:
+        for some atom p, a/p is integral, not a unit, and its value is not in
+        `window` (the values of the window's elements).  Also True where the
+        model cannot list the atoms that divide a: a zxq class of positive
+        order, which every prime divides, or one whose split is unknown."""
 
     @abc.abstractmethod
     def conn_value(self, a: Element) -> Vec:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import sub
-from typing import Iterable
+from typing import Container, Iterable
 
 from ..elements import Element
 from ..errors import EmptyWindow, InvalidBounds
@@ -163,11 +163,16 @@ class ValueModel(DivisibilityModel):
         # any truncation means the list may be incomplete
         return FactorSearch(atoms, height > max_length, node if node.count else None)
 
+    def _atom_quotients(self, v: Vec) -> list[tuple[Vec, Element]]:
+        """The value of a/p for each atom p, with p: values, not elements,
+        so the graph's lookups hash no element."""
+        return [(v - p.value, p) for p in self.atoms()]
+
     def successor_candidates(
         self, a: Element, vertices: tuple[Element, ...]
-    ) -> list[tuple[Element, Element]]:
+    ) -> list[tuple[Vec, Element]]:
         # every quotient a/p, integral or not: a fractional window holds both
-        return [(self.quotient(a, p), p) for p in self.atoms()]
+        return self._atom_quotients(a.value)
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
         # every atom value has rational part 0, so a/b can be atomic only when
@@ -193,13 +198,13 @@ class ValueModel(DivisibilityModel):
                 rows[i] = row
         return rows
 
-    def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:
+    def boundary_probe(self, a: Element, window: Container) -> bool:
         self.check_owned(a)
         # an integral quotient a/p may be a unit: the zero value lies in every
         # value monoid
-        quotients = (self.quotient(a, p) for p in self.atoms())
         return any(
-            self.in_domain(q) and not self.is_unit(q) and q not in window for q in quotients
+            self.contains_value(q) and not q.is_zero and q not in window
+            for q, _ in self._atom_quotients(a.value)
         )
 
     def conn_value(self, a: Element) -> Vec:

@@ -6,9 +6,12 @@ units are +-1, so a class is a sign-normalised reduced fraction).  The atoms
 are the integer primes and the Q-irreducible polynomials with constant term
 +-1: infinitely many, so this model has no atom list and answers each atom
 question from the split of the element itself.  One splitter,
-`_poly_atoms`, splits the polynomial part for `is_atom`,
-factorizations and the boundary probe: it removes the declared `atom`
-polynomials first, then factors the rest with the rational-root test.
+`_poly_atoms`, splits the polynomial part for `is_atom`, factorizations,
+the edge candidates and the boundary probe: it removes the declared `atom`
+polynomials first, then factors the rest with the rational-root test.  A
+model splits each class once and factors each polynomial once, however
+many of those ask: both splits are memoised on the model, an unknown
+split included.
 `polynomials._prime_factors` splits the integer part, and the end
 coefficients whose divisors the rational-root test tries: trial division
 below 1000, then Miller-Rabin, exact below 3.3e24, and Brent's variant of
@@ -21,12 +24,18 @@ exceed about 10^10): `is_atom` raises DegreeCapExceeded there,
 factorizations report `bound_too_small` and the boundary probe answers
 conservatively.  Connectivity needs no split: it reads only the order at
 x = 0 (`conn_value`).
+
+The edge targets of an order-0 class with a known split are its quotients
+by its distinct atoms (`_atom_quotients`).  Elsewhere, and in the
+factorization order, a pair (a, b) is tested only when b's primitive
+polynomial part divides a's: a/b = c * num_a * den_b / (den_a * num_b) is a
+polynomial only then, since num_b is coprime to den_b.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Container, Iterable
 
 from ..elements import Element
 from ..errors import DegreeCapExceeded, EmptyWindow, InvalidBounds
@@ -71,6 +80,8 @@ class ZxQModel(DivisibilityModel):
             atoms.append(p)
         # primitive, as the splitter takes exact quotients of primitive polynomials by them
         self.declared_atoms = tuple(atoms)
+        self._splits: dict = {}  # order-0 integral class -> its split or None
+        self._factored: dict = {}  # primitive polynomial -> its `factor_monic`
 
     # -- element plumbing ----------------------------------------------------
 
@@ -124,7 +135,7 @@ class ZxQModel(DivisibilityModel):
         rf = a.value
         return rf.in_domain() and not rf.is_unit_class and rf.order == 0
 
-    def _atoms(self, factors: list[Poly], primes: list[int]) -> list[Element]:
+    def _atoms(self, factors: Iterable[Poly], primes: Iterable[int]) -> list[Element]:
         """The atoms f / f(0) of primitive factors f, then the prime atoms."""
         rfs = [RationalFunction(Fraction(1, abs(f[0])), f, (1,)) for f in factors]
         rfs += [RationalFunction(Fraction(p), (1,), (1,)) for p in primes]
@@ -132,20 +143,41 @@ class ZxQModel(DivisibilityModel):
 
     def _atomize_order_zero(
         self, rf: RationalFunction
-    ) -> tuple[list[Poly], list[int]] | None:
+    ) -> tuple[tuple[Poly, ...], tuple[int, ...]] | None:
         """The split of an order-0 integral class: the irreducible factors
         f of its polynomial part and the primes of its constant term, or None
         when either cannot be split (see the module docstring).  The atoms
         f / f(0) have constant term 1, so the integer left to split is the
-        class's own constant term c * num(0)."""
+        class's own constant term c * num(0).  Memoised per model."""
         assert rf.in_domain() and rf.order == 0
+        try:
+            return self._splits[rf]
+        except KeyError:
+            pass
+        split = None
         factors = self._poly_atoms(rf.num)
-        if factors is None:
+        if factors is not None:
+            primes = _prime_factors(rf.c.numerator * rf.num[0] // rf.c.denominator)
+            if primes is not None:
+                split = tuple(factors), tuple(primes)
+        self._splits[rf] = split
+        return split
+
+    def _atom_quotients(
+        self, rf: RationalFunction
+    ) -> list[tuple[RationalFunction, Element]] | None:
+        """The quotient rf/p by each distinct atom p of an order-0 integral
+        class, with p; None when the split is unknown.  Dividing off a factor
+        of num or a prime of the constant term leaves a reduced class, so no
+        gcd is taken."""
+        split = self._atomize_order_zero(rf)
+        if split is None:
             return None
-        primes = _prime_factors(rf.c.numerator * rf.num[0] // rf.c.denominator)
-        if primes is None:
-            return None
-        return factors, primes
+        factors, primes = split
+        return [
+            (RationalFunction(rf.c / p.value.c, exact_div(rf.num, p.value.num), rf.den), p)
+            for p in self._atoms(dict.fromkeys(factors), dict.fromkeys(primes))
+        ]
 
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
         self.check_owned(a)
@@ -201,34 +233,40 @@ class ZxQModel(DivisibilityModel):
 
     # -- boundary and connectivity hooks -------------------------------------
 
-    def boundary_probe(self, a: Element, window: frozenset[Element]) -> bool:
+    def boundary_probe(self, a: Element, window: Container) -> bool:
         self.check_owned(a)
         rf = a.value
         if rf.order >= 1:
             # infinitely many primes divide, so some successor escapes any
             # finite window
             return True
-        split = self._atomize_order_zero(rf)
-        if split is None:
+        quotients = self._atom_quotients(rf)
+        if quotients is None:
             return True  # unknown factors: be conservative
-        for p in dict.fromkeys(self._atoms(*split)):
-            q = self.quotient(a, p)
-            if not self.is_unit(q) and q not in window:
-                return True
-        return False
+        return any(not q.is_unit_class and q not in window for q, _ in quotients)
 
     def successor_candidates(
         self, a: Element, vertices: tuple[Element, ...]
-    ) -> list[tuple[Element, None]]:
-        # atoms have order 0 and is_atom rejects any other order before it
-        # splits, so only the vertices of a's order can be edge targets; the
-        # atom a/b is left to whoever needs it
-        order = a.value.order
-        return [(b, None) for b in vertices if b.value.order == order]
+    ) -> list[tuple[RationalFunction, Element | None]]:
+        rf = a.value
+        order = rf.order
+        if order == 0 and rf.in_domain():
+            quotients = self._atom_quotients(rf)
+            if quotients is not None:
+                return quotients
+        # atoms have order 0, so a/b is an atom only when b has a's order and
+        # b's polynomial part divides a's; the atom a/b is left to whoever
+        # needs it
+        return [
+            (b.value, None)
+            for b in vertices
+            if b.value.order == order and exact_div(rf.num, b.value.num) is not None
+        ]
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
         # atomic elements have order 0, so a/b can be atomic only when a and b
-        # have the same order; only those pairs are tested
+        # have the same order and b's polynomial part divides a's; only those
+        # pairs are tested
         groups: dict[int, list] = {}
         for i, e in enumerate(window):
             groups.setdefault(e.value.order, []).append((i, e))
@@ -236,7 +274,11 @@ class ZxQModel(DivisibilityModel):
         for members in groups.values():
             for i, a in members:
                 for j, b in members:
-                    if i != j and self.is_atomic_element(self.quotient(a, b)):
+                    if (
+                        i != j
+                        and exact_div(a.value.num, b.value.num) is not None
+                        and self.is_atomic_element(self.quotient(a, b))
+                    ):
                         rows[i] |= 1 << j
         return rows
 
@@ -252,7 +294,8 @@ class ZxQModel(DivisibilityModel):
         """Split a primitive order-0 polynomial into its primitive irreducible
         factors f, which stand for the atoms f / f(0): the declared atoms
         first, then `factor_monic` on the rest.  None when the rest has degree
-        above the cap or `factor_monic` cannot split it."""
+        above the cap or `factor_monic` cannot split it.  `factor_monic`
+        runs once per polynomial per model."""
         factors: list[Poly] = []
         for d in self.declared_atoms:
             while (q := exact_div(p, d)) is not None:
@@ -261,7 +304,9 @@ class ZxQModel(DivisibilityModel):
         if len(p) - 1 > self.degree_cap:
             return None
         if len(p) > 1:
-            rest = factor_monic(p)
+            if p not in self._factored:
+                self._factored[p] = factor_monic(p)
+            rest = self._factored[p]
             if rest is None:
                 return None
             factors += rest

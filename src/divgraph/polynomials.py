@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import gcd, lcm
 
@@ -326,7 +327,7 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return len(self.den) == 1
 
-    @property
+    @cached_property
     def order(self) -> int:
         """Order at x = 0 (can be negative for genuine fractions)."""
         return _low(self.num) - _low(self.den)

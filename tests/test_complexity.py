@@ -6,6 +6,7 @@ noise of a benchmark would hide it.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from divgraph import topology as topology_module
 from divgraph.graph import build_graph, classify, window_analysis
 from divgraph.lattices import SubgroupDescriptor
 from divgraph.models import NumericalMonoidModel, ZxQModel
+from divgraph.models import zxq as zxq_module
 from divgraph.models.base import WindowSpec
 from divgraph.polynomials import RationalFunction
 from divgraph.reports import crosscheck_graph, graph_report, topology_report
@@ -59,14 +61,30 @@ def test_topology_pair_partitions_once(monkeypatch, kind):
     assert "chain_connected_pair" in report and len(calls) == 1
 
 
-def same_order_pairs(model, window) -> int:
-    """The ordered pairs whose quotient can be atomic: none on a value model,
-    which reads the order off values, and on zxq those of equal order at
-    x = 0, counted as the sum of the squared group sizes."""
+def divides(d, p) -> bool:
+    """Whether the polynomial d divides p over Q, both coefficient tuples in
+    ascending degree: long division leaves no remainder."""
+    r = [Fraction(a) for a in p]
+    while len(r) >= len(d):
+        c = r[-1] / d[-1]
+        for i, a in enumerate(d):
+            r[len(r) - len(d) + i] -= c * a
+        r.pop()
+    return not any(r)
+
+
+def divisor_pairs(model, window) -> set:
+    """The ordered pairs (a, b), a != b, whose quotient can be atomic: none
+    on a value model, which reads the order off values, and on zxq those of
+    equal order at x = 0 where b's primitive polynomial part divides a's."""
     if not isinstance(model, ZxQModel):
-        return 0
-    sizes = Counter(e.value.order for e in window)
-    return sum(n * n for n in sizes.values())
+        return set()
+    return {
+        (a, b)
+        for a in window
+        for b in window
+        if a != b and a.value.order == b.value.order and divides(b.value.num, a.value.num)
+    }
 
 
 @pytest.mark.parametrize("kind", LADDER)
@@ -76,8 +94,38 @@ def test_window_poset_quotients_only_same_order_pairs(monkeypatch, kind):
     monkeypatch.setattr(m, "quotient", counting(m.quotient, quotients))
     monkeypatch.setattr(m, "is_atomic_element", counting(m.is_atomic_element, atomic))
     window_poset(m, w)
-    bound = same_order_pairs(m, w)
+    bound = len(divisor_pairs(m, w))
     assert len(quotients) <= bound and len(atomic) <= bound
+
+
+@pytest.mark.parametrize("kind", [k for k in LADDER if k != "zxq"])
+def test_build_graph_takes_one_quotient_per_edge(monkeypatch, kind):
+    # candidates and boundary probes divide the atoms off values; only
+    # cover_edge forms a quotient, and every candidate it tests is an edge
+    m, w = ladder_window(kind)
+    calls = []
+    monkeypatch.setattr(m, "quotient", counting(m.quotient, calls))
+    graph = build_graph(m, w)
+    assert graph.edges and len(calls) <= len(graph.edges)
+
+
+def test_zxq_cover_edge_runs_only_on_divisor_pairs(monkeypatch):
+    m, w = ladder_window("zxq")
+    calls = []
+    monkeypatch.setattr(graph_module, "cover_edge", counting(graph_module.cover_edge, calls))
+    build_graph(m, w)
+    tested = [(a, b) for _, a, b in calls]
+    assert tested and set(tested) <= divisor_pairs(m, w) and len(set(tested)) == len(tested)
+
+
+def test_zxq_factors_each_polynomial_once(monkeypatch):
+    # one split per class and one factor_monic per polynomial, whether the
+    # graph, the boundary probe, is_atom or the oracle asks
+    m, w = ladder_window("zxq")
+    calls = []
+    monkeypatch.setattr(zxq_module, "factor_monic", counting(zxq_module.factor_monic, calls))
+    assert crosscheck_graph(build_graph(m, w))["ok"]
+    assert calls and max(Counter(calls).values()) == 1
 
 
 @pytest.mark.parametrize("kind", LADDER)

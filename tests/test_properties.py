@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import floor, gcd
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from helpers import (
     all_pairs_edges,
     all_pairs_order,
     element_of_label,
+    ladder_window,
     poset_from_pairs,
     space_to_poset,
     spelled_multisets,
@@ -308,6 +310,19 @@ def test_counts_match_popoviciu_on_ladder_windows():
         assert counts == {v.label: popoviciu(a, b, v.value.ints[0]) for v in g.vertices}
 
 
+def test_d2_counts_match_the_closed_form():
+    # the atomic d2 values are the (k, j) with k, j >= 0, not both 0, and
+    # y^k x^j is their one factorization, of k + j atoms; the other values
+    # have none
+    m, w = ladder_window("d2")
+    report = classify(m, build_graph(m, w))
+    for v in w:
+        k, j = v.value.ints
+        atomic = k >= 0 and j >= 0
+        assert report["factorization_counts"][v.label] == int(atomic), v.label
+        assert report["factorization_lengths"][v.label] == ((k + j,) if atomic else ()), v.label
+
+
 @given(value_windows, st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_labels_name_classes_one_to_one(model_bounds, fractional):
@@ -434,3 +449,61 @@ def test_zxq_factorizations_recover_atom_products(primes, polys):
         sorted(a.label for a in atoms)
     ]
     assert m.is_atom(e) == (len(factors) == 1)
+
+
+# -- zxq: graphs, orders and boundaries against their definitions ---------------
+
+# what multiplies the atoms of a window top: 1, x, x/2 or x^2
+ZXQ_MONOMIALS = ((1,), (0, 1), (0, Fraction(1, 2)), (0, 0, 1))
+
+
+def poly_mul(p, q) -> tuple:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+zxq_tops = st.tuples(
+    st.sampled_from(ZXQ_MONOMIALS),
+    st.lists(st.sampled_from(ZXQ_PRIMES), max_size=2),
+    st.lists(st.sampled_from(ZXQ_POLY_ATOMS), max_size=2).filter(
+        lambda fs: sum(len(f) - 1 for f in fs) <= 3
+    ),
+)
+
+
+@given(st.lists(zxq_tops, min_size=1, max_size=2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_zxq_graph_order_and_boundary_match_their_definitions(tops, data):
+    # each top with every sub-product of its atoms, then a random
+    # sub-window, so that some atom quotients escape
+    rows = set()
+    for monomial, primes, polys in tops:
+        factors = primes + polys
+        for keep in product((False, True), repeat=len(factors)):
+            chosen = (f for f, k in zip(factors, keep) if k)
+            rows.add(reduce(poly_mul, chosen, tuple(map(Fraction, monomial))))
+    rows = sorted(rows)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    rows = [r for r, k in zip(rows, keep) if k and r != (1,)]
+    assume(rows)
+    m = ZxQModel()
+    w = m.enumerate_window(WindowSpec(m.id, {"elements": rows}))
+    g = build_graph(m, w)
+    assert g.edges == all_pairs_edges(m, w)
+    assert window_poset(m, w).rows == all_pairs_order(m, w)
+
+    def escapes(v) -> bool:
+        # boundary_probe's rule: some atom p has v/p integral, not a unit
+        # and outside the window; every prime divides a positive order
+        if v.value.order >= 1:
+            return True
+        search = m.factorizations(v, 64)
+        assert not search.bound_too_small
+        (f,) = search.found
+        quotients = (m.quotient(v, p) for p in f.atoms)
+        return any(not m.is_unit(q) and q not in w for q in quotients)
+
+    assert g.boundary == {v.label for v in w if escapes(v)}
