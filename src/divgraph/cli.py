@@ -29,7 +29,9 @@ from .reports import (
 )
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="divgraph",
         description="Finite-window analysis of divisibility graphs.",

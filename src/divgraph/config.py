@@ -70,7 +70,6 @@ class RunConfig:
         if self.elements:
             window_bounds["elements"] = self.elements
         spec = WindowSpec(
-            model.id,
             window_bounds,
             include_fractional=bool(self.flags.get("include_fractional", False)),
         )

@@ -18,10 +18,8 @@ def weak_components(graph: DivGraph) -> list[tuple[str, ...]]:
     """Partition of the vertex labels under undirected reachability, each
     component in vertex (label) order, components in order of their first
     vertex."""
-    pos = {v.label: i for i, v in enumerate(graph.vertices)}
-    near = [0] * len(pos)
-    for a, b in graph.edges:
-        i, j = pos[a.label], pos[b.label]
+    near = [0] * len(graph.vertices)
+    for i, j in graph.edges:
         near[i] |= 1 << j
         near[j] |= 1 << i
     return [tuple(graph.vertices[i].label for i in _bits(c)) for c in classes(near)]

@@ -1,9 +1,12 @@
 """Finite windows of the divisibility graph and the path-based classifier.
 
-Vertices are window elements; there is an edge a -> b exactly when the
-quotient a/b is an atom.  A complete path ends at an atom vertex and spells
-a factorization one atom per edge, with the terminal atom contributing the
-final factor (k edges = k+1 atoms).
+Vertices are window elements, named by their position in the window (label
+order); there is an edge a -> b exactly when the quotient a/b is an atom,
+and the graph keeps that atom with the edge.  A complete path ends at any
+atom vertex and spells a factorization one atom per edge, with the terminal
+atom contributing the final factor (k edges = k+1 atoms).  In an integral
+window every atom is a sink; in a fractional one an atom also has an edge
+to the unit, and a path may end at the atom or go on.
 
 The classifier counts the multisets that complete paths spell instead of
 listing them.  Atoms are indexed in label order, and a path is canonical
@@ -22,8 +25,8 @@ from __future__ import annotations
 import graphlib
 from bisect import bisect
 from collections.abc import Iterator, Set
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import reduce
 from operator import or_
 
 from .elements import Element
@@ -33,21 +36,16 @@ from .verdicts import Status, Verdict, fails, holds, inconclusive
 
 @dataclass(frozen=True)
 class DivGraph:
+    """A window graph.  `vertices` are in label order, and the rest names
+    them by position: `edges` holds the pairs (a, b) in increasing order,
+    which is label order, `atoms` the atom a/b of each edge (never None),
+    and `boundary` the vertices with a successor outside the window."""
+
     model: DivisibilityModel
     vertices: tuple[Element, ...]
-    edges: tuple[tuple[Element, Element], ...]
-    boundary: frozenset[str]  # labels of vertices with successors outside
-    # the atom a/b of each edge (a, b), or None where build_graph did not know
-    # it without a quotient; None as a whole means None for every edge
-    edge_atoms: tuple[Element | None, ...] | None = field(default=None, compare=False, repr=False)
-
-    @cached_property
-    def successors(self) -> dict[str, tuple[Element, ...]]:
-        # edges are sorted by (source, target), so each tuple is in label order
-        out: dict[str, list[Element]] = {v.label: [] for v in self.vertices}
-        for a, b in self.edges:
-            out[a.label].append(b)
-        return {k: tuple(v) for k, v in out.items()}
+    edges: tuple[tuple[int, int], ...]
+    atoms: tuple[Element, ...]
+    boundary: frozenset[int]
 
 
 def cover_edge(model: DivisibilityModel, a: Element, b: Element) -> bool:
@@ -62,35 +60,32 @@ def build_graph(model: DivisibilityModel, window) -> DivGraph:
     elements in label order, taken as given."""
     vertices = tuple(window)
     # candidates and probes name values, so the vertices are found by value
-    # and no element is hashed; the vertex found has its label rendered
-    index = {v.value: v for v in vertices}
-    edges = []
-    for a in vertices:
+    # and no element is hashed
+    index = {v.value: n for n, v in enumerate(vertices)}
+    edges, atoms = [], []
+    for i, a in enumerate(vertices):
+        found = {}  # target -> its atom, None where the model left it
         for c, p in model.successor_candidates(a, vertices):
-            b = index.get(c)
-            if b is not None and b is not a and cover_edge(model, a, b):
-                edges.append((a, b, p))
-    edges.sort(key=lambda abp: (abp[0].label, abp[1].label))
+            j = index.get(c)
+            if j is not None and j != i and cover_edge(model, a, vertices[j]):
+                found[j] = p
+        for j, p in sorted(found.items()):
+            edges.append((i, j))
+            atoms.append(model.quotient(a, vertices[j]) if p is None else p)
     boundary = frozenset(
-        v.label for v in vertices if model.boundary_probe(v, index)
+        n for n, v in enumerate(vertices) if model.boundary_probe(v, index)
     )
-    return DivGraph(
-        model,
-        vertices,
-        tuple((a, b) for a, b, _ in edges),
-        boundary,
-        tuple(p for _, _, p in edges),
-    )
+    return DivGraph(model, vertices, tuple(edges), tuple(atoms), boundary)
 
 
-def topological_order(graph: DivGraph) -> list[str]:
-    """Label order with every edge target (the divisor) before its source;
-    raises graphlib.CycleError if the graph is (impossibly) cyclic."""
+def topological_order(graph: DivGraph) -> list[int]:
+    """The vertex positions, every edge target (the divisor) before its
+    source; raises graphlib.CycleError if the graph is (impossibly) cyclic."""
     ts = graphlib.TopologicalSorter()
-    for v in graph.vertices:
-        ts.add(v.label)
+    for n in range(len(graph.vertices)):
+        ts.add(n)
     for a, b in graph.edges:
-        ts.add(a.label, b.label)
+        ts.add(a, b)
     return list(ts.static_order())
 
 
@@ -120,21 +115,19 @@ def classes(near: list[int]) -> list[int]:
     return out
 
 
-def sinks(graph: DivGraph) -> tuple[set[Element], list[str]]:
-    """The vertices without successors, split into the atom sinks and the
-    sorted labels of the rest (dead ends of the window, "sink artifacts")."""
-    atom_sinks: set[Element] = set()
-    artifacts: list[str] = []
-    for v in graph.vertices:
-        if graph.successors[v.label]:
+def sinks(graph: DivGraph) -> tuple[list[int], list[int]]:
+    """The positions of the vertices without successors, split into the
+    atoms and the rest (dead ends of the window, "sink artifacts")."""
+    sources = {a for a, _ in graph.edges}
+    atom_sinks: list[int] = []
+    artifacts: list[int] = []
+    for n, v in enumerate(graph.vertices):
+        if n in sources:
             continue
-        # atoms never have out-edges, so every atom lands here; an isolated
-        # atom still counts as a sink
-        if graph.model.is_atom(v):
-            atom_sinks.add(v)
-        else:
-            artifacts.append(v.label)
-    return atom_sinks, sorted(artifacts)
+        # an isolated atom still counts as a sink; an atom with an edge to
+        # the unit of a fractional window is none
+        (atom_sinks if graph.model.is_atom(v) else artifacts).append(n)
+    return atom_sinks, artifacts
 
 
 def _sortable(steps: list[dict[int, int]], term: list[int], v: int) -> bool:
@@ -168,33 +161,24 @@ class _Paths:
     `spelled` holds."""
 
     def __init__(self, graph: DivGraph):
-        model = graph.model
-        vertices = graph.vertices
-        pos = {v.label: n for n, v in enumerate(vertices)}
-        edge_atoms = graph.edge_atoms or (None,) * len(graph.edges)
-        quotients = [
-            model.quotient(a, b) if p is None else p
-            for (a, b), p in zip(graph.edges, edge_atoms)
-        ]
-        # a complete path ends at a sink, so its terminal atoms are the sinks
-        # that are atoms
-        sources = {a.label for a, _ in graph.edges}
-        atom_sinks = [
-            n for n, v in enumerate(vertices) if v.label not in sources and model.is_atom(v)
-        ]
-        # number the distinct atoms as first met, then rank them by label
-        first: dict[Element, int] = {}
-        met = [first.setdefault(p, len(first)) for p in quotients]
-        met += [first.setdefault(vertices[n], len(first)) for n in atom_sinks]
-        self.atoms = tuple(sorted(first, key=lambda e: e.label))
-        self.index = {a: i for i, a in enumerate(self.atoms)}
-        rank = [self.index[a] for a in first]
+        model, vertices = graph.model, graph.vertices
+        # every atom vertex is a terminal.  An edge a -> b to an integral
+        # non-unit b splits a = (a/b) * b, so only the other vertices are
+        # asked: in an integral window, the sinks
+        proper = [model.in_domain(v) and not model.is_unit(v) for v in vertices]
+        split = {a for a, b in graph.edges if proper[b]}
+        terminals = [n for n, v in enumerate(vertices) if n not in split and model.is_atom(v)]
+        # the distinct atoms in label order, indexed by value
+        named = {p.value: p for p in graph.atoms}
+        named.update((vertices[n].value, vertices[n]) for n in terminals)
+        self.atoms = tuple(sorted(named.values(), key=lambda e: e.label))
+        self.index = index = {a.value: i for i, a in enumerate(self.atoms)}
         self.steps = steps = [{} for _ in vertices]  # atom index -> target
-        for (a, b), m in zip(graph.edges, met):
-            steps[pos[a.label]][rank[m]] = pos[b.label]
-        self.term = term = [-1] * len(vertices)  # atom index of an atom sink
-        for n, m in zip(atom_sinks, met[len(quotients) :]):
-            term[n] = rank[m]
+        for (a, b), p in zip(graph.edges, graph.atoms):
+            steps[a][index[p.value]] = b
+        self.term = term = [-1] * len(vertices)  # atom index of a terminal
+        for n in terminals:
+            term[n] = index[vertices[n].value]
 
         k = len(self.atoms)
         self.count = count = [[]] * len(vertices)
@@ -205,8 +189,7 @@ class _Paths:
         self.agreed: set = set()  # (node, vertex, floor) that `found_by` found equal
         boundary = graph.boundary
         # topological_order also asserts acyclicity
-        for label in topological_order(graph):
-            v = pos[label]
+        for v in topological_order(graph):
             out, t = steps[v], term[v]
             c, m = [0] * (k + 1), [0] * (k + 1)
             if t >= 0:
@@ -219,11 +202,11 @@ class _Paths:
                 m[f] |= m[f + 1]
             count[v], lengths[v] = c, m
             if out:
-                self.escapes[v] = label in boundary or any(self.escapes[w] for w in out.values())
+                self.escapes[v] = v in boundary or any(self.escapes[w] for w in out.values())
                 self.dead[v] = any(self.dead[w] for w in out.values())
             else:
-                self.escapes[v] = label in boundary
-                self.dead[v] = t < 0 and label not in boundary
+                self.escapes[v] = v in boundary
+                self.dead[v] = t < 0 and v not in boundary
             if any(w in self.spelled for w in out.values()) or not _sortable(steps, term, v):
                 found = self.spelled[v] = self._spell(v)
                 c[0] = len(found)
@@ -292,7 +275,7 @@ class _Multisets(Set):
         """Whether an oracle search found exactly these multisets."""
         p, v = self.paths, self.v
         # the search's atom indices, as indices into this graph's atoms
-        remap = [p.index.get(a) for a in search.atoms]
+        remap = [p.index.get(a.value) for a in search.atoms]
         tree = search.tree
         if v in p.spelled:
             found = () if tree is None else tree.tuples()

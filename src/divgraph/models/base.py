@@ -26,7 +26,6 @@ from ..values import Ambient, Vec
 
 @dataclass(frozen=True)
 class WindowSpec:
-    model_id: str
     bounds: Mapping[str, object]
     include_fractional: bool = False
 

@@ -36,33 +36,35 @@ def dot_export(graph: DivGraph) -> str:
     """Graphviz rendering; atoms get a double circle, boundary vertices a
     dashed border."""
     lines = ["digraph divisibility {", "  rankdir=TB;"]
-    for v in graph.vertices:
+    labels = [v.label for v in graph.vertices]
+    for n, v in enumerate(graph.vertices):
         attrs = []
         if graph.model.is_atom(v):
             attrs.append("shape=doublecircle")
-        if v.label in graph.boundary:
+        if n in graph.boundary:
             attrs.append("style=dashed")
         attr_s = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f'  "{v.label}"{attr_s};')
     for a, b in graph.edges:
-        lines.append(f'  "{a.label}" -> "{b.label}";')
+        lines.append(f'  "{labels[a]}" -> "{labels[b]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_report(graph: DivGraph) -> dict:
-    model = graph.model
+    # positions are in label order, so each list comes out sorted
+    labels = [v.label for v in graph.vertices]
     atom_sinks, artifacts = sinks(graph)
     return {
-        "model": model.id,
-        "vertex_count": len(graph.vertices),
+        "model": graph.model.id,
+        "vertex_count": len(labels),
         "edge_count": len(graph.edges),
-        "vertices": [v.label for v in graph.vertices],
-        "edges": [[a.label, b.label] for a, b in graph.edges],
-        "boundary": sorted(graph.boundary),
-        "sinks": sorted(s.label for s in atom_sinks),
-        "sink_artifacts": artifacts,
-        "topological_order": topological_order(graph),
+        "vertices": labels,
+        "edges": [[labels[a], labels[b]] for a, b in graph.edges],
+        "boundary": [l for n, l in enumerate(labels) if n in graph.boundary],
+        "sinks": [labels[n] for n in atom_sinks],
+        "sink_artifacts": [labels[n] for n in artifacts],
+        "topological_order": [labels[n] for n in topological_order(graph)],
     }
 
 

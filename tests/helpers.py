@@ -34,41 +34,43 @@ def ladder_window(kind):
         "numerical": (NumericalMonoidModel((2, 3)), {"max_value": 30}),
         "d1": (D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}),
     }[kind]
-    return m, m.enumerate_window(WindowSpec(m.id, bounds))
+    return m, m.enumerate_window(WindowSpec(bounds))
 
 
 def all_pairs_edges(model, window) -> tuple:
-    """The edge set by its definition: every ordered pair (a, b) of distinct
-    window elements with a/b an atom, sorted by (source, target) label."""
-    vertices = sorted(set(window), key=lambda e: e.label)
+    """The edge set by its definition: every pair (i, j) of window positions
+    with window[i]/window[j] an atom (so i != j), in increasing order."""
     return tuple(
-        (a, b) for a in vertices for b in vertices if cover_edge(model, a, b)
+        (i, j)
+        for i, a in enumerate(window)
+        for j, b in enumerate(window)
+        if cover_edge(model, a, b)
     )
 
 
 def spelled_multisets(graph) -> dict:
     """The atom multisets that the complete paths from each vertex spell, by
-    their definition: every path followed, its edge quotients and terminal
-    atom collected and sorted as labels, per vertex label."""
-    model = graph.model
-    succ = {v.label: [] for v in graph.vertices}
+    their definition: every path followed to every atom vertex on it (a
+    path may end at any atom), its edge quotients and terminal atom
+    collected and sorted as labels, per vertex label."""
+    model, vertices = graph.model, graph.vertices
+    succ = [[] for _ in vertices]
     for a, b in graph.edges:
-        succ[a.label].append(b)
+        succ[a].append(b)
     memo = {}
 
-    def spelled(v):
-        if v.label not in memo:
-            if not succ[v.label]:
-                memo[v.label] = {(v.label,)} if model.is_atom(v) else set()
-            else:
-                memo[v.label] = {
-                    tuple(sorted(f + (model.quotient(v, w).label,)))
-                    for w in succ[v.label]
-                    for f in spelled(w)
-                }
-        return memo[v.label]
+    def spelled(n):
+        if n not in memo:
+            v = vertices[n]
+            memo[n] = {(v.label,)} if model.is_atom(v) else set()
+            memo[n] |= {
+                tuple(sorted(f + (model.quotient(v, vertices[w]).label,)))
+                for w in succ[n]
+                for f in spelled(w)
+            }
+        return memo[n]
 
-    return {v.label: spelled(v) for v in graph.vertices}
+    return {v.label: spelled(n) for n, v in enumerate(vertices)}
 
 
 def all_pairs_order(model, window) -> tuple:

@@ -1,10 +1,12 @@
 """Config parsing and the command-line interface."""
 
+import argparse
 import json
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -299,6 +301,27 @@ class TestCLI:
         assert '"x" -> "(1/2)x";' in out
         assert len(builds) == 1
 
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        built = []
+
+        class Counting(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counting))
+        cli._parser.cache_clear()
+        cfg = str(CONFIG_DIR / "dvr_chain.cfg")
+        try:
+            assert cli.main(["graph", "--config", cfg]) == 0
+            once = len(built)
+            assert cli.main(["classify", "--config", cfg]) == 0
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        # one parser and its subparsers, all from the first call
+        assert built.count("divgraph") == 1 and len(built) == once
+
     def test_check_builds_atom_subgroup_once(self, monkeypatch, capsys):
         from divgraph import lattices
 
@@ -372,10 +395,10 @@ class TestTamperedGraph:
         from divgraph.models import NumericalMonoidModel
 
         m = NumericalMonoidModel((2, 3))
-        w = m.enumerate_window(WindowSpec(m.id, {"max_value": 10}))
+        w = m.enumerate_window(WindowSpec({"max_value": 10}))
         g = build_graph(m, w)
         assert crosscheck_graph(g)["ok"]
-        tampered = DivGraph(m, g.vertices, g.edges[:-2], g.boundary)
+        tampered = DivGraph(m, g.vertices, g.edges[:-2], g.atoms[:-2], g.boundary)
         report = crosscheck_graph(tampered)
         assert not report["ok"]
         kinds = {d["kind"] for d in report["disagreements"]}
@@ -385,7 +408,7 @@ class TestTamperedGraph:
         from divgraph.models import NumericalMonoidModel
 
         m = NumericalMonoidModel((2, 3))
-        g = build_graph(m, m.enumerate_window(WindowSpec(m.id, {"max_value": 10})))
+        g = build_graph(m, m.enumerate_window(WindowSpec({"max_value": 10})))
         # an oracle that takes 4 for a non-member misses 6 = 2 + 2 + 2, which
         # the graph's paths still spell
         contains = m.contains_value
@@ -399,7 +422,7 @@ class TestTamperedGraph:
         from divgraph.models import NumericalMonoidModel
 
         m = NumericalMonoidModel((2, 3))
-        g = build_graph(m, m.enumerate_window(WindowSpec(m.id, {"max_value": 10})))
+        g = build_graph(m, m.enumerate_window(WindowSpec({"max_value": 10})))
         assert crosscheck_graph(g)["ok"]
         # the graph, the order and the oracle never ask this predicate
         is_atomic = m.is_atomic_element
@@ -415,7 +438,7 @@ class TestTamperedGraph:
 
         m = D1Model()
         bounds = {"k_max": 3, "den_max": 3, "alpha_max": 1}
-        g = build_graph(m, m.enumerate_window(WindowSpec(m.id, bounds)))
+        g = build_graph(m, m.enumerate_window(WindowSpec(bounds)))
         assert crosscheck_graph(g)["ok"]
         rep, moved = next(c for c in weak_components(g) if len(c) > 1)[:2]
         conn_value = m.conn_value

@@ -28,7 +28,7 @@ from helpers import prime_witness_check_zxq, vec, zero
 
 
 def win(model, **bounds):
-    return model.enumerate_window(WindowSpec(model.id, bounds))
+    return model.enumerate_window(WindowSpec(bounds))
 
 
 ZXQ_ROWS = [
@@ -46,7 +46,7 @@ class TestWeakComponents:
 
     def test_zxq_partitions_by_order(self):
         m = ZxQModel()
-        g = build_graph(m, m.enumerate_window(WindowSpec(m.id, {"elements": ZXQ_ROWS})))
+        g = build_graph(m, m.enumerate_window(WindowSpec({"elements": ZXQ_ROWS})))
         comps = weak_components(g)
         assert len(comps) == 3
         cmap = {label: comp[0] for comp in weak_components(g) for label in comp}
@@ -220,7 +220,7 @@ class TestQuasiAtomic:
         # (k, alpha) with k <= -2 needs the y-exponent 1 - k to reach (1, 0)
         m = D1Model()
         bounds = {"k_max": 2, "den_max": 2, "alpha_max": 1}
-        w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=True))
+        w = m.enumerate_window(WindowSpec(bounds, include_fractional=True))
         verdict = is_quasi_atomic(m, w)
         assert verdict.status is Status.HOLDS
         assert verdict.evidence["certificates"]["x^(1/2)/y^2"] == "y^3/x^(1/2)"
@@ -233,7 +233,7 @@ class TestQuasiAtomic:
 
     def test_zxq_fails_on_positive_order(self):
         m = ZxQModel()
-        w = m.enumerate_window(WindowSpec(m.id, {"elements": ZXQ_ROWS}))
+        w = m.enumerate_window(WindowSpec({"elements": ZXQ_ROWS}))
         verdict = is_quasi_atomic(m, w)
         assert verdict.status is Status.FAILS
         assert verdict.evidence["witness"] == "(1/2)x"
@@ -242,7 +242,7 @@ class TestQuasiAtomic:
 class TestPrimeWitness:
     def test_zxq_window(self):
         m = ZxQModel()
-        w = m.enumerate_window(WindowSpec(m.id, {"elements": ZXQ_ROWS}))
+        w = m.enumerate_window(WindowSpec({"elements": ZXQ_ROWS}))
         report = prime_witness_check_zxq(m, w)
         assert report["holds"]
         assert set(report["atoms"]) == {"2", "3", "1+x"}

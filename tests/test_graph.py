@@ -14,22 +14,24 @@ from divgraph.graph import (
 )
 from divgraph.models import (
     AntimatterModel,
+    D1Model,
     D2Model,
     DVRModel,
     NumericalMonoidModel,
     ZxQModel,
 )
 from divgraph.models.base import WindowSpec
+from divgraph.reports import crosscheck_graph
 from divgraph.verdicts import Status
 from helpers import interval, run_optimised, vec
 
 
 def win(model, **bounds):
-    return model.enumerate_window(WindowSpec(model.id, bounds))
+    return model.enumerate_window(WindowSpec(bounds))
 
 
 def zxq_window(model, rows):
-    return model.enumerate_window(WindowSpec(model.id, {"elements": rows}))
+    return model.enumerate_window(WindowSpec({"elements": rows}))
 
 
 class TestDVRChain:
@@ -44,7 +46,7 @@ class TestDVRChain:
 
     def test_single_sink(self):
         atom_sinks, artifacts = sinks(self.g)
-        assert {s.label for s in atom_sinks} == {"pi"}
+        assert {self.g.vertices[n].label for n in atom_sinks} == {"pi"}
         assert artifacts == []
 
     def test_paths_terminate_at_atom(self):
@@ -70,7 +72,7 @@ class TestAntimatterGraph:
 
     def test_no_sinks_only_artifacts(self):
         atom_sinks, artifacts = sinks(self.g)
-        assert atom_sinks == set()
+        assert atom_sinks == []
         assert len(artifacts) == 20
 
     def test_dead_end_paths(self):
@@ -111,9 +113,9 @@ class TestNumericalGraph:
 
     def test_topological_order_targets_first(self):
         order = topological_order(self.g)
-        pos = {l: i for i, l in enumerate(order)}
+        pos = {n: i for i, n in enumerate(order)}
         for a, b in self.g.edges:
-            assert pos[b.label] < pos[a.label]
+            assert pos[b] < pos[a]
 
     def test_edge_tests_scale_with_the_atoms(self, monkeypatch):
         m = NumericalMonoidModel((2, 3))
@@ -128,7 +130,8 @@ class TestNumericalGraph:
         g = build_graph(m, w)
         # one test per atom and vertex, not one per pair of vertices
         assert len(w) == 199 and len(calls) <= len(w) * len(m.atoms())
-        assert set(g.edges) <= set(calls) and len(g.edges) == 2 * 199 - 5
+        assert {(w[a], w[b]) for a, b in g.edges} <= set(calls)
+        assert len(g.edges) == 2 * 199 - 5
 
 
 class TestInterval:
@@ -155,13 +158,14 @@ class TestZxQGraph:
         self.g = build_graph(self.m, zxq_window(self.m, rows))
 
     def test_positive_order_always_boundary(self):
-        for v in self.g.vertices:
+        for n, v in enumerate(self.g.vertices):
             if v.value.order >= 1:
-                assert v.label in self.g.boundary
+                assert n in self.g.boundary
 
     def test_order_zero_closed(self):
+        labels = [v.label for v in self.g.vertices]
         for label in ("2", "3", "4", "6", "1+x", "2+2x"):
-            assert label not in self.g.boundary
+            assert labels.index(label) not in self.g.boundary
 
     def test_paths_escape_from_positive_order(self):
         assert window_analysis(self.g)["x"].escapes
@@ -225,3 +229,45 @@ class TestChainInvariant:
         )
         assert proc.returncode != 0
         assert "verdict chain violated: BFD holds but ACCP fails" in proc.stderr
+
+
+# -- fractional windows: an atom has an edge to the unit, and a path may end
+# at it or go on
+
+FRACTIONAL = {
+    "dvr": (DVRModel(), {"max_exponent": 4}),
+    "numerical": (NumericalMonoidModel((4, 6)), {"max_value": 12}),
+    "d2": (D2Model(), {"k_max": 2, "j_max": 2}),
+    "d1": (D1Model(), {"k_max": 1, "den_max": 1, "alpha_max": 1}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FRACTIONAL))
+def test_check_is_ok_on_fractional_windows(kind):
+    m, bounds = FRACTIONAL[kind]
+    g = build_graph(m, m.enumerate_window(WindowSpec(bounds, include_fractional=True)))
+    # no atom is a sink here
+    atoms = {n for n, v in enumerate(g.vertices) if m.is_atom(v)}
+    assert atoms and atoms <= {a for a, _ in g.edges}
+    assert crosscheck_graph(g)["ok"]
+
+
+def test_fractional_dvr_powers_have_their_one_factorization():
+    m, bounds = FRACTIONAL["dvr"]
+    g = build_graph(m, m.enumerate_window(WindowSpec(bounds, include_fractional=True)))
+    info = window_analysis(g)
+    for k in range(1, 5):
+        label = "pi" if k == 1 else f"pi^{k}"
+        assert info[label].factorizations == {("pi",) * k}, label
+    assert not info["1"].factorizations
+
+
+def test_unsplit_zxq_vertex_with_successors_is_not_asked_whether_atom():
+    # (1+x)^2 (1+x+x^2) has degree 4 > the cap, so is_atom cannot split it;
+    # its edge to (1+x)(1+x+x^2), an integral non-unit, already says it is
+    # no atom
+    m = ZxQModel(degree_cap=3)
+    rows = [(1, 3, 4, 3, 1), (1, 2, 2, 1), (1, 1), (1, 1, 1)]
+    g = build_graph(m, zxq_window(m, rows))
+    counts = classify(m, g)["factorization_counts"]
+    assert counts == {"1+3x+4x^2+3x^3+x^4": 1, "1+2x+2x^2+x^3": 1, "1+x": 1, "1+x+x^2": 1}

@@ -27,7 +27,7 @@ from helpers import vec
 
 def window(model, **bounds):
     fr = bounds.pop("include_fractional", False)
-    return model.enumerate_window(WindowSpec(model.id, bounds, include_fractional=fr))
+    return model.enumerate_window(WindowSpec(bounds, include_fractional=fr))
 
 
 class TestDVR:
@@ -340,7 +340,7 @@ class TestZxQ:
             assert _prime_factors(n) == expect, n
 
     def test_window_rejects_fractional_constant(self):
-        spec = WindowSpec(self.m.id, {"elements": [(Fraction(1, 2),)]})
+        spec = WindowSpec({"elements": [(Fraction(1, 2),)]})
         with pytest.raises(InvalidBounds):
             self.m.enumerate_window(spec)
 

@@ -38,7 +38,8 @@ def components_of(points, pairs) -> list[tuple]:
 def test_weak_components_match_networkx(case):
     m, w = load(case)
     g = build_graph(m, w)
-    expected = components_of([v.label for v in w], ((a.label, b.label) for a, b in g.edges))
+    labels = [v.label for v in w]
+    expected = components_of(labels, ((labels[a], labels[b]) for a, b in g.edges))
     assert weak_components(g) == expected
 
 

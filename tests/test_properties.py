@@ -50,7 +50,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def win(model, **bounds):
-    return model.enumerate_window(WindowSpec(model.id, bounds))
+    return model.enumerate_window(WindowSpec(bounds))
 
 
 # -- random posets -----------------------------------------------------------
@@ -177,11 +177,11 @@ def test_graph_invariants_numerical(gens, max_value):
     g = build_graph(m, win(m, max_value=max_value))
     # acyclicity plus divisors-first order
     order = topological_order(g)
-    pos = {l: i for i, l in enumerate(order)}
+    pos = {n: i for i, n in enumerate(order)}
     for a, b in g.edges:
-        assert pos[b.label] < pos[a.label]
+        assert pos[b] < pos[a]
         # every edge shrinks the value by an atom's value
-        assert m.is_atom(m.quotient(a, b))
+        assert m.is_atom(m.quotient(g.vertices[a], g.vertices[b]))
     # downward-closed window: nothing escapes
     assert g.boundary == frozenset()
     # an atom is a member that is not a sum of two nonzero members
@@ -250,8 +250,10 @@ value_windows = st.one_of(
 @settings(max_examples=60, deadline=None)
 def test_graph_edges_match_all_pairs(model_bounds, fractional):
     m, bounds = model_bounds
-    w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=fractional))
-    assert build_graph(m, w).edges == all_pairs_edges(m, w)
+    w = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
+    g = build_graph(m, w)
+    assert g.edges == all_pairs_edges(m, w)
+    assert g.atoms == tuple(m.quotient(w[i], w[j]) for i, j in g.edges)
 
 
 @given(value_windows, st.booleans(), st.data())
@@ -261,7 +263,7 @@ def test_counts_match_the_spelled_multisets(model_bounds, fractional, data):
     # sorted path can be missing; a sub-window (some elements dropped) makes
     # such places
     m, bounds = model_bounds
-    w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=fractional))
+    w = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
     if data.draw(st.booleans()):
         keep = data.draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w)))
         w = tuple(e for e, k in zip(w, keep) if k) or w
@@ -330,7 +332,7 @@ def test_labels_name_classes_one_to_one(model_bounds, fractional):
     # injective on every value a window or its quotients reach, the unit's
     # label included
     m, bounds = model_bounds
-    w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=fractional))
+    w = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
     labels = [e.label for e in w]
     assert labels == sorted(set(labels))  # distinct, in label order
     pool = [*w, m.element(Vec((0,) * m.ambient.dim)), *(m.quotient(a, b) for a in w for b in w)]
@@ -344,8 +346,9 @@ def test_zxq_graph_edges_match_all_pairs():
     for path in sorted(CONFIG_DIR.glob("zxq*.cfg")):
         m, spec = load_config(path).build()
         w = m.enumerate_window(spec)
-        edges = build_graph(m, w).edges
-        assert edges and edges == all_pairs_edges(m, w), path.name
+        g = build_graph(m, w)
+        assert g.edges and g.edges == all_pairs_edges(m, w), path.name
+        assert g.atoms == tuple(m.quotient(w[i], w[j]) for i, j in g.edges), path.name
 
 
 # -- the factorization order against the all-pairs definition -----------------
@@ -357,7 +360,7 @@ def test_order_rows_match_all_pairs(model_bounds, fractional):
     # value models compare only values of equal rational part, which is
     # exact because every atom value has rational part 0
     assert all(v.rat == 0 for v in m.atom_values)
-    w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=fractional))
+    w = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
     assert window_poset(m, w).rows == all_pairs_order(m, w)
 
 
@@ -374,7 +377,7 @@ def test_zxq_order_rows_match_all_pairs():
 @settings(max_examples=60, deadline=None)
 def test_atomicity_verdicts_are_decided_and_certified(model_bounds, fractional):
     m, bounds = model_bounds
-    w = m.enumerate_window(WindowSpec(m.id, bounds, include_fractional=fractional))
+    w = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
     by_label = {e.label: e for e in w}
     atoms = {p.label: p for p in m.certificate_atoms()}
     almost, quasi = is_almost_atomic(m, w), is_quasi_atomic(m, w)
@@ -419,7 +422,7 @@ def test_dvr_sink_is_the_atom(n):
     g = build_graph(m, win(m, max_exponent=n))
     from divgraph.graph import sinks
 
-    assert {s.label for s in sinks(g)[0]} == {"pi"}
+    assert {g.vertices[n].label for n in sinks(g)[0]} == {"pi"}
 
 
 # -- zxq: one split behind factorizations and is_atom --------------------------
@@ -490,9 +493,10 @@ def test_zxq_graph_order_and_boundary_match_their_definitions(tops, data):
     rows = [r for r, k in zip(rows, keep) if k and r != (1,)]
     assume(rows)
     m = ZxQModel()
-    w = m.enumerate_window(WindowSpec(m.id, {"elements": rows}))
+    w = m.enumerate_window(WindowSpec({"elements": rows}))
     g = build_graph(m, w)
     assert g.edges == all_pairs_edges(m, w)
+    assert g.atoms == tuple(m.quotient(w[i], w[j]) for i, j in g.edges)
     assert window_poset(m, w).rows == all_pairs_order(m, w)
 
     def escapes(v) -> bool:
@@ -506,4 +510,4 @@ def test_zxq_graph_order_and_boundary_match_their_definitions(tops, data):
         quotients = (m.quotient(v, p) for p in f.atoms)
         return any(not m.is_unit(q) and q not in w for q in quotients)
 
-    assert g.boundary == {v.label for v in w if escapes(v)}
+    assert g.boundary == {n for n, v in enumerate(w) if escapes(v)}

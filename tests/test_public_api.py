@@ -6,6 +6,7 @@ import importlib
 import pytest
 
 import divgraph
+from divgraph.graph import build_graph, classify, window_analysis
 from divgraph.models import (
     AntimatterModel,
     D1Model,
@@ -14,6 +15,9 @@ from divgraph.models import (
     NumericalMonoidModel,
     ZxQModel,
 )
+from divgraph.reports import graph_report, topology_report
+from divgraph.topology import window_poset
+from helpers import LADDER, ladder_window
 
 PUBLIC = [
     "AlexandrovSpace",
@@ -107,3 +111,17 @@ def test_traced_model_methods_are_concrete(model):
     assert not model.__abstractmethods__
     for name in TRACED_MODEL_METHODS:
         assert callable(getattr(model, name)), name
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_traced_return_values_mean_what_the_reports_say(kind):
+    # the tracer reads these expressions off the return values of
+    # build_graph, window_poset and window_analysis
+    m, w = ladder_window(kind)
+    g = build_graph(m, w)
+    report = graph_report(g)
+    assert len(g.edges) == report["edge_count"] == len(report["edges"])
+    relation = len(window_poset(m, w).relation)
+    assert relation == topology_report(m, w)["strict_relation_size"] + len(w)
+    counted = sum(len(i.factorizations) for i in window_analysis(g).values())
+    assert counted == sum(classify(m, g)["factorization_counts"].values())

@@ -18,7 +18,7 @@ from helpers import poset_from_pairs, space_to_poset
 
 
 def win(model, **bounds):
-    return model.enumerate_window(WindowSpec(model.id, bounds))
+    return model.enumerate_window(WindowSpec(bounds))
 
 
 def diamond_poset():
@@ -121,7 +121,7 @@ class TestChainConnected:
             (0, 1), (0, 2), (0, Fraction(1, 2)),
             (0, 0, 1), (0, 0, 2), (0, 0, Fraction(1, 2)),
         ]
-        w = self.m.enumerate_window(WindowSpec(self.m.id, {"elements": rows}))
+        w = self.m.enumerate_window(WindowSpec({"elements": rows}))
         self.space = poset_to_space(window_poset(self.m, w))
 
     def test_same_order_class_connected(self):
