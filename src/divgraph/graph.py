@@ -4,9 +4,14 @@ Vertices are window elements, named by their position in the window (label
 order); there is an edge a -> b exactly when the quotient a/b is an atom,
 and the graph keeps that atom with the edge.  A complete path ends at any
 atom vertex and spells a factorization one atom per edge, with the terminal
-atom contributing the final factor (k edges = k+1 atoms).  In an integral
-window every atom is a sink; in a fractional one an atom also has an edge
-to the unit, and a path may end at the atom or go on.
+atom contributing the final factor (k edges = k+1 atoms).  The graph
+decides once which vertices are integral non-units (`proper`) and which
+are atoms (`atom_vertices`); the paths, the sinks, the verdicts and the
+`.dot` rendering read that.  In an integral window every vertex is an
+integral non-unit and every atom a sink; in a fractional one an atom also
+has an edge to the unit, and a path may end at the atom or go on, but a
+path through the unit or a non-integral class never completes, so the
+verdicts judge the integral non-units only.
 
 The classifier counts the multisets that complete paths spell instead of
 listing them.  Atoms are indexed in label order, and a path is canonical
@@ -26,7 +31,7 @@ import graphlib
 from bisect import bisect
 from collections.abc import Iterator, Set
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .elements import Element
@@ -39,13 +44,32 @@ class DivGraph:
     """A window graph.  `vertices` are in label order, and the rest names
     them by position: `edges` holds the pairs (a, b) in increasing order,
     which is label order, `atoms` the atom a/b of each edge (never None),
-    and `boundary` the vertices with a successor outside the window."""
+    and `boundary` the vertices with a successor outside the window.
+    `proper` and `atom_vertices` are computed on first read, so a report
+    that reads neither (components) never asks the model."""
 
     model: DivisibilityModel
     vertices: tuple[Element, ...]
     edges: tuple[tuple[int, int], ...]
     atoms: tuple[Element, ...]
     boundary: frozenset[int]
+
+    @cached_property
+    def proper(self) -> tuple[bool, ...]:
+        """For each vertex, whether it is an integral non-unit."""
+        model = self.model
+        return tuple(model.in_domain(v) and not model.is_unit(v) for v in self.vertices)
+
+    @cached_property
+    def atom_vertices(self) -> frozenset[int]:
+        """The positions of the atom vertices.  An edge a -> b to an integral
+        non-unit b splits a = (a/b) * b, so only the other vertices are
+        asked: in an integral window, the sinks."""
+        proper = self.proper
+        split = {a for a, b in self.edges if proper[b]}
+        return frozenset(
+            n for n, v in enumerate(self.vertices) if n not in split and self.model.is_atom(v)
+        )
 
 
 def cover_edge(model: DivisibilityModel, a: Element, b: Element) -> bool:
@@ -119,15 +143,11 @@ def sinks(graph: DivGraph) -> tuple[list[int], list[int]]:
     """The positions of the vertices without successors, split into the
     atoms and the rest (dead ends of the window, "sink artifacts")."""
     sources = {a for a, _ in graph.edges}
-    atom_sinks: list[int] = []
-    artifacts: list[int] = []
-    for n, v in enumerate(graph.vertices):
-        if n in sources:
-            continue
-        # an isolated atom still counts as a sink; an atom with an edge to
-        # the unit of a fractional window is none
-        (atom_sinks if graph.model.is_atom(v) else artifacts).append(n)
-    return atom_sinks, artifacts
+    atoms = graph.atom_vertices
+    # an isolated atom still counts as a sink; an atom with an edge to the
+    # unit of a fractional window is none
+    ends = [n for n in range(len(graph.vertices)) if n not in sources]
+    return [n for n in ends if n in atoms], [n for n in ends if n not in atoms]
 
 
 def _sortable(steps: list[dict[int, int]], term: list[int], v: int) -> bool:
@@ -161,13 +181,8 @@ class _Paths:
     `spelled` holds."""
 
     def __init__(self, graph: DivGraph):
-        model, vertices = graph.model, graph.vertices
-        # every atom vertex is a terminal.  An edge a -> b to an integral
-        # non-unit b splits a = (a/b) * b, so only the other vertices are
-        # asked: in an integral window, the sinks
-        proper = [model.in_domain(v) and not model.is_unit(v) for v in vertices]
-        split = {a for a, b in graph.edges if proper[b]}
-        terminals = [n for n, v in enumerate(vertices) if n not in split and model.is_atom(v)]
+        vertices, proper = graph.vertices, graph.proper
+        terminals = graph.atom_vertices  # every atom vertex is a terminal
         # the distinct atoms in label order, indexed by value
         named = {p.value: p for p in graph.atoms}
         named.update((vertices[n].value, vertices[n]) for n in terminals)
@@ -201,12 +216,15 @@ class _Paths:
                 c[f] += c[f + 1]
                 m[f] |= m[f + 1]
             count[v], lengths[v] = c, m
-            if out:
-                self.escapes[v] = v in boundary or any(self.escapes[w] for w in out.values())
-                self.dead[v] = any(self.dead[w] for w in out.values())
+            self.escapes[v] = v in boundary or any(self.escapes[w] for w in out.values())
+            # dead ends are read only at integral non-units and along edges
+            # to them: a path through the unit or a non-integral class never
+            # completes
+            below = [w for w in out.values() if proper[w]]
+            if below:
+                self.dead[v] = any(self.dead[w] for w in below)
             else:
-                self.escapes[v] = v in boundary
-                self.dead[v] = t < 0 and v not in boundary
+                self.dead[v] = proper[v] and t < 0 and v not in boundary
             if any(w in self.spelled for w in out.values()) or not _sortable(steps, term, v):
                 found = self.spelled[v] = self._spell(v)
                 c[0] = len(found)
@@ -314,7 +332,7 @@ class _VertexInfo:
     factorizations: _Multisets  # complete atom multisets
     lengths: int  # bit n set iff some complete multiset has n atoms
     escapes: bool  # some path can leave the window or is unresolved
-    dead: bool  # some path ends at a non-atom with no continuation anywhere
+    dead: bool  # some path along integral non-units ends at a non-atom with no continuation
 
 
 def window_analysis(graph: DivGraph) -> dict[str, _VertexInfo]:
@@ -331,22 +349,23 @@ def window_analysis(graph: DivGraph) -> dict[str, _VertexInfo]:
 
 def classify(model: DivisibilityModel, graph: DivGraph) -> dict:
     """The factorization verdicts of a window, with each vertex's sorted
-    factorization lengths and its factorization count."""
+    factorization lengths and its factorization count.  The verdicts judge
+    the integral non-units only, so a fractional window gets the verdicts
+    of its integral part; no path through the other vertices completes."""
     info = window_analysis(graph)
     lengths = {l: _bits(i.lengths) for l, i in info.items()}
     counts = {l: len(i.factorizations) for l, i in info.items()}
-    dead = sorted(l for l, i in info.items() if i.dead)
-    open_ = sorted(l for l, i in info.items() if i.escapes)
+    judged = [v for v, p in zip(graph.vertices, graph.proper) if p]
+    dead = sorted(v.label for v in judged if info[v.label].dead)
+    open_ = sorted(v.label for v in judged if info[v.label].escapes)
     verdicts: dict[str, Verdict] = {}
 
     # Atomic is decided per vertex by the model, not from the paths
-    witnesses = sorted(
-        v.label for v in graph.vertices if not model.is_atomic_element(v)
-    )
+    witnesses = sorted(v.label for v in judged if not model.is_atomic_element(v))
     if witnesses:
         verdicts["Atomic"] = fails({"non_atomic": witnesses}, "analytic")
     else:
-        verdicts["Atomic"] = holds({"atomic_elements": len(graph.vertices)}, "analytic")
+        verdicts["Atomic"] = holds({"atomic_elements": len(judged)}, "analytic")
 
     def termination_verdict(extra_holds_evidence):
         if dead:
@@ -357,7 +376,7 @@ def classify(model: DivisibilityModel, graph: DivGraph) -> dict:
             )
         return holds(extra_holds_evidence)
 
-    verdicts["ACCP"] = termination_verdict({"vertices_closed": len(graph.vertices)})
+    verdicts["ACCP"] = termination_verdict({"vertices_closed": len(judged)})
     all_lengths = [n for ls in lengths.values() for n in ls]
     verdicts["BFD"] = termination_verdict(
         {"max_factorization_length": max(all_lengths, default=0)}

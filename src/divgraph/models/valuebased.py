@@ -42,6 +42,11 @@ class ValueModel(DivisibilityModel):
     def label_for(self, v: Vec) -> str:
         """Canonical label of a nonzero value."""
 
+    @abc.abstractmethod
+    def _box(self, *bounds: int) -> list[Vec]:
+        """The distinct values of the fractional window of these bounds (the
+        `window_bounds`, in order), the unit included."""
+
     # -- generic operations -------------------------------------------------
 
     def element(self, v: Vec) -> Element:
@@ -213,24 +218,20 @@ class ValueModel(DivisibilityModel):
     def certificate_atoms(self) -> tuple[Element, ...]:
         return self.atoms()
 
-    def _window_from_values(self, values: Iterable[Vec], include_unit: bool) -> tuple[Element, ...]:
-        elems = {self.element(v) for v in values if include_unit or not v.is_zero}
-        if not elems:
+    def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
+        values = self._box(*self.require_positive(spec.bounds, *self.window_bounds))
+        if not spec.include_fractional:
+            values = [v for v in values if self.contains_value(v) and not v.is_zero]
+        if not values:
             raise EmptyWindow(f"window bounds exclude every element of model {self.id!r}")
-        return tuple(sorted(elems, key=lambda e: e.label))
+        return tuple(sorted(map(self.element, values), key=lambda e: e.label))
 
 
-def _fraction_range(max_abs: int, max_den: int, include_negative: bool, include_zero: bool):
-    out = set()
-    for den in range(1, max_den + 1):
-        for num in range(1, max_abs * den + 1):
-            q = Fraction(num, den)
-            out.add(q)
-            if include_negative:
-                out.add(-q)
-    if include_zero:
-        out.add(Fraction(0))
-    return sorted(out)
+def _fraction_range(max_abs: int, max_den: int) -> set[Fraction]:
+    """The fractions of absolute value at most max_abs and denominator at
+    most max_den, zero included."""
+    pos = {Fraction(n, d) for d in range(1, max_den + 1) for n in range(1, max_abs * d + 1)}
+    return {Fraction(0), *pos, *(-q for q in pos)}
 
 
 class DVRModel(ValueModel):
@@ -253,13 +254,8 @@ class DVRModel(ValueModel):
             return "pi" if k == 1 else f"pi^{k}"
         return "1/pi" if k == -1 else f"1/pi^{-k}"
 
-    def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        (n,) = self.require_positive(spec.bounds, *self.window_bounds)
-        if spec.include_fractional:
-            values = [Vec((k,)) for k in range(-n, n + 1)]
-        else:
-            values = [Vec((k,)) for k in range(1, n + 1)]
-        return self._window_from_values(values, spec.include_fractional)
+    def _box(self, n: int) -> list[Vec]:
+        return [Vec((k,)) for k in range(-n, n + 1)]
 
 
 class AntimatterModel(ValueModel):
@@ -289,12 +285,8 @@ class AntimatterModel(ValueModel):
             "witness": witness.label if witness else None,
         }
 
-    def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        max_value, max_den = self.require_positive(spec.bounds, *self.window_bounds)
-        qs = _fraction_range(max_value, max_den, spec.include_fractional, spec.include_fractional)
-        return self._window_from_values(
-            [Vec((), q) for q in qs], spec.include_fractional
-        )
+    def _box(self, max_value: int, max_den: int) -> list[Vec]:
+        return [Vec((), q) for q in _fraction_range(max_value, max_den)]
 
 
 class NumericalMonoidModel(ValueModel):
@@ -336,15 +328,10 @@ class NumericalMonoidModel(ValueModel):
     def label_for(self, v: Vec) -> str:
         return str(v.ints[0])
 
-    def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        (max_value,) = self.require_positive(spec.bounds, *self.window_bounds)
-        if spec.include_fractional:
-            # the value group: the multiples of the generators' gcd
-            step = gcd(*self.generators)
-            values = [Vec((n,)) for n in range(-max_value, max_value + 1) if n % step == 0]
-        else:
-            values = [Vec((n,)) for n in range(1, max_value + 1) if self._member(n)]
-        return self._window_from_values(values, spec.include_fractional)
+    def _box(self, max_value: int) -> list[Vec]:
+        # the value group: the multiples of the generators' gcd
+        step = gcd(*self.generators)
+        return [Vec((n,)) for n in range(-max_value, max_value + 1) if n % step == 0]
 
 
 def _power_label(sym: str, q: Fraction | int) -> str:
@@ -414,17 +401,9 @@ class D1Model(_TwoGeneratorValuationModel):
             return self.element(Vec((max(2, 1 - a.value.ints[0]),), -a.value.rat))
         return None
 
-    def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        k_max, den_max, alpha_max = self.require_positive(spec.bounds, *self.window_bounds)
-        fr = spec.include_fractional
-        alphas = _fraction_range(alpha_max, den_max, True, True)
-        values = []
-        for k in range(-k_max if fr else 0, k_max + 1):
-            for a in alphas:
-                v = Vec((k,), a)
-                if fr or self.contains_value(v):
-                    values.append(v)
-        return self._window_from_values(values, fr)
+    def _box(self, k_max: int, den_max: int, alpha_max: int) -> list[Vec]:
+        alphas = _fraction_range(alpha_max, den_max)
+        return [Vec((k,), a) for k in range(-k_max, k_max + 1) for a in alphas]
 
 
 class D2Model(_TwoGeneratorValuationModel):
@@ -453,13 +432,5 @@ class D2Model(_TwoGeneratorValuationModel):
         k, j = v.ints
         return v.rat == 0 and k >= 0 and j >= 0 and (k, j) != (0, 0)
 
-    def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        k_max, j_max = self.require_positive(spec.bounds, *self.window_bounds)
-        fr = spec.include_fractional
-        values = []
-        for k in range(-k_max if fr else 0, k_max + 1):
-            for j in range(-j_max, j_max + 1):
-                v = Vec((k, j))
-                if fr or self.contains_value(v):
-                    values.append(v)
-        return self._window_from_values(values, fr)
+    def _box(self, k_max: int, j_max: int) -> list[Vec]:
+        return [Vec((k, j)) for k in range(-k_max, k_max + 1) for j in range(-j_max, j_max + 1)]

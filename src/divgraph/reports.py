@@ -39,7 +39,7 @@ def dot_export(graph: DivGraph) -> str:
     labels = [v.label for v in graph.vertices]
     for n, v in enumerate(graph.vertices):
         attrs = []
-        if graph.model.is_atom(v):
+        if n in graph.atom_vertices:
             attrs.append("shape=doublecircle")
         if n in graph.boundary:
             attrs.append("style=dashed")

@@ -9,7 +9,6 @@ components are one bitset closure.
 
 from __future__ import annotations
 
-from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,10 +30,13 @@ class FinitePoset:
         elements[i] <= elements[j]."""
         return _transpose(self.rows)
 
-    @property
-    def relation(self) -> Set:
-        """Read-only view of the (a, b) pairs with a <= b."""
-        return _Relation(self)
+    @cached_property
+    def relation(self) -> frozenset:
+        """The (a, b) pairs with a <= b."""
+        elements = self.elements
+        return frozenset(
+            (a, elements[j]) for a, row in zip(elements, self.rows) for j in _bits(row)
+        )
 
     @property
     def strict_relation_size(self) -> int:
@@ -60,29 +62,6 @@ class FinitePoset:
                 if beyond:
                     c = self.elements[beyond.bit_length() - 1]
                     raise AssertionError(f"transitivity violated on {a!r}..{c!r}")
-
-
-class _Relation(Set):
-    """The (a, b) pairs with a <= b of a poset, read off its rows."""
-
-    def __init__(self, poset: FinitePoset):
-        self._poset = poset
-
-    def __len__(self) -> int:
-        return sum(row.bit_count() for row in self._poset.rows)
-
-    def __iter__(self):
-        elements = self._poset.elements
-        for a, row in zip(elements, self._poset.rows):
-            for j in _bits(row):
-                yield a, elements[j]
-
-    def __contains__(self, pair) -> bool:
-        a, b = pair
-        elements = self._poset.elements
-        if a not in elements or b not in elements:
-            return False
-        return bool(self._poset.rows[elements.index(a)] >> elements.index(b) & 1)
 
 
 def _transpose(masks) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from divgraph.models import NumericalMonoidModel, ZxQModel
 from divgraph.models import zxq as zxq_module
 from divgraph.models.base import WindowSpec
 from divgraph.polynomials import RationalFunction
-from divgraph.reports import crosscheck_graph, graph_report, topology_report
+from divgraph.reports import crosscheck_graph, dot_export, graph_report, topology_report
 from divgraph.topology import window_poset
 from helpers import LADDER, ladder_window
 
@@ -47,6 +47,20 @@ def test_zxq_graph_renders_each_label_at_most_once(monkeypatch):
     monkeypatch.setattr(RationalFunction, "label", counting(RationalFunction.label, calls))
     graph_report(build_graph(m, w))
     assert len(w) == 12 and len(calls) <= len(w)
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_graph_report_and_dot_ask_is_atom_at_most_once_per_sink(monkeypatch, kind):
+    # a vertex with an edge to an integral non-unit is no atom, and the
+    # graph decides once which of the others are
+    m, w = ladder_window(kind)
+    graph = build_graph(m, w)
+    calls = []
+    monkeypatch.setattr(m, "is_atom", counting(m.is_atom, calls))
+    report = graph_report(graph)
+    dot_export(graph)
+    sinks = len(report["sinks"]) + len(report["sink_artifacts"])
+    assert sinks and len(calls) <= sinks
 
 
 @pytest.mark.parametrize("kind", LADDER)

@@ -384,6 +384,29 @@ class TestCLI:
         assert r.returncode == 2 and "Pollard rho" in r.stderr, r.stderr
         assert r.stdout == ""
 
+    def test_graph_dot_on_an_unsplit_zxq_vertex_with_successors(self, tmp_path, capsys):
+        # (1+x)^2 (1+x+x^2) has degree 4 > the cap, so is_atom cannot split
+        # it; its edge to (1+x)(1+x+x^2), an integral non-unit, already says
+        # it is no atom, so the .dot asks nothing more than the graph report
+        cfg = tmp_path / "unsplit.cfg"
+        cfg.write_text(
+            "kind zxq\nbound degree_cap 3\n"
+            "element 1 3 4 3 1\nelement 1 2 2 1\nelement 1 1\nelement 1 1 1\n"
+        )
+        assert cli.main(["graph", "--dot", "--config", str(cfg)]) == 0
+        dot = capsys.readouterr().out
+        assert '  "1+3x+4x^2+3x^3+x^4" [style=dashed];\n' in dot
+        assert '  "1+x" [shape=doublecircle];\n' in dot
+
+    def test_components_on_a_zxq_window_whose_only_sink_is_unsplit(self, tmp_path, capsys):
+        # the components read the edges only, so they never ask is_atom;
+        # graph must ask it of the sink, and cannot answer
+        cfg = tmp_path / "unsplit_sink.cfg"
+        cfg.write_text("kind zxq\nbound degree_cap 3\nelement 1 3 4 3 1\n")
+        assert cli.main(["components", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["component_count"] == 1
+        assert cli.main(["graph", "--config", str(cfg)]) == 2
+
     def test_check_all_bundled_configs_clean(self):
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
             r = run_cli("check", "--config", str(cfg), "--assert")

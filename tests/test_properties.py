@@ -6,7 +6,7 @@ from itertools import product
 from math import floor, gcd
 from pathlib import Path
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from divgraph.config import load_config
@@ -244,6 +244,22 @@ value_windows = st.one_of(
         st.integers(1, 3),
     ),
 )
+
+
+@given(value_windows)
+@example((NumericalMonoidModel((4, 6)), {"max_value": 12}))
+@example((NumericalMonoidModel((6, 10, 15)), {"max_value": 30}))
+@settings(max_examples=40, deadline=None)
+def test_fractional_window_gets_the_verdicts_of_its_integral_part(model_bounds):
+    # the verdicts judge the integral non-units; a path through the unit or
+    # a non-integral class never completes, so the extra vertices of a
+    # fractional window change no verdict
+    m, bounds = model_bounds
+    integral = m.enumerate_window(WindowSpec(bounds))
+    fractional = m.enumerate_window(WindowSpec(bounds, include_fractional=True))
+    assert set(integral) < set(fractional)
+    expected = classify(m, build_graph(m, integral))["verdicts"]
+    assert classify(m, build_graph(m, fractional))["verdicts"] == expected
 
 
 @given(value_windows, st.booleans())
