@@ -5,13 +5,13 @@ order); there is an edge a -> b exactly when the quotient a/b is an atom,
 and the graph keeps that atom with the edge.  A complete path ends at any
 atom vertex and spells a factorization one atom per edge, with the terminal
 atom contributing the final factor (k edges = k+1 atoms).  The graph
-decides once which vertices are integral non-units (`proper`) and which
-are atoms (`atom_vertices`); the paths, the sinks, the verdicts and the
-`.dot` rendering read that.  In an integral window every vertex is an
-integral non-unit and every atom a sink; in a fractional one an atom also
-has an edge to the unit, and a path may end at the atom or go on, but a
-path through the unit or a non-integral class never completes, so the
-verdicts judge the integral non-units only.
+decides once which vertices are integral non-units (`proper`), where a
+path along them ends (`ends`) and which ends are atoms (`atom_vertices`);
+the paths, the sinks, the verdicts and the `.dot` rendering read that.
+In a fractional window an atom also has an edge to the unit, and a path
+may end at the atom or go on, but a path through the unit or a
+non-integral class never completes, so the sinks and the verdicts are
+those of the integral part.
 
 The classifier counts the multisets that complete paths spell instead of
 listing them.  Atoms are indexed in label order, and a path is canonical
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import graphlib
 from bisect import bisect
-from collections.abc import Iterator, Set
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -45,8 +45,8 @@ class DivGraph:
     them by position: `edges` holds the pairs (a, b) in increasing order,
     which is label order, `atoms` the atom a/b of each edge (never None),
     and `boundary` the vertices with a successor outside the window.
-    `proper` and `atom_vertices` are computed on first read, so a report
-    that reads neither (components) never asks the model."""
+    `proper`, `ends` and `atom_vertices` are computed on first read, so a
+    report that reads none of them (components) never asks the model."""
 
     model: DivisibilityModel
     vertices: tuple[Element, ...]
@@ -61,15 +61,19 @@ class DivGraph:
         return tuple(model.in_domain(v) and not model.is_unit(v) for v in self.vertices)
 
     @cached_property
-    def atom_vertices(self) -> frozenset[int]:
-        """The positions of the atom vertices.  An edge a -> b to an integral
-        non-unit b splits a = (a/b) * b, so only the other vertices are
-        asked: in an integral window, the sinks."""
+    def ends(self) -> frozenset[int]:
+        """The integral non-units without an edge to an integral non-unit: in
+        an integral window, the vertices without successors."""
         proper = self.proper
         split = {a for a, b in self.edges if proper[b]}
-        return frozenset(
-            n for n, v in enumerate(self.vertices) if n not in split and self.model.is_atom(v)
-        )
+        return frozenset(n for n, p in enumerate(proper) if p and n not in split)
+
+    @cached_property
+    def atom_vertices(self) -> frozenset[int]:
+        """The members of `ends` that the model calls atoms.  An atom is an
+        integral non-unit, and an edge a -> b to an integral non-unit b splits
+        a = (a/b) * b, so no other vertex is one."""
+        return frozenset(n for n in self.ends if self.model.is_atom(self.vertices[n]))
 
 
 def cover_edge(model: DivisibilityModel, a: Element, b: Element) -> bool:
@@ -140,13 +144,9 @@ def classes(near: list[int]) -> list[int]:
 
 
 def sinks(graph: DivGraph) -> tuple[list[int], list[int]]:
-    """The positions of the vertices without successors, split into the
-    atoms and the rest (dead ends of the window, "sink artifacts")."""
-    sources = {a for a, _ in graph.edges}
-    atoms = graph.atom_vertices
-    # an isolated atom still counts as a sink; an atom with an edge to the
-    # unit of a fractional window is none
-    ends = [n for n in range(len(graph.vertices)) if n not in sources]
+    """The positions of the ends (`DivGraph.ends`), split into the atoms and
+    the rest (dead ends of the window, "sink artifacts")."""
+    atoms, ends = graph.atom_vertices, sorted(graph.ends)
     return [n for n in ends if n in atoms], [n for n in ends if n not in atoms]
 
 
@@ -181,7 +181,7 @@ class _Paths:
     `spelled` holds."""
 
     def __init__(self, graph: DivGraph):
-        vertices, proper = graph.vertices, graph.proper
+        vertices, proper, ends = graph.vertices, graph.proper, graph.ends
         terminals = graph.atom_vertices  # every atom vertex is a terminal
         # the distinct atoms in label order, indexed by value
         named = {p.value: p for p in graph.atoms}
@@ -217,14 +217,12 @@ class _Paths:
                 m[f] |= m[f + 1]
             count[v], lengths[v] = c, m
             self.escapes[v] = v in boundary or any(self.escapes[w] for w in out.values())
-            # dead ends are read only at integral non-units and along edges
-            # to them: a path through the unit or a non-integral class never
-            # completes
-            below = [w for w in out.values() if proper[w]]
-            if below:
-                self.dead[v] = any(self.dead[w] for w in below)
+            # a dead end is read at an end and along edges to integral
+            # non-units: a path through the others never completes
+            if v in ends:
+                self.dead[v] = t < 0 and v not in boundary
             else:
-                self.dead[v] = proper[v] and t < 0 and v not in boundary
+                self.dead[v] = any(self.dead[w] for w in out.values() if proper[w])
             if any(w in self.spelled for w in out.values()) or not _sortable(steps, term, v):
                 found = self.spelled[v] = self._spell(v)
                 c[0] = len(found)
@@ -271,7 +269,7 @@ class _Paths:
         return self.spelled[v] if v in self.spelled else self.canonical(v)
 
 
-class _Multisets(Set):
+class _Multisets:
     """The complete atom multisets of one vertex: the len is their count,
     and iteration renders them as sorted label tuples."""
 
@@ -285,9 +283,6 @@ class _Multisets(Set):
         atoms = self.paths.atoms
         for t in self.paths.tuples(self.v):
             yield tuple(atoms[i].label for i in t)
-
-    def __contains__(self, labels) -> bool:
-        return any(labels == t for t in self)
 
     def found_by(self, search: FactorSearch) -> bool:
         """Whether an oracle search found exactly these multisets."""

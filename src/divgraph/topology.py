@@ -55,13 +55,18 @@ class FinitePoset:
             if both:
                 b = self.elements[both.bit_length() - 1]
                 raise AssertionError(f"antisymmetry violated on {a!r}, {b!r}")
-        for i, a in enumerate(self.elements):
-            outside = ~rows[i]
-            for j in _bits(rows[i]):
-                beyond = rows[j] & outside
-                if beyond:
-                    c = self.elements[beyond.bit_length() - 1]
-                    raise AssertionError(f"transitivity violated on {a!r}..{c!r}")
+        if escape := _first_escape(rows):
+            a, c = self.elements[escape[0]], self.elements[escape[2].bit_length() - 1]
+            raise AssertionError(f"transitivity violated on {a!r}..{c!r}")
+
+
+def _first_escape(masks) -> tuple[int, int, int] | None:
+    """The first (i, j, beyond) where bit j of masks[i] is set and beyond, the
+    bits of masks[j] outside masks[i], is not 0; None if there is none."""
+    return next(
+        ((i, j, masks[j] & ~m) for i, m in enumerate(masks) for j in _bits(m) if masks[j] | m != m),
+        None,
+    )
 
 
 def _transpose(masks) -> tuple[int, ...]:
@@ -90,14 +95,13 @@ class AlexandrovSpace:
         return {x: tuple(points[j] for j in _bits(m)) for x, m in zip(points, self.opens)}
 
     def check_basis(self) -> None:
-        opens = self.opens
-        for i, x in enumerate(self.points):
+        points, opens = self.points, self.opens
+        for i, x in enumerate(points):
             if not opens[i] >> i & 1:
                 raise AssertionError(f"{x!r} missing from its own minimal open")
-            outside = ~opens[i]
-            for j in _bits(opens[i]):
-                if opens[j] & outside:
-                    raise AssertionError(f"basis coherence violated at {x!r}, {self.points[j]!r}")
+        if escape := _first_escape(opens):
+            i, j, _ = escape
+            raise AssertionError(f"basis coherence violated at {points[i]!r}, {points[j]!r}")
 
 
 def window_poset(model: DivisibilityModel, window) -> FinitePoset:

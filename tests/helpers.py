@@ -12,7 +12,7 @@ from pathlib import Path
 
 from divgraph.config import load_config
 from divgraph.graph import cover_edge
-from divgraph.models import D1Model, D2Model, NumericalMonoidModel
+from divgraph.models import D1Model, D2Model, DVRModel, NumericalMonoidModel
 from divgraph.models.base import WindowSpec
 from divgraph.topology import FinitePoset, is_T0
 from divgraph.values import Vec
@@ -35,6 +35,22 @@ def ladder_window(kind):
         "d1": (D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}),
     }[kind]
     return m, m.enumerate_window(WindowSpec(bounds))
+
+
+# the model kinds of `fractional_window`, with their bounds
+FRACTIONAL = {
+    "dvr": (DVRModel(), {"max_exponent": 4}),
+    "numerical": (NumericalMonoidModel((4, 6)), {"max_value": 12}),
+    "d2": (D2Model(), {"k_max": 2, "j_max": 2}),
+    "d1": (D1Model(), {"k_max": 1, "den_max": 1, "alpha_max": 1}),
+}
+
+
+def fractional_window(kind):
+    """A small fractional window of each value model kind, as (model,
+    window): every atom has an edge to the unit there."""
+    m, bounds = FRACTIONAL[kind]
+    return m, m.enumerate_window(WindowSpec(bounds, include_fractional=True))
 
 
 def all_pairs_edges(model, window) -> tuple:

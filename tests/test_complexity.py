@@ -21,7 +21,7 @@ from divgraph.models.base import WindowSpec
 from divgraph.polynomials import RationalFunction
 from divgraph.reports import crosscheck_graph, dot_export, graph_report, topology_report
 from divgraph.topology import window_poset
-from helpers import LADDER, ladder_window
+from helpers import FRACTIONAL, LADDER, fractional_window, ladder_window
 
 
 def counting(fn, calls: list):
@@ -49,11 +49,16 @@ def test_zxq_graph_renders_each_label_at_most_once(monkeypatch):
     assert len(w) == 12 and len(calls) <= len(w)
 
 
-@pytest.mark.parametrize("kind", LADDER)
-def test_graph_report_and_dot_ask_is_atom_at_most_once_per_sink(monkeypatch, kind):
-    # a vertex with an edge to an integral non-unit is no atom, and the
-    # graph decides once which of the others are
-    m, w = ladder_window(kind)
+@pytest.mark.parametrize(
+    "window, kind",
+    [pytest.param(ladder_window, k, id=k) for k in LADDER]
+    + [pytest.param(fractional_window, k, id=f"fractional-{k}") for k in FRACTIONAL],
+)
+def test_graph_report_and_dot_ask_is_atom_at_most_once_per_sink(monkeypatch, window, kind):
+    # a vertex with an edge to an integral non-unit is no atom, nor is the
+    # unit or a non-integral class, and the graph decides once which of the
+    # others are
+    m, w = window(kind)
     graph = build_graph(m, w)
     calls = []
     monkeypatch.setattr(m, "is_atom", counting(m.is_atom, calls))

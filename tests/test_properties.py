@@ -27,6 +27,7 @@ from divgraph.models import (
     ZxQModel,
 )
 from divgraph.models.base import WindowSpec
+from divgraph.reports import graph_report
 from divgraph.topology import (
     chain_connected,
     connected_components_topology,
@@ -251,15 +252,18 @@ value_windows = st.one_of(
 @example((NumericalMonoidModel((6, 10, 15)), {"max_value": 30}))
 @settings(max_examples=40, deadline=None)
 def test_fractional_window_gets_the_verdicts_of_its_integral_part(model_bounds):
-    # the verdicts judge the integral non-units; a path through the unit or
-    # a non-integral class never completes, so the extra vertices of a
-    # fractional window change no verdict
+    # the verdicts and the sinks judge the integral non-units; a path
+    # through the unit or a non-integral class never completes, so the extra
+    # vertices of a fractional window change no verdict and no sink
     m, bounds = model_bounds
     integral = m.enumerate_window(WindowSpec(bounds))
     fractional = m.enumerate_window(WindowSpec(bounds, include_fractional=True))
     assert set(integral) < set(fractional)
-    expected = classify(m, build_graph(m, integral))["verdicts"]
-    assert classify(m, build_graph(m, fractional))["verdicts"] == expected
+    g_int, g_frac = build_graph(m, integral), build_graph(m, fractional)
+    assert classify(m, g_frac)["verdicts"] == classify(m, g_int)["verdicts"]
+    r_int, r_frac = graph_report(g_int), graph_report(g_frac)
+    for key in ("sinks", "sink_artifacts"):
+        assert r_frac[key] == r_int[key], key
 
 
 @given(value_windows, st.booleans())
