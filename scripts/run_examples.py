@@ -13,20 +13,16 @@ from pathlib import Path
 from divgraph.cli import main as cli_main
 
 COMMANDS = ("graph", "classify", "components", "topology", "atomicity", "check")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out", help="report output directory")
-    ap.add_argument(
-        "--configs",
-        default=str(Path(__file__).resolve().parent.parent / "configs"),
-        help="directory of .cfg files",
-    )
     args = ap.parse_args()
 
     worst = 0
-    for cfg in sorted(Path(args.configs).glob("*.cfg")):
+    for cfg in sorted(CONFIGS.glob("*.cfg")):
         out_dir = Path(args.out) / cfg.stem
         for command in COMMANDS:
             argv = [command, "--config", str(cfg), "--out", str(out_dir)]

@@ -19,6 +19,11 @@ reads `bound search_bound`, `flag include_fractional` and the window bounds
 its model class names in `window_bounds`; only numerical-monoid reads
 `generator`, and only zxq reads `element`, `atom` and `bound degree_cap`.
 Only `generator`, `element` and `atom` lines may repeat: they accumulate.
+
+Each line goes straight to the argument it feeds, into one of the fields
+of `RunConfig`: `kind`; `options`, the model's constructor arguments
+(`generators`, `declared_atoms`, `degree_cap`); `window`, the window
+bounds and zxq's `elements`; `include_fractional`; and `search_bound`.
 """
 
 from __future__ import annotations
@@ -42,38 +47,14 @@ _KIND_DIRECTIVES = {
 @dataclass
 class RunConfig:
     kind: str
-    generators: tuple[int, ...] = ()
-    bounds: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-    elements: tuple[tuple[Fraction, ...], ...] = ()
-    declared_atoms: tuple[tuple[Fraction, ...], ...] = ()
-
-    @property
-    def search_bound(self) -> int | None:
-        """The oracle bound given, or None for `check`'s default."""
-        return self.bounds.get("search_bound")
+    options: dict = field(default_factory=dict)  # the model's constructor arguments
+    window: dict = field(default_factory=dict)  # the window bounds, and zxq's elements
+    include_fractional: bool = False
+    search_bound: int | None = None  # None leaves `check` its default
 
     def build(self) -> tuple[DivisibilityModel, WindowSpec]:
-        options = {}
-        if self.generators:
-            options["generators"] = self.generators
-        if self.declared_atoms:
-            options["declared_atoms"] = self.declared_atoms
-        if "degree_cap" in self.bounds:
-            options["degree_cap"] = self.bounds["degree_cap"]
-        model = build_model(self.kind, options)
-        window_bounds = {
-            k: v
-            for k, v in self.bounds.items()
-            if k not in ("search_bound", "degree_cap")
-        }
-        if self.elements:
-            window_bounds["elements"] = self.elements
-        spec = WindowSpec(
-            window_bounds,
-            include_fractional=bool(self.flags.get("include_fractional", False)),
-        )
-        return model, spec
+        spec = WindowSpec(self.window, self.include_fractional)
+        return build_model(self.kind, self.options), spec
 
 
 def _fraction(tok: str, line_no: int) -> Fraction:
@@ -95,11 +76,10 @@ def _positive_int(tok: str, line_no: int, name: str) -> int:
 
 def parse_config(text: str) -> RunConfig:
     kind = None
-    generators: list[int] = []
-    bounds: dict = {}
-    flags: dict = {}
-    elements: list[tuple[Fraction, ...]] = []
-    declared: list[tuple[Fraction, ...]] = []
+    options: dict = {}
+    window: dict = {}
+    include_fractional = False
+    search_bound = None
     first_line: dict[str, int] = {}  # directive (with a bound or flag name) -> first line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -118,25 +98,32 @@ def parse_config(text: str) -> RunConfig:
         elif directive == "generator":
             if not args:
                 raise ParseError("generator needs at least one integer", line=line_no)
-            generators.extend(_positive_int(a, line_no, "a generator") for a in args)
+            gens = tuple(_positive_int(a, line_no, "a generator") for a in args)
+            options["generators"] = options.get("generators", ()) + gens
         elif directive == "bound":
             if len(args) != 2:
                 raise ParseError("bound takes a name and an integer", line=line_no)
-            bounds[args[0]] = _positive_int(args[1], line_no, f"bound {args[0]!r}")
+            n = _positive_int(args[1], line_no, f"bound {args[0]!r}")
+            if args[0] == "search_bound":
+                search_bound = n
+            elif args[0] == "degree_cap":
+                options["degree_cap"] = n
+            else:
+                window[args[0]] = n
         elif directive == "flag":
             if len(args) != 2 or args[1] not in ("true", "false"):
                 raise ParseError("flag takes a name and true|false", line=line_no)
             if args[0] != "include_fractional":
                 raise ConfigError(f"unknown flag {args[0]!r}", line=line_no)
-            flags[args[0]] = args[1] == "true"
-        elif directive == "element":
+            include_fractional = args[1] == "true"
+        elif directive in ("element", "atom"):
             if not args:
-                raise ParseError("element needs coefficients", line=line_no)
-            elements.append(tuple(_fraction(a, line_no) for a in args))
-        elif directive == "atom":
-            if not args:
-                raise ParseError("atom needs coefficients", line=line_no)
-            declared.append(tuple(_fraction(a, line_no) for a in args))
+                raise ParseError(f"{directive} needs coefficients", line=line_no)
+            row = tuple(_fraction(a, line_no) for a in args)
+            if directive == "element":
+                window["elements"] = window.get("elements", ()) + (row,)
+            else:
+                options["declared_atoms"] = options.get("declared_atoms", ()) + (row,)
         else:
             raise ParseError(f"unknown directive {directive!r}", line=line_no)
     if kind is None:
@@ -148,14 +135,7 @@ def parse_config(text: str) -> RunConfig:
         for directive, line_no in first_line.items():
             if directive not in reads:
                 raise ConfigError(f"kind {kind} does not read {directive!r}", line=line_no)
-    return RunConfig(
-        kind=kind,
-        generators=tuple(generators),
-        bounds=bounds,
-        flags=flags,
-        elements=tuple(elements),
-        declared_atoms=tuple(declared),
-    )
+    return RunConfig(kind, options, window, include_fractional, search_bound)
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -92,14 +92,14 @@ def build_graph(model: DivisibilityModel, window) -> DivGraph:
     index = {v.value: n for n, v in enumerate(vertices)}
     edges, atoms = [], []
     for i, a in enumerate(vertices):
-        found = {}  # target -> its atom, None where the model left it
+        found = {}  # target -> its atom
         for c, p in model.successor_candidates(a, vertices):
             j = index.get(c)
             if j is not None and j != i and cover_edge(model, a, vertices[j]):
                 found[j] = p
         for j, p in sorted(found.items()):
             edges.append((i, j))
-            atoms.append(model.quotient(a, vertices[j]) if p is None else p)
+            atoms.append(p)
     boundary = frozenset(
         n for n, v in enumerate(vertices) if model.boundary_probe(v, index)
     )

@@ -26,16 +26,10 @@ KINDS = {
 
 
 def build_model(kind: str, options: dict) -> DivisibilityModel:
+    """The model of a kind, built from its constructor arguments."""
     if kind not in KINDS:
         raise UnknownModelKind(f"unknown model kind {kind!r}; known kinds: {', '.join(KINDS)}")
-    if kind == "numerical-monoid":
-        return NumericalMonoidModel(options.get("generators", ()))
-    if kind == "zxq":
-        return ZxQModel(
-            degree_cap=options.get("degree_cap", 3),
-            declared_atoms=options.get("declared_atoms", ()),
-        )
-    return KINDS[kind]()
+    return KINDS[kind](**options)
 
 
 __all__ = [

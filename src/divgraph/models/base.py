@@ -148,12 +148,12 @@ class DivisibilityModel(abc.ABC):
     @abc.abstractmethod
     def successor_candidates(
         self, a: Element, vertices: tuple[Element, ...]
-    ) -> Iterable[tuple[object, Element | None]]:
+    ) -> Iterable[tuple[object, Element]]:
         """The values of the elements among which lie all edge targets of a
-        in vertices, each with the atom a/candidate when the model knows it
-        without taking the quotient (else None).  Where the model can list
-        a's atoms, these are the quotients a/p by them; elsewhere a subset of
-        vertices.  The graph finds the candidates among its vertices by
+        in vertices, each with the quotient a/candidate, which is the atom
+        of the edge where there is one.  Where the model can list a's atoms,
+        these are the quotients a/p by them, each with p; elsewhere a subset
+        of vertices.  The graph finds the candidates among its vertices by
         value and tests those with `cover_edge`."""
 
     @abc.abstractmethod

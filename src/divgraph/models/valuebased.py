@@ -45,7 +45,9 @@ class ValueModel(DivisibilityModel):
     @abc.abstractmethod
     def _box(self, *bounds: int) -> list[Vec]:
         """The distinct values of the fractional window of these bounds (the
-        `window_bounds`, in order), the unit included."""
+        `window_bounds`, in order) whose first coordinate (`rat` where there
+        is no other) is >= 0, the unit included.  Every integral value lies
+        in this half, and the window is the half and its negatives."""
 
     # -- generic operations -------------------------------------------------
 
@@ -219,19 +221,19 @@ class ValueModel(DivisibilityModel):
         return self.atoms()
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        values = self._box(*self.require_positive(spec.bounds, *self.window_bounds))
-        if not spec.include_fractional:
-            values = [v for v in values if self.contains_value(v) and not v.is_zero]
+        half = self._box(*self.require_positive(spec.bounds, *self.window_bounds))
+        if spec.include_fractional:
+            values = {*half, *(v.scaled(-1) for v in half)}
+        else:
+            values = [v for v in half if self.contains_value(v) and not v.is_zero]
         if not values:
             raise EmptyWindow(f"window bounds exclude every element of model {self.id!r}")
         return tuple(sorted(map(self.element, values), key=lambda e: e.label))
 
 
 def _fraction_range(max_abs: int, max_den: int) -> set[Fraction]:
-    """The fractions of absolute value at most max_abs and denominator at
-    most max_den, zero included."""
-    pos = {Fraction(n, d) for d in range(1, max_den + 1) for n in range(1, max_abs * d + 1)}
-    return {Fraction(0), *pos, *(-q for q in pos)}
+    """The fractions from 0 to max_abs of denominator at most max_den."""
+    return {Fraction(n, d) for d in range(1, max_den + 1) for n in range(max_abs * d + 1)}
 
 
 class DVRModel(ValueModel):
@@ -255,7 +257,7 @@ class DVRModel(ValueModel):
         return "1/pi" if k == -1 else f"1/pi^{-k}"
 
     def _box(self, n: int) -> list[Vec]:
-        return [Vec((k,)) for k in range(-n, n + 1)]
+        return [Vec((k,)) for k in range(n + 1)]
 
 
 class AntimatterModel(ValueModel):
@@ -296,7 +298,7 @@ class NumericalMonoidModel(ValueModel):
     unit_label = "0"  # labels are the values, so "1" names the value 1
     window_bounds = ("max_value",)
 
-    def __init__(self, generators: Iterable[int]):
+    def __init__(self, generators: Iterable[int] = ()):
         gens = tuple(sorted(set(int(g) for g in generators)))
         if not gens or any(g < 1 for g in gens):
             raise InvalidBounds("numerical monoid generators must be positive integers")
@@ -331,7 +333,7 @@ class NumericalMonoidModel(ValueModel):
     def _box(self, max_value: int) -> list[Vec]:
         # the value group: the multiples of the generators' gcd
         step = gcd(*self.generators)
-        return [Vec((n,)) for n in range(-max_value, max_value + 1) if n % step == 0]
+        return [Vec((n,)) for n in range(0, max_value + 1, step)]
 
 
 def _power_label(sym: str, q: Fraction | int) -> str:
@@ -403,7 +405,8 @@ class D1Model(_TwoGeneratorValuationModel):
 
     def _box(self, k_max: int, den_max: int, alpha_max: int) -> list[Vec]:
         alphas = _fraction_range(alpha_max, den_max)
-        return [Vec((k,), a) for k in range(-k_max, k_max + 1) for a in alphas]
+        alphas |= {-a for a in alphas}
+        return [Vec((k,), a) for k in range(k_max + 1) for a in alphas]
 
 
 class D2Model(_TwoGeneratorValuationModel):
@@ -433,4 +436,4 @@ class D2Model(_TwoGeneratorValuationModel):
         return v.rat == 0 and k >= 0 and j >= 0 and (k, j) != (0, 0)
 
     def _box(self, k_max: int, j_max: int) -> list[Vec]:
-        return [Vec((k, j)) for k in range(-k_max, k_max + 1) for j in range(-j_max, j_max + 1)]
+        return [Vec((k, j)) for k in range(k_max + 1) for j in range(-j_max, j_max + 1)]

@@ -26,10 +26,12 @@ conservatively.  Connectivity needs no split: it reads only the order at
 x = 0 (`conn_value`).
 
 The edge targets of an order-0 class with a known split are its quotients
-by its distinct atoms (`_atom_quotients`).  Elsewhere, and in the
-factorization order, a pair (a, b) is tested only when b's primitive
-polynomial part divides a's: a/b = c * num_a * den_b / (den_a * num_b) is a
-polynomial only then, since num_b is coprime to den_b.
+by its distinct atoms (`_atom_quotients`), each with its atom.  Elsewhere,
+and in the factorization order, a pair (a, b) is tested only when b's
+primitive polynomial part divides a's: a/b = c * num_a * den_b / (den_a *
+num_b) is a polynomial only then, since num_b is coprime to den_b.  Each
+such candidate comes with its quotient a/b, from one exact division and no
+gcd (`_over`).
 """
 
 from __future__ import annotations
@@ -167,17 +169,12 @@ class ZxQModel(DivisibilityModel):
         self, rf: RationalFunction
     ) -> list[tuple[RationalFunction, Element]] | None:
         """The quotient rf/p by each distinct atom p of an order-0 integral
-        class, with p; None when the split is unknown.  Dividing off a factor
-        of num or a prime of the constant term leaves a reduced class, so no
-        gcd is taken."""
+        class, with p; None when the split is unknown."""
         split = self._atomize_order_zero(rf)
         if split is None:
             return None
-        factors, primes = split
-        return [
-            (RationalFunction(rf.c / p.value.c, exact_div(rf.num, p.value.num), rf.den), p)
-            for p in self._atoms(dict.fromkeys(factors), dict.fromkeys(primes))
-        ]
+        atoms = self._atoms(*map(dict.fromkeys, split))
+        return [(_over(rf, p.value), p) for p in atoms]
 
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
         self.check_owned(a)
@@ -247,7 +244,7 @@ class ZxQModel(DivisibilityModel):
 
     def successor_candidates(
         self, a: Element, vertices: tuple[Element, ...]
-    ) -> list[tuple[RationalFunction, Element | None]]:
+    ) -> list[tuple[RationalFunction, Element]]:
         rf = a.value
         order = rf.order
         if order == 0 and rf.in_domain():
@@ -255,30 +252,23 @@ class ZxQModel(DivisibilityModel):
             if quotients is not None:
                 return quotients
         # atoms have order 0, so a/b is an atom only when b has a's order and
-        # b's polynomial part divides a's; the atom a/b is left to whoever
-        # needs it
+        # b's polynomial part divides a's
         return [
-            (b.value, None)
+            (b.value, self.element_of(q))
             for b in vertices
-            if b.value.order == order and exact_div(rf.num, b.value.num) is not None
+            if b.value.order == order and (q := _over(rf, b.value)) is not None
         ]
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
         # atomic elements have order 0, so a/b can be atomic only when a and b
         # have the same order and b's polynomial part divides a's; only those
         # pairs are tested
-        groups: dict[int, list] = {}
-        for i, e in enumerate(window):
-            groups.setdefault(e.value.order, []).append((i, e))
         rows = [1 << i for i in range(len(window))]
-        for members in groups.values():
-            for i, a in members:
-                for j, b in members:
-                    if (
-                        i != j
-                        and exact_div(a.value.num, b.value.num) is not None
-                        and self.is_atomic_element(self.quotient(a, b))
-                    ):
+        for i, a in enumerate(window):
+            for j, b in enumerate(window):
+                if i != j and a.value.order == b.value.order:
+                    q = _over(a.value, b.value)
+                    if q is not None and self.is_atomic_element(self.element_of(q)):
                         rows[i] |= 1 << j
         return rows
 
@@ -323,3 +313,11 @@ class ZxQModel(DivisibilityModel):
                     "witness": e.label,
                 }
         return None
+
+
+def _over(rf: RationalFunction, d: RationalFunction) -> RationalFunction | None:
+    """rf/d for a polynomial d whose polynomial part divides rf's, else None.
+    A factor of rf's numerator is coprime to its denominator, so no gcd is
+    taken."""
+    q = exact_div(rf.num, d.num)
+    return None if q is None else RationalFunction(rf.c / d.c, q, rf.den)

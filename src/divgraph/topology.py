@@ -97,6 +97,8 @@ class AlexandrovSpace:
     def check_basis(self) -> None:
         points, opens = self.points, self.opens
         for i, x in enumerate(points):
+            if opens[i] >> len(points):
+                raise AssertionError(f"minimal open of {x!r} names a non-point")
             if not opens[i] >> i & 1:
                 raise AssertionError(f"{x!r} missing from its own minimal open")
         if escape := _first_escape(opens):

@@ -113,8 +113,8 @@ def test_window_poset_quotients_only_same_order_pairs(monkeypatch, kind):
     monkeypatch.setattr(m, "quotient", counting(m.quotient, quotients))
     monkeypatch.setattr(m, "is_atomic_element", counting(m.is_atomic_element, atomic))
     window_poset(m, w)
-    bound = len(divisor_pairs(m, w))
-    assert len(quotients) <= bound and len(atomic) <= bound
+    # zxq divides the divisor pairs exactly, with no quotient
+    assert not quotients and len(atomic) <= len(divisor_pairs(m, w))
 
 
 @pytest.mark.parametrize("kind", [k for k in LADDER if k != "zxq"])
@@ -126,6 +126,26 @@ def test_build_graph_takes_one_quotient_per_edge(monkeypatch, kind):
     monkeypatch.setattr(m, "quotient", counting(m.quotient, calls))
     graph = build_graph(m, w)
     assert graph.edges and len(calls) <= len(graph.edges)
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_build_graph_takes_a_quotient_only_in_cover_edge(monkeypatch, kind):
+    # every candidate comes with its quotient, which is the atom of an edge
+    m, w = ladder_window(kind)
+    quotients, tested = [], []
+    monkeypatch.setattr(m, "quotient", counting(m.quotient, quotients))
+    monkeypatch.setattr(graph_module, "cover_edge", counting(graph_module.cover_edge, tested))
+    build_graph(m, w)
+    assert tested and len(quotients) == len(tested)
+
+
+def test_integral_window_enumerates_only_its_half_of_the_box(monkeypatch):
+    # <2,5> max_value 182 holds 180 values; the box from -182 to 182 holds 365
+    m = NumericalMonoidModel((2, 5))
+    calls = []
+    monkeypatch.setattr(m, "contains_value", counting(m.contains_value, calls))
+    assert len(m.enumerate_window(WindowSpec({"max_value": 182}))) == 180
+    assert len(calls) <= 183
 
 
 def test_zxq_cover_edge_runs_only_on_divisor_pairs(monkeypatch):

@@ -15,6 +15,7 @@ from divgraph.config import parse_config
 from divgraph.connectivity import weak_components
 from divgraph.errors import ParseError, UnknownModelKind
 from divgraph.graph import DivGraph, build_graph
+from divgraph.models import KINDS
 from divgraph.models.base import WindowSpec
 from divgraph.reports import crosscheck_graph
 from divgraph.values import Vec
@@ -44,8 +45,8 @@ class TestParser:
             """
         )
         assert cfg.kind == "numerical-monoid"
-        assert cfg.generators == (2, 3)
-        assert cfg.bounds["max_value"] == 12
+        assert cfg.options == {"generators": (2, 3)}
+        assert cfg.window == {"max_value": 12}
         assert cfg.search_bound == 9
         model, spec = cfg.build()
         assert model.id == "numerical-monoid<2,3>"
@@ -76,6 +77,32 @@ class TestParser:
     def test_unknown_kind(self):
         with pytest.raises(UnknownModelKind):
             parse_config("kind frobnicate\n").build()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_directive_the_kind_reads_parses_and_builds(self, kind):
+        # each line lands in the argument it feeds: a constructor argument,
+        # a window bound, the flag or the oracle bound
+        bounds = KINDS[kind].window_bounds
+        options, lines = {
+            "numerical-monoid": ({"generators": (2, 3)}, ["generator 2 3"]),
+            "zxq": (
+                {"degree_cap": 4, "declared_atoms": ((1, 0, 1),)},
+                ["bound degree_cap 4", "atom 1 0 1", "element 1 1", "element 2"],
+            ),
+        }.get(kind, ({}, []))
+        cfg = parse_config(
+            "\n".join(
+                [f"kind {kind}", "bound search_bound 5", "flag include_fractional false"]
+                + [f"bound {b} 2" for b in bounds]
+                + lines
+            )
+        )
+        assert cfg.options == options
+        assert set(cfg.window) == {*bounds, *(["elements"] if kind == "zxq" else [])}
+        assert (cfg.include_fractional, cfg.search_bound) == (False, 5)
+        model, spec = cfg.build()
+        assert {name: getattr(model, name) for name in options} == options
+        assert model.enumerate_window(spec)
 
 
 class TestCLI:
@@ -166,6 +193,8 @@ class TestCLI:
             ("numerical_2_3.cfg", "atom 1 1", "atom"),
             ("d2.cfg", "generator 5", "generator"),
             ("d2.cfg", "bound degree_cap 4", "degree_cap"),
+            ("zxq_orders.cfg", "bound max_value 3", "max_value"),
+            ("zxq_orders.cfg", "generator 2", "generator"),
         ],
     )
     def test_directive_the_kind_does_not_read_is_rejected(
@@ -218,9 +247,9 @@ class TestCLI:
 
     def test_accumulating_directives_repeat(self):
         cfg = parse_config("kind zxq\nelement 2\nelement 3\natom 1 1 1\natom 1 0 1\n")
-        assert len(cfg.elements) == 2 and len(cfg.declared_atoms) == 2
+        assert len(cfg.window["elements"]) == 2 and len(cfg.options["declared_atoms"]) == 2
         cfg = parse_config("kind numerical-monoid\ngenerator 2\ngenerator 3 5\n")
-        assert cfg.generators == (2, 3, 5)
+        assert cfg.options == {"generators": (2, 3, 5)}
 
     def test_check_runs_the_oracle_with_the_bound_given(self, tmp_path, monkeypatch, capsys):
         bounds = []

@@ -91,6 +91,12 @@ class TestBasisRejected:
         with pytest.raises(AssertionError, match="basis coherence violated at 'a', 'b'"):
             s.check_basis()
 
+    def test_minimal_open_outside_the_points(self):
+        # U_a = {a, and a third point the space does not have}
+        s = AlexandrovSpace(("a", "b"), (0b101, 0b010))
+        with pytest.raises(AssertionError, match="minimal open of 'a' names a non-point"):
+            s.check_basis()
+
 
 class TestWindowPoset:
     def test_dvr_total_order(self):
