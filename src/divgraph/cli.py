@@ -96,7 +96,7 @@ def _run(args) -> int:
         report = atomicity_report(model, window)
     elif args.command == "check":
         require_checkable(window)  # before the graph is built
-        report = crosscheck_graph(graph(), cfg.search_bound)
+        report = crosscheck_graph(graph())
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(args.command)
 

@@ -5,25 +5,23 @@ Grammar (one directive per line, `#` starts a comment):
     kind NAME                   model kind (dvr, antimatter, numerical-monoid,
                                 d1, d2, zxq)
     generator N [N ...]         numerical-monoid generators (positive integers)
-    bound NAME INT              window or oracle bound (positive integer)
+    bound NAME INT              window bound (positive integer)
     flag NAME true|false        boolean flag, e.g. include_fractional
     element C0 [C1 ...]         explicit window element by ascending
                                 coefficients; exact rationals like 1/2 allowed
     atom C0 [C1 ...]            declared irreducible polynomial (zxq only;
                                 constant term +-1, no rational root)
 
-`bound search_bound N` is not a window bound: it is the length bound of
-the factorization oracle that `check` runs, used as given (default: the
-window size).  A directive the kind does not read is an error: every kind
-reads `bound search_bound`, `flag include_fractional` and the window bounds
-its model class names in `window_bounds`; only numerical-monoid reads
-`generator`, and only zxq reads `element`, `atom` and `bound degree_cap`.
+A directive the kind does not read is an error: every kind reads
+`flag include_fractional` and the window bounds its model class names in
+`window_bounds`; only numerical-monoid reads `generator`, and only zxq
+reads `element`, `atom` and `bound degree_cap`.
 Only `generator`, `element` and `atom` lines may repeat: they accumulate.
 
 Each line goes straight to the argument it feeds, into one of the fields
 of `RunConfig`: `kind`; `options`, the model's constructor arguments
 (`generators`, `declared_atoms`, `degree_cap`); `window`, the window
-bounds and zxq's `elements`; `include_fractional`; and `search_bound`.
+bounds and zxq's `elements`; and `include_fractional`.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ class RunConfig:
     options: dict = field(default_factory=dict)  # the model's constructor arguments
     window: dict = field(default_factory=dict)  # the window bounds, and zxq's elements
     include_fractional: bool = False
-    search_bound: int | None = None  # None leaves `check` its default
 
     def build(self) -> tuple[DivisibilityModel, WindowSpec]:
         spec = WindowSpec(self.window, self.include_fractional)
@@ -79,7 +76,6 @@ def parse_config(text: str) -> RunConfig:
     options: dict = {}
     window: dict = {}
     include_fractional = False
-    search_bound = None
     first_line: dict[str, int] = {}  # directive (with a bound or flag name) -> first line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,9 +100,7 @@ def parse_config(text: str) -> RunConfig:
             if len(args) != 2:
                 raise ParseError("bound takes a name and an integer", line=line_no)
             n = _positive_int(args[1], line_no, f"bound {args[0]!r}")
-            if args[0] == "search_bound":
-                search_bound = n
-            elif args[0] == "degree_cap":
+            if args[0] == "degree_cap":
                 options["degree_cap"] = n
             else:
                 window[args[0]] = n
@@ -129,13 +123,13 @@ def parse_config(text: str) -> RunConfig:
     if kind is None:
         raise ParseError("config is missing a kind directive")
     if kind in KINDS:  # an unknown kind fails in build()
-        reads = {"kind", "flag include_fractional", "bound search_bound"}
+        reads = {"kind", "flag include_fractional"}
         reads.update(_KIND_DIRECTIVES.get(kind, ()))
         reads.update(f"bound {b}" for b in KINDS[kind].window_bounds)
         for directive, line_no in first_line.items():
             if directive not in reads:
                 raise ConfigError(f"kind {kind} does not read {directive!r}", line=line_no)
-    return RunConfig(kind, options, window, include_fractional, search_bound)
+    return RunConfig(kind, options, window, include_fractional)
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -35,7 +35,7 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .elements import Element
-from .models.base import DivisibilityModel, FactorSearch
+from .models.base import DivisibilityModel, FactorSearch, _walk
 from .verdicts import Status, Verdict, fails, holds, inconclusive
 
 
@@ -242,27 +242,16 @@ class _Paths:
         """The atom index tuples of the canonical paths from v."""
         count, steps, term = self.count, self.steps, self.term
 
-        def moves(u, f):
-            # the terminal atom, or the edges whose paths go on to one
+        def moves(node):
+            # at vertex u, floor f: the terminal atom, or the edges on to one
+            u, f = node
             if term[u] >= f:
                 yield term[u], None
             for i, w in steps[u].items():
                 if i >= f and count[w][i]:
-                    yield i, w
+                    yield i, (w, i)
 
-        path: list[int] = []  # the atoms taken to the vertex on top of the stack
-        stack = [moves(v, 0)]
-        while stack:
-            move = next(stack[-1], None)
-            if move is None:
-                stack.pop()
-                if path:
-                    path.pop()
-            elif move[1] is None:
-                yield (*path, move[0])
-            else:
-                path.append(move[0])
-                stack.append(moves(move[1], move[0]))
+        return _walk((v, 0), moves)
 
     def tuples(self, v: int):
         """The multisets spelled from v, as sorted index tuples."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 from ..elements import Element
 from ..errors import ElementForeignToModel, InvalidBounds
@@ -51,19 +51,25 @@ class Suffixes:
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
         """The index tuples in increasing order, without recursion."""
-        path: list[int] = []  # the steps taken to the node on top of the stack
-        stack = [iter(self.steps)]
-        while stack:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                if path:
-                    path.pop()
-            elif step[1] is None:
-                yield (*path, step[0])
-            else:
-                path.append(step[0])
-                stack.append(iter(step[1].steps))
+        return _walk(self, lambda node: iter(node.steps))
+
+
+def _walk(start, moves: Callable) -> Iterator[tuple[int, ...]]:
+    """The paths from `start`, as step index tuples, without recursion:
+    `moves(node)` yields its steps (i, child) in order, child None at an end."""
+    path: list[int] = []  # the steps taken to the node on top of the stack
+    stack = [moves(start)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if path:
+                path.pop()
+        elif step[1] is None:
+            yield (*path, step[0])
+        else:
+            path.append(step[0])
+            stack.append(moves(step[1]))
 
 
 @dataclass(frozen=True)

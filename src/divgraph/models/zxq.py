@@ -246,30 +246,18 @@ class ZxQModel(DivisibilityModel):
         self, a: Element, vertices: tuple[Element, ...]
     ) -> list[tuple[RationalFunction, Element]]:
         rf = a.value
-        order = rf.order
-        if order == 0 and rf.in_domain():
+        if rf.order == 0 and rf.in_domain():
             quotients = self._atom_quotients(rf)
             if quotients is not None:
                 return quotients
-        # atoms have order 0, so a/b is an atom only when b has a's order and
-        # b's polynomial part divides a's
-        return [
-            (b.value, self.element_of(q))
-            for b in vertices
-            if b.value.order == order and (q := _over(rf, b.value)) is not None
-        ]
+        return [(vertices[j].value, self.element_of(q)) for j, q in _divisors(a, vertices)]
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
-        # atomic elements have order 0, so a/b can be atomic only when a and b
-        # have the same order and b's polynomial part divides a's; only those
-        # pairs are tested
         rows = [1 << i for i in range(len(window))]
         for i, a in enumerate(window):
-            for j, b in enumerate(window):
-                if i != j and a.value.order == b.value.order:
-                    q = _over(a.value, b.value)
-                    if q is not None and self.is_atomic_element(self.element_of(q)):
-                        rows[i] |= 1 << j
+            for j, q in _divisors(a, window):
+                if self.is_atomic_element(self.element_of(q)):
+                    rows[i] |= 1 << j
         return rows
 
     def conn_value(self, a: Element) -> Vec:
@@ -313,6 +301,17 @@ class ZxQModel(DivisibilityModel):
                     "witness": e.label,
                 }
         return None
+
+
+def _divisors(a: Element, window: tuple[Element, ...]) -> list[tuple[int, RationalFunction]]:
+    """(j, a/b) for each other b = window[j] of a's order whose polynomial part
+    divides a's; no other a/b is atomic, as atomic elements have order 0."""
+    rf = a.value
+    return [
+        (j, q)
+        for j, b in enumerate(window)
+        if b is not a and b.value.order == rf.order and (q := _over(rf, b.value)) is not None
+    ]
 
 
 def _over(rf: RationalFunction, d: RationalFunction) -> RationalFunction | None:

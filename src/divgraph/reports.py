@@ -141,7 +141,7 @@ def require_checkable(window) -> None:
         )
 
 
-def crosscheck_graph(graph: DivGraph, oracle_bound: int | None = None) -> dict:
+def crosscheck_graph(graph: DivGraph) -> dict:
     """Independent consistency check of a (possibly tampered) graph:
 
     1. per closed vertex, the path-spelled factorization multisets must agree
@@ -154,16 +154,15 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int | None = None) -> dict:
        weak component, so the components refine the cosets of the atom
        subgroup (on divisor-closed windows the two partitions coincide).
 
-    A vertex whose oracle search needs more than `oracle_bound` atoms is not
-    compared; the report lists such vertices under `skipped_oracle_bound`
-    (the key is absent when there are none).  The bound defaults to the
-    window size: from a vertex that does not escape, every node of the
-    search is a distinct window element, so no factorization is longer.
+    The oracle's length bound is the window size: from a vertex that does
+    not escape, every node of the search is a distinct window element, so
+    no factorization is longer.  Only a graph whose boundary disagrees with
+    its model has a vertex whose search the bound cuts; that vertex is not
+    compared, and the report lists it under `skipped_oracle_bound` (the
+    key is absent when there are none).
     """
     model = graph.model
     require_checkable(graph.vertices)
-    if oracle_bound is None:
-        oracle_bound = len(graph.vertices)
     disagreements: list[dict] = []
     skipped: list[str] = []
 
@@ -172,7 +171,7 @@ def crosscheck_graph(graph: DivGraph, oracle_bound: int | None = None) -> dict:
         i = info[v.label]
         if i.escapes:
             continue  # the window does not see every path, nothing to compare
-        search = model.factorizations(v, oracle_bound)
+        search = model.factorizations(v, len(graph.vertices))
         if search.bound_too_small:
             skipped.append(v.label)
             continue

@@ -4,15 +4,17 @@ Each construction restates a definition directly so the tests can compare
 the package's answers against it.
 """
 
+import heapq
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, inf
 from pathlib import Path
 
 from divgraph.config import load_config
 from divgraph.graph import cover_edge
-from divgraph.models import D1Model, D2Model, DVRModel, NumericalMonoidModel
+from divgraph.models import AntimatterModel, D1Model, D2Model, DVRModel, NumericalMonoidModel
 from divgraph.models.base import WindowSpec
 from divgraph.topology import FinitePoset, is_T0
 from divgraph.values import Vec
@@ -98,6 +100,68 @@ def all_pairs_order(model, window) -> tuple:
             1 << j
             for j, b in enumerate(window)
             if a is b or model.is_atomic_element(model.quotient(a, b))
+        )
+        for a in window
+    )
+
+
+def apery(gens) -> list:
+    """The Apery set of the numerical monoid that coprime `gens` generate,
+    with respect to its smallest generator m: w[r] is its smallest member
+    congruent to r mod m, found by Dijkstra on the residues mod m, a step of
+    weight g for each generator g (Nijenhuis 1979).  Then n is a member iff
+    n >= w[n mod m]."""
+    m = min(gens)
+    w = [0] + [inf] * (m - 1)
+    heap = [(0, 0)]
+    while heap:
+        n, r = heapq.heappop(heap)
+        if n > w[r]:
+            continue
+        for g in gens:
+            s = (r + g) % m
+            if n + g < w[s]:
+                w[s] = n + g
+                heapq.heappush(heap, (n + g, s))
+    return w
+
+
+def order_from_values(model, window) -> tuple:
+    """The factorization order of a value-model window from the element
+    values alone, as bit rows in window order: bit j of row i is set iff
+    i == j, or the values of window[i] and window[j] have equal rational
+    parts and their difference d is a nonzero member of the value monoid.
+    It asks the model nothing but its class and generators."""
+    if isinstance(model, NumericalMonoidModel):
+        g = gcd(*model.generators)
+        w = apery([h // g for h in model.generators])
+
+        def member(d):  # d > 0, g | d, and d/g in the monoid divided by g
+            return d[0] > 0 and d[0] % g == 0 and d[0] // g >= w[d[0] // g % len(w)]
+
+    elif isinstance(model, D2Model):
+
+        def member(d):
+            return min(d) >= 0 and max(d) > 0
+
+    elif isinstance(model, (DVRModel, D1Model)):
+
+        def member(d):
+            return d[0] >= 1
+
+    else:
+        assert isinstance(model, AntimatterModel), model.id
+
+        def member(d):  # no atoms, so only the diagonal
+            return False
+
+    return tuple(
+        sum(
+            1 << j
+            for j, b in enumerate(window)
+            if a is b
+            or a.value.rat == b.value.rat
+            and member([x - y for x, y in zip(a.value.ints, b.value.ints)])
         )
         for a in window
     )

@@ -233,13 +233,14 @@ def test_check_tests_each_vertex_against_its_component_once(monkeypatch, kind):
 
 def test_check_oracle_tests_each_value_and_floor_once(monkeypatch):
     # the oracle's search is memoised on (value, smallest atom allowed); at
-    # a bound every search fits (150 = 50 * 3), each value up to the largest
-    # vertex tests each atom at most once per floor, whatever vertex asks
+    # its bound, the window size, every search fits, and each value up to the
+    # largest vertex tests each atom at most once per floor, whatever vertex
+    # asks
     m = NumericalMonoidModel((3, 5, 7))
     graph = build_graph(m, m.enumerate_window(WindowSpec({"max_value": 150})))
     calls = []
     monkeypatch.setattr(m, "contains_value", counting(m.contains_value, calls))
-    report = crosscheck_graph(graph, 50)
+    report = crosscheck_graph(graph)
     assert report["ok"] and "skipped_oracle_bound" not in report
     atoms = len(m.atoms())
     assert atoms == 3 and len(calls) <= atoms * atoms * (150 + 1)

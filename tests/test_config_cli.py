@@ -40,14 +40,12 @@ class TestParser:
             kind numerical-monoid
             generator 2 3
             bound max_value 12   # trailing comment
-            bound search_bound 9
             flag include_fractional false
             """
         )
         assert cfg.kind == "numerical-monoid"
         assert cfg.options == {"generators": (2, 3)}
         assert cfg.window == {"max_value": 12}
-        assert cfg.search_bound == 9
         model, spec = cfg.build()
         assert model.id == "numerical-monoid<2,3>"
         assert spec.bounds == {"max_value": 12}
@@ -81,7 +79,7 @@ class TestParser:
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_directive_the_kind_reads_parses_and_builds(self, kind):
         # each line lands in the argument it feeds: a constructor argument,
-        # a window bound, the flag or the oracle bound
+        # a window bound or the flag
         bounds = KINDS[kind].window_bounds
         options, lines = {
             "numerical-monoid": ({"generators": (2, 3)}, ["generator 2 3"]),
@@ -92,14 +90,14 @@ class TestParser:
         }.get(kind, ({}, []))
         cfg = parse_config(
             "\n".join(
-                [f"kind {kind}", "bound search_bound 5", "flag include_fractional false"]
+                [f"kind {kind}", "flag include_fractional false"]
                 + [f"bound {b} 2" for b in bounds]
                 + lines
             )
         )
         assert cfg.options == options
         assert set(cfg.window) == {*bounds, *(["elements"] if kind == "zxq" else [])}
-        assert (cfg.include_fractional, cfg.search_bound) == (False, 5)
+        assert cfg.include_fractional is False
         model, spec = cfg.build()
         assert {name: getattr(model, name) for name in options} == options
         assert model.enumerate_window(spec)
@@ -179,10 +177,10 @@ class TestCLI:
 
     def test_non_positive_bounds_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        bad.write_text((CONFIG_DIR / "dvr_chain.cfg").read_text() + "bound search_bound 0\n")
+        bad.write_text("kind dvr\nbound max_exponent 0\n")
         r = run_cli("check", "--config", str(bad))
         assert r.returncode == 2
-        assert "error:" in r.stderr and "search_bound" in r.stderr
+        assert "error:" in r.stderr and "max_exponent" in r.stderr
 
     @pytest.mark.parametrize(
         "config,line,name",
@@ -195,6 +193,7 @@ class TestCLI:
             ("d2.cfg", "bound degree_cap 4", "degree_cap"),
             ("zxq_orders.cfg", "bound max_value 3", "max_value"),
             ("zxq_orders.cfg", "generator 2", "generator"),
+            ("dvr_chain.cfg", "bound search_bound 9", "search_bound"),
         ],
     )
     def test_directive_the_kind_does_not_read_is_rejected(
@@ -251,23 +250,6 @@ class TestCLI:
         cfg = parse_config("kind numerical-monoid\ngenerator 2\ngenerator 3 5\n")
         assert cfg.options == {"generators": (2, 3, 5)}
 
-    def test_check_runs_the_oracle_with_the_bound_given(self, tmp_path, monkeypatch, capsys):
-        bounds = []
-
-        def recording(graph, oracle_bound):
-            bounds.append(oracle_bound)
-            return {"ok": True}
-
-        monkeypatch.setattr(cli, "crosscheck_graph", recording)
-        cfg = CONFIG_DIR / "dvr_chain.cfg"
-        low = tmp_path / "low.cfg"
-        low.write_text(cfg.read_text() + "bound search_bound 9\n")
-        assert cli.main(["check", "--config", str(cfg)]) == 0
-        assert cli.main(["check", "--config", str(low)]) == 0
-        capsys.readouterr()
-        # None leaves the bound to crosscheck_graph: the window size
-        assert bounds == [None, 9]
-
     def test_check_bounds_the_oracle_by_the_window_by_default(self, tmp_path):
         # every factorization of a vertex that does not escape runs through
         # distinct window elements, so the window size bounds them all
@@ -277,18 +259,17 @@ class TestCLI:
         assert report["vertex_count"] == 79
         assert "skipped_oracle_bound" not in report and report["ok"] is True
 
-    def test_check_lists_vertices_past_the_oracle_bound(self, tmp_path):
-        cfg = CONFIG_DIR / "numerical_2_3.cfg"
-        low = tmp_path / "low.cfg"
-        low.write_text(cfg.read_text() + "bound search_bound 2\n")
-        r = run_cli("check", "--config", str(low))
-        skipped = json.loads(r.stdout)["skipped_oracle_bound"]
-        # 6 = 2+2+2 is the smallest value with a factorization of 3 atoms
-        assert "6" in skipped and "40" in skipped
-        assert "4" not in skipped and "5" not in skipped
-        assert "skipped_oracle_bound" not in json.loads(
-            run_cli("check", "--config", str(cfg)).stdout
-        )
+    def test_check_lists_vertices_past_the_oracle_bound(self):
+        # only a graph whose boundary disagrees with its model gets here:
+        # 12 and 6 are not marked boundary, though their atom quotients lie
+        # outside the window, so the window size (2) cuts both searches;
+        # 6 = 2+2+2 needs 3 atoms
+        from divgraph.models import NumericalMonoidModel
+
+        m = NumericalMonoidModel((2, 3))
+        vertices = (m.element(Vec((12,))), m.element(Vec((6,))))
+        report = crosscheck_graph(DivGraph(m, vertices, (), (), frozenset()))
+        assert report["skipped_oracle_bound"] == ["12", "6"]
 
     def test_check_refuses_an_oversized_window_before_building(
         self, tmp_path, monkeypatch, capsys

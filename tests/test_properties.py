@@ -42,6 +42,7 @@ from helpers import (
     all_pairs_order,
     element_of_label,
     ladder_window,
+    order_from_values,
     poset_from_pairs,
     space_to_poset,
     spelled_multisets,
@@ -299,6 +300,35 @@ def test_counts_match_the_spelled_multisets(model_bounds, fractional, data):
         assert set(info[label].factorizations) == expected, label
 
 
+def assert_the_window_bounds_each_closed_search(m, w):
+    # the check's oracle runs with the window size as its bound: at a vertex
+    # that does not escape, every atom quotient that is an integral non-unit
+    # lies in the window, and so do its own, so a search never needs more
+    info = window_analysis(build_graph(m, w))
+    closed = [v for v in w if not info[v.label].escapes]
+    for v in closed:
+        assert not m.factorizations(v, len(w)).bound_too_small, v.label
+    return closed
+
+
+@given(value_windows, st.booleans(), st.integers(0, 2**64 - 1))
+@example((NumericalMonoidModel((4, 6)), {"max_value": 12}), True, 0b1011)
+@example((NumericalMonoidModel((6, 10, 15)), {"max_value": 30}), False, 0b1101)
+@settings(max_examples=60, deadline=None)
+def test_window_size_bounds_the_oracle_where_nothing_escapes(model_bounds, fractional, keep):
+    m, bounds = model_bounds
+    w = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
+    assert_the_window_bounds_each_closed_search(m, w)
+    # and on the sub-window of the elements whose bit is set in keep
+    sub = tuple(e for n, e in enumerate(w) if keep >> n & 1) or w
+    assert_the_window_bounds_each_closed_search(m, sub)
+
+
+def test_window_size_bounds_the_zxq_oracle_where_nothing_escapes():
+    m, w = ladder_window("zxq")
+    assert assert_the_window_bounds_each_closed_search(m, w)
+
+
 def popoviciu(a: int, b: int, n: int) -> int:
     """The number of ways to write n as x*a + y*b with x, y >= 0, for coprime
     a and b (Popoviciu, 1953): n/(ab) - {b'n/a} - {a'n/b} + 1, where
@@ -382,6 +412,31 @@ def test_order_rows_match_all_pairs(model_bounds, fractional):
     assert all(v.rat == 0 for v in m.atom_values)
     w = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
     assert window_poset(m, w).rows == all_pairs_order(m, w)
+
+
+@given(value_windows, st.booleans())
+@example((NumericalMonoidModel((4, 6)), {"max_value": 12}), False)
+@example((NumericalMonoidModel((4, 6)), {"max_value": 12}), True)
+@example((NumericalMonoidModel((6, 10, 15)), {"max_value": 30}), False)
+@example((NumericalMonoidModel((6, 10, 15)), {"max_value": 30}), True)
+@settings(max_examples=60, deadline=None)
+def test_order_rows_match_the_order_from_values(model_bounds, fractional):
+    m, bounds = model_bounds
+    w = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
+    assert window_poset(m, w).rows == order_from_values(m, w)
+
+
+def test_order_from_values_catches_what_all_pairs_order_misses(monkeypatch):
+    # with the difference 5 = 2 + 3 dropped from is_atomic_value, the rows
+    # and all_pairs_order, which asks the same predicate, still agree; the
+    # order from the values alone does not
+    m = NumericalMonoidModel((2, 3))
+    w = win(m, max_value=12)
+    atomic = m.is_atomic_value
+    monkeypatch.setattr(m, "is_atomic_value", lambda v: v != Vec((5,)) and atomic(v))
+    rows = window_poset(m, w).rows
+    assert rows == all_pairs_order(m, w)
+    assert rows != order_from_values(m, w)
 
 
 def test_zxq_order_rows_match_all_pairs():
