@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .elements import Element
-from .graph import DivGraph, _bits, classes
+from .graph import DivGraph, _select, classes
 from .lattices import SubgroupDescriptor
 from .models.base import DivisibilityModel
 from .verdicts import Verdict, fails, holds, inconclusive
@@ -22,7 +22,8 @@ def weak_components(graph: DivGraph) -> list[tuple[str, ...]]:
     for i, j in graph.edges:
         near[i] |= 1 << j
         near[j] |= 1 << i
-    return [tuple(graph.vertices[i].label for i in _bits(c)) for c in classes(near)]
+    labels = [v.label for v in graph.vertices]
+    return [_select(labels, c) for c in classes(near)]
 
 
 # -- the subgroup generated by the atom values -------------------------------

@@ -32,6 +32,7 @@ from bisect import bisect
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import compress, count
 from operator import or_
 
 from .elements import Element
@@ -117,10 +118,19 @@ def topological_order(graph: DivGraph) -> list[int]:
     return list(ts.static_order())
 
 
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _select(items, mask: int) -> tuple:
+    """The items at the set bits of mask, in increasing bit order."""
+    # bin(mask) reversed up to its "0b" prefix is one character per bit,
+    # bit 0 first, and translated to bytes it is compress's selectors
+    return tuple(compress(items, bin(mask)[:1:-1].encode().translate(_FLAGS)))
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of mask, in increasing order."""
-    # the "0b" prefix ends the reversed string and holds no "1"
-    return tuple([i for i, c in enumerate(reversed(bin(mask))) if c == "1"])
+    return _select(count(), mask)
 
 
 def classes(near: list[int]) -> list[int]:

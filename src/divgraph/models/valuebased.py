@@ -13,7 +13,8 @@ import abc
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import sub
+from itertools import product
+from operator import itemgetter, mul, sub
 from typing import Container, Iterable
 
 from ..elements import Element
@@ -182,28 +183,36 @@ class ValueModel(DivisibilityModel):
         return self._atom_quotients(a.value)
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
-        # every atom value has rational part 0, so a/b can be atomic only when
-        # a and b have equal rational parts; within such a group the answer
-        # reads only the difference of the integer coordinates, and is asked
-        # once per distinct difference
+        # every atom value has rational part 0, so the rational part is one
+        # more coordinate, the index of its value among the window's, where
+        # only the difference 0 can be atomic.  In a box padded to 2w - 1 per
+        # coordinate of width w, row-major with the rational index outermost,
+        # a - b is the fixed shift pos(a) - pos(b), so `is_atomic_value` is
+        # asked once per integer difference in the box, and the answers, as
+        # one bit string reversed, hold the row of a at offset centre - pos(a)
         self.check_owned(*window)
-        groups: dict = {}
-        for i, e in enumerate(window):
-            groups.setdefault(e.value.rat, []).append((i, e.value.ints))
-        atomic: dict[tuple[int, ...], bool] = {}
-        rows = [1 << i for i in range(len(window))]
-        for members in groups.values():
-            for i, a in members:
-                row = rows[i]
-                for j, b in members:
-                    d = tuple(map(sub, a, b))
-                    hit = atomic.get(d)
-                    if hit is None:
-                        hit = atomic[d] = self.is_atomic_value(Vec(d))
-                    if hit:
-                        row |= 1 << j
-                rows[i] = row
-        return rows
+        if not window:
+            return []
+        rats = {r: n for n, r in enumerate(sorted({e.value.rat for e in window}))}
+        coords = [(rats[e.value.rat], *e.value.ints) for e in window]
+        lows = [min(c) for c in zip(*coords)]
+        widths = [max(c) - low + 1 for c, low in zip(zip(*coords), lows)]
+        strides = [1]
+        for w in reversed(widths[1:]):
+            strides.insert(0, strides[0] * (2 * w - 1))
+        pos = [sum(map(mul, map(sub, c, lows), strides)) for c in coords]
+        centre = sum((w - 1) * s for w, s in zip(widths, strides))
+        diffs = product(*(range(1 - w, w) for w in widths[1:]))
+        slab = "".join("1" if self.is_atomic_value(Vec(d)) else "0" for d in diffs)
+        pad = "0" * ((widths[0] - 1) * strides[0])
+        reversed_mask = pad + slab[::-1] + pad
+        # bit j of a row is character -1 - j of its string
+        gather = itemgetter(*reversed(pos))
+        span = max(pos) + 1
+        return [
+            int("".join(gather(reversed_mask[centre - p : centre - p + span])), 2) | 1 << i
+            for i, p in enumerate(pos)
+        ]
 
     def boundary_probe(self, a: Element, window: Container) -> bool:
         self.check_owned(a)

@@ -4,15 +4,17 @@ A finite poset and the space of its down-sets determine each other.  Both
 are held as bit masks over the points in window order: the poset as one
 row per element, the space as one mask per minimal open set (the column of
 its point), so the order and basis axioms are checked on bits and the
-components are one bitset closure.
+components are one bitset closure.  Transitivity (on rows) and basis
+coherence (on opens) are one block-table closure test, `_first_escape`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import getitem, or_
 
-from .graph import _bits, classes
+from .graph import _bits, _select, classes
 from .models.base import DivisibilityModel
 
 
@@ -35,7 +37,7 @@ class FinitePoset:
         """The (a, b) pairs with a <= b."""
         elements = self.elements
         return frozenset(
-            (a, elements[j]) for a, row in zip(elements, self.rows) for j in _bits(row)
+            (a, b) for a, row in zip(elements, self.rows) for b in _select(elements, row)
         )
 
     @property
@@ -62,10 +64,26 @@ class FinitePoset:
 
 def _first_escape(masks) -> tuple[int, int, int] | None:
     """The first (i, j, beyond) where bit j of masks[i] is set and beyond, the
-    bits of masks[j] outside masks[i], is not 0; None if there is none."""
+    bits of masks[j] outside masks[i], is not 0; None if there is none.  No
+    mask may have a bit at len(masks) or above; the callers check that first.
+
+    The test is the Four Russians block table (Arlazarov, Dinic, Kronrod and
+    Faradzev, 1970): for each block of 8 masks, the ORs of its 256 subsets,
+    so the OR of the masks[j] over the bits j of m is one lookup per byte of
+    m.  Only when some m fails does the scan bit by bit name the pair."""
+    tables = []
+    for k in range(0, len(masks), 8):
+        table = [0]  # entry b: the OR of masks[k + t] over the bits t of b
+        for m in masks[k : k + 8]:
+            table += [t | m for t in table]
+        tables.append(table)
+    size = len(tables)
+    if not any(
+        reduce(or_, map(getitem, tables, m.to_bytes(size, "little")), 0) & ~m for m in masks
+    ):
+        return None
     return next(
-        ((i, j, masks[j] & ~m) for i, m in enumerate(masks) for j in _bits(m) if masks[j] | m != m),
-        None,
+        (i, j, masks[j] & ~m) for i, m in enumerate(masks) for j in _bits(m) if masks[j] | m != m
     )
 
 
@@ -92,7 +110,7 @@ class AlexandrovSpace:
         """Read-only view: each point's minimal open set as its points in
         points order, in a new dict on each read."""
         points = self.points
-        return {x: tuple(points[j] for j in _bits(m)) for x, m in zip(points, self.opens)}
+        return {x: _select(points, m) for x, m in zip(points, self.opens)}
 
     def check_basis(self) -> None:
         points, opens = self.points, self.opens
@@ -142,4 +160,4 @@ def connected_components_topology(s: AlexandrovSpace) -> list[tuple]:
     so linking each x to the points of U_x, and each of those back to x,
     generates the same equivalence as the pairwise test."""
     near = [down | up for down, up in zip(s.opens, _transpose(s.opens))]
-    return [tuple(s.points[i] for i in _bits(c)) for c in classes(near)]
+    return [_select(s.points, c) for c in classes(near)]

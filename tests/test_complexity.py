@@ -7,6 +7,7 @@ noise of a benchmark would hide it.
 
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -15,7 +16,14 @@ from divgraph import reports as reports_module
 from divgraph import topology as topology_module
 from divgraph.graph import build_graph, classify, window_analysis
 from divgraph.lattices import SubgroupDescriptor
-from divgraph.models import NumericalMonoidModel, ZxQModel
+from divgraph.models import (
+    AntimatterModel,
+    D1Model,
+    D2Model,
+    DVRModel,
+    NumericalMonoidModel,
+    ZxQModel,
+)
 from divgraph.models import zxq as zxq_module
 from divgraph.models.base import WindowSpec
 from divgraph.polynomials import RationalFunction
@@ -115,6 +123,43 @@ def test_window_poset_quotients_only_same_order_pairs(monkeypatch, kind):
     window_poset(m, w)
     # zxq divides the divisor pairs exactly, with no quotient
     assert not quotients and len(atomic) <= len(divisor_pairs(m, w))
+
+
+def difference_box(window) -> int:
+    """The number of integer differences between two values of a window's
+    box: the product of 2w - 1 over its integer coordinates of width w."""
+    return prod(2 * (max(c) - min(c) + 1) - 1 for c in zip(*(e.value.ints for e in window)))
+
+
+@pytest.mark.parametrize(
+    "model, bounds, fractional, box",
+    [
+        pytest.param(m, bounds, fractional, box, id=f"{m.id}-{box}")
+        for m, bounds, fractional, box in [
+            # k runs from 0 to 9 and j from -8 to 8: 19 * 33
+            (D2Model(), {"k_max": 9, "j_max": 8}, False, 627),
+            (D2Model(), {"k_max": 9, "j_max": 8}, True, 37 * 33),
+            # (0, a) for a > 0 is in the window, so k runs from 0 to 4
+            (D1Model(), {"k_max": 4, "den_max": 4, "alpha_max": 2}, False, 9),
+            (D1Model(), {"k_max": 4, "den_max": 4, "alpha_max": 2}, True, 17),
+            (NumericalMonoidModel((2, 3)), {"max_value": 30}, False, 57),
+            (NumericalMonoidModel((4, 6)), {"max_value": 12}, True, 49),
+            (DVRModel(), {"max_exponent": 4}, True, 17),
+            (AntimatterModel(), {"max_value": 2, "max_den": 3}, True, 1),
+        ]
+    ],
+)
+def test_window_poset_asks_each_difference_in_the_box_once(
+    monkeypatch, model, bounds, fractional, box
+):
+    # the rational part of an atomic difference is 0, so it is never asked
+    w = model.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
+    assert difference_box(w) == box
+    calls = []
+    monkeypatch.setattr(model, "is_atomic_value", counting(model.is_atomic_value, calls))
+    window_poset(model, w)
+    assert calls and len(calls) <= box
+    assert all(v.rat == 0 for (v,) in calls)
 
 
 @pytest.mark.parametrize("kind", [k for k in LADDER if k != "zxq"])

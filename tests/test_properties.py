@@ -426,6 +426,28 @@ def test_order_rows_match_the_order_from_values(model_bounds, fractional):
     assert window_poset(m, w).rows == order_from_values(m, w)
 
 
+# every other element, from the first
+ALTERNATE = (1 << 128) // 3
+
+
+@given(value_windows, st.booleans(), st.integers(0, 2**128 - 1))
+@example((NumericalMonoidModel((2, 3)), {"max_value": 9}), False, 1)  # one element
+@example((AntimatterModel(), {"max_value": 3, "max_den": 3}), True, ALTERNATE)
+@example((D2Model(), {"k_max": 3, "j_max": 2}), True, ALTERNATE)  # k from -3 to 3
+@example((D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}), True, ALTERNATE)
+@example((D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}), False, 0b1101_0110_1011_0101)
+@settings(max_examples=60, deadline=None)
+def test_order_rows_of_a_sub_window_match_both_orders(model_bounds, fractional, keep):
+    # the elements whose bit is set in keep, in label order: a window with
+    # holes, whose values need not fill a box
+    m, bounds = model_bounds
+    w = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
+    sub = tuple(e for n, e in enumerate(w) if keep >> n & 1) or w[:1]
+    rows = window_poset(m, sub).rows
+    assert rows == all_pairs_order(m, sub)
+    assert rows == order_from_values(m, sub)
+
+
 def test_order_from_values_catches_what_all_pairs_order_misses(monkeypatch):
     # with the difference 5 = 2 + 3 dropped from is_atomic_value, the rows
     # and all_pairs_order, which asks the same predicate, still agree; the

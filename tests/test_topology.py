@@ -8,6 +8,7 @@ from divgraph.models import AntimatterModel, DVRModel, NumericalMonoidModel, ZxQ
 from divgraph.models.base import WindowSpec
 from divgraph.topology import (
     AlexandrovSpace,
+    FinitePoset,
     chain_connected,
     connected_components_topology,
     is_T0,
@@ -76,6 +77,18 @@ class TestAxiomsRejected:
     def test_closed_chain_passes(self):
         self.poset(("a", "b"), ("b", "c"), ("a", "c")).check_axioms()
 
+    def test_transitive_pair_dropped_in_the_last_partial_block(self):
+        # 19 elements: the rows are read in blocks of 8, 8 and 3 bits; drop
+        # the pair 20 <= 9 (bit 18), which 20 <= 11 <= 9 implies
+        m = NumericalMonoidModel((2, 3))
+        p = window_poset(m, win(m, max_value=20))
+        rows = list(p.rows)
+        i, j = p.elements.index("20"), p.elements.index("9")
+        assert len(rows) % 8 and j >= len(rows) // 8 * 8 and rows[i] >> j & 1
+        rows[i] &= ~(1 << j)
+        with pytest.raises(AssertionError, match="transitivity violated on '20'..'9'"):
+            FinitePoset(p.elements, tuple(rows)).check_axioms()
+
 
 class TestBasisRejected:
     def test_point_outside_its_minimal_open(self):
@@ -90,6 +103,17 @@ class TestBasisRejected:
         s = AlexandrovSpace(("a", "b", "c"), (0b011, 0b110, 0b100))
         with pytest.raises(AssertionError, match="basis coherence violated at 'a', 'b'"):
             s.check_basis()
+
+    def test_open_point_dropped_in_the_last_partial_block(self):
+        # 19 points: drop 9 (bit 18) from U_2, which holds 4, and U_4 holds 9
+        m = NumericalMonoidModel((2, 3))
+        s = poset_to_space(window_poset(m, win(m, max_value=20)))
+        opens = list(s.opens)
+        i, j = s.points.index("2"), s.points.index("9")
+        assert len(opens) % 8 and j >= len(opens) // 8 * 8 and opens[i] >> j & 1
+        opens[i] &= ~(1 << j)
+        with pytest.raises(AssertionError, match="basis coherence violated at '2', '4'"):
+            AlexandrovSpace(s.points, tuple(opens)).check_basis()
 
     def test_minimal_open_outside_the_points(self):
         # U_a = {a, and a third point the space does not have}
