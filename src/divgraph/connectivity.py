@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from functools import reduce
 
+from .bitrows import classes, select
 from .elements import Element
-from .graph import DivGraph, _select, classes
+from .graph import DivGraph
 from .lattices import SubgroupDescriptor
 from .models.base import DivisibilityModel
 from .verdicts import Verdict, fails, holds, inconclusive
@@ -23,7 +24,7 @@ def weak_components(graph: DivGraph) -> list[tuple[str, ...]]:
         near[i] |= 1 << j
         near[j] |= 1 << i
     labels = [v.label for v in graph.vertices]
-    return [_select(labels, c) for c in classes(near)]
+    return [select(labels, c) for c in classes(near)]
 
 
 # -- the subgroup generated by the atom values -------------------------------

@@ -32,9 +32,9 @@ from bisect import bisect
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count
 from operator import or_
 
+from .bitrows import bits
 from .elements import Element
 from .models.base import DivisibilityModel, FactorSearch, _walk
 from .verdicts import Status, Verdict, fails, holds, inconclusive
@@ -116,41 +116,6 @@ def topological_order(graph: DivGraph) -> list[int]:
     for a, b in graph.edges:
         ts.add(a, b)
     return list(ts.static_order())
-
-
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _select(items, mask: int) -> tuple:
-    """The items at the set bits of mask, in increasing bit order."""
-    # bin(mask) reversed up to its "0b" prefix is one character per bit,
-    # bit 0 first, and translated to bytes it is compress's selectors
-    return tuple(compress(items, bin(mask)[:1:-1].encode().translate(_FLAGS)))
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of mask, in increasing order."""
-    return _select(count(), mask)
-
-
-def classes(near: list[int]) -> list[int]:
-    """Classes of the equivalence on 0..len(near)-1 generated by i ~ j for
-    each bit j of near[i] (a symmetric relation), as bit masks in order of
-    their lowest member.  A class grows from its lowest bit, and each near[i]
-    is read once, when i joins its class."""
-    out = []
-    left = (1 << len(near)) - 1
-    while left:
-        grown = todo = left & -left
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            new = near[low.bit_length() - 1] & ~grown
-            grown |= new
-            todo |= new
-        left &= ~grown
-        out.append(grown)
-    return out
 
 
 def sinks(graph: DivGraph) -> tuple[list[int], list[int]]:
@@ -347,7 +312,7 @@ def classify(model: DivisibilityModel, graph: DivGraph) -> dict:
     the integral non-units only, so a fractional window gets the verdicts
     of its integral part; no path through the other vertices completes."""
     info = window_analysis(graph)
-    lengths = {l: _bits(i.lengths) for l, i in info.items()}
+    lengths = {l: bits(i.lengths) for l, i in info.items()}
     counts = {l: len(i.factorizations) for l, i in info.items()}
     judged = [v for v, p in zip(graph.vertices, graph.proper) if p]
     dead = sorted(v.label for v in judged if info[v.label].dead)

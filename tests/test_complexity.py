@@ -88,6 +88,19 @@ def test_topology_pair_partitions_once(monkeypatch, kind):
     assert "chain_connected_pair" in report and len(calls) == 1
 
 
+@pytest.mark.parametrize("kind", LADDER)
+def test_topology_transposes_the_order_at_most_twice(monkeypatch, kind):
+    # antisymmetry is read off distinct rows, so checking the order needs no
+    # transpose; the space and its components take one each
+    m, w = ladder_window(kind)
+    calls = []
+    monkeypatch.setattr(topology_module, "transpose", counting(topology_module.transpose, calls))
+    window_poset(m, w).check_axioms()
+    assert not calls
+    topology_report(m, w)
+    assert len(calls) <= 2
+
+
 def divides(d, p) -> bool:
     """Whether the polynomial d divides p over Q, both coefficient tuples in
     ascending degree: long division leaves no remainder."""

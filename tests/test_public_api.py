@@ -1,7 +1,9 @@
-"""The package surface: what `divgraph` exports, and the names the
-per-layer benchmark tracer wraps by name."""
+"""The package surface: what `divgraph` exports, the names the per-layer
+benchmark tracer wraps by name, and the private names modules share."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +89,16 @@ TRACED_MODEL_METHODS = [
     "boundary_probe",
     "factorizations",
 ]
+# (module, underscore name, importing module): the only private names that
+# cross a module boundary inside the package
+SHARED_PRIVATE = {
+    ("models.base", "_walk", "graph"),
+    ("polynomials", "_MR_EXACT_BELOW", "models.zxq"),
+    ("polynomials", "_RHO_STEPS", "models.zxq"),
+    ("polynomials", "_prime_factors", "models.zxq"),
+}
+PACKAGE = Path(divgraph.__file__).parent
+
 MODELS = [AntimatterModel, D1Model, D2Model, DVRModel, NumericalMonoidModel, ZxQModel]
 
 
@@ -125,3 +137,23 @@ def test_traced_return_values_mean_what_the_reports_say(kind):
     assert relation == topology_report(m, w)["strict_relation_size"] + len(w)
     counted = sum(len(i.factorizations) for i in window_analysis(g).values())
     assert counted == sum(classify(m, g)["factorization_counts"].values())
+
+
+def test_private_names_cross_modules_only_where_listed():
+    shared = set()
+    for path in PACKAGE.rglob("*.py"):
+        parts = path.relative_to(PACKAGE).with_suffix("").parts
+        package = parts[:-1]  # what a relative import starts from
+        importer = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                base = package[: len(package) - node.level + 1]
+                source = ".".join((*base, node.module) if node.module else base)
+            elif (node.module or "").split(".")[0] == "divgraph":
+                source = node.module.removeprefix("divgraph").lstrip(".")
+            else:
+                continue  # outside the package
+            shared |= {(source, a.name, importer) for a in node.names if a.name[0] == "_"}
+    assert shared == SHARED_PRIVATE

@@ -66,6 +66,17 @@ class TestAxiomsRejected:
         with pytest.raises(AssertionError, match="antisymmetry violated"):
             self.poset(("a", "b"), ("b", "a")).check_axioms()
 
+    def test_closed_three_cycle_names_its_first_and_last_element(self):
+        # a <= b <= c <= a, transitively closed: all three rows are equal
+        p = self.poset(*((x, y) for x in "abc" for y in "abc"))
+        with pytest.raises(AssertionError, match="antisymmetry violated on 'a', 'c'"):
+            p.check_axioms()
+
+    def test_transitivity_is_checked_before_antisymmetry(self):
+        # a <= b <= a, and a <= c but not b <= c: both axioms fail
+        with pytest.raises(AssertionError, match="transitivity violated on 'b'..'c'"):
+            self.poset(("a", "b"), ("b", "a"), ("a", "c")).check_axioms()
+
     def test_non_transitive_chain(self):
         with pytest.raises(AssertionError, match="transitivity violated on 'a'..'c'"):
             self.poset(("a", "b"), ("b", "c")).check_axioms()
