@@ -25,7 +25,8 @@ def bits(mask: int) -> tuple[int, ...]:
 
 def transpose(masks) -> tuple[int, ...]:
     """The transposed bit matrix: bit i of the j-th mask returned is bit j
-    of masks[i]."""
+    of masks[i].  No mask may have a bit at len(masks) or above: such bits
+    are dropped without an error."""
     n = len(masks)
     # character j of a padded, reversed binary string is bit j, so zip
     # turns the strings of the masks into those of the transposed ones

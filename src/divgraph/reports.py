@@ -99,7 +99,6 @@ def topology_report(model: DivisibilityModel, window, pair=None) -> dict:
     poset = window_poset(model, window)
     poset.check_axioms()
     space = poset_to_space(poset)
-    space.check_basis()
     comps = connected_components_topology(space)
     report = {
         "model": model.id,

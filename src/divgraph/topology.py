@@ -1,12 +1,11 @@
 """Finite Alexandrov-space view of a divisibility window.
 
-A finite poset and the space of its down-sets determine each other.  Both
-are held as bit masks over the points in window order: the poset as one
-row per element, the space as one mask per minimal open set (the column of
-its point), so the order and basis axioms are checked on bits and the
-components are one bitset closure.  Transitivity (on rows) and basis
-coherence (on opens) are one block-table closure test,
-`bitrows.first_escape`; antisymmetry is read off distinct rows.
+A finite poset and the space of its down-sets determine each other, and
+both are held as the same bit masks over the points in window order: a
+point's closure is its up-set, the poset's row, and its minimal open set,
+the down-set, is a column, formed once by one transpose.  One block-table
+closure test on the rows, `bitrows.first_escape`, checks the order's
+transitivity and the basis alike; antisymmetry is read off distinct rows.
 """
 
 from __future__ import annotations
@@ -39,17 +38,10 @@ class FinitePoset:
         return sum(row.bit_count() for row in self.rows) - len(self.rows)
 
     def check_axioms(self) -> None:
-        """Reflexivity, transitivity, then antisymmetry as distinct rows: in a
+        """The space's closure test, then antisymmetry as distinct rows: in a
         preorder a <= b <= a exactly when a and b share a row."""
+        poset_to_space(self).check_basis()
         rows, elements = self.rows, self.elements
-        for i, a in enumerate(elements):
-            if rows[i] >> len(rows):
-                raise AssertionError(f"row of {a!r} names a non-element")
-            if not rows[i] >> i & 1:
-                raise AssertionError(f"missing reflexive pair for {a!r}")
-        if escape := first_escape(rows):
-            a, c = elements[escape[0]], elements[escape[2].bit_length() - 1]
-            raise AssertionError(f"transitivity violated on {a!r}..{c!r}")
         last = {row: i for i, row in enumerate(rows)}
         for i, row in enumerate(rows):
             if (j := last[row]) != i:
@@ -58,11 +50,16 @@ class FinitePoset:
 
 @dataclass(frozen=True)
 class AlexandrovSpace:
-    """A finite space held as its minimal open sets: bit j of opens[i] is
-    set iff points[j] lies in the minimal open set U of points[i]."""
+    """A finite space held as its points' closures: bit j of closures[i] is
+    set iff points[i] lies in the minimal open set of points[j]."""
 
     points: tuple
-    opens: tuple[int, ...]
+    closures: tuple[int, ...]
+
+    @cached_property
+    def opens(self) -> tuple[int, ...]:
+        """The minimal open sets, one transpose of the closures."""
+        return transpose(self.closures)
 
     @property
     def min_open(self) -> dict:
@@ -72,15 +69,17 @@ class AlexandrovSpace:
         return {x: select(points, m) for x, m in zip(points, self.opens)}
 
     def check_basis(self) -> None:
-        points, opens = self.points, self.opens
+        """Each closure holds its point and the closures of its points.  Checked
+        before anything reads `opens`: `transpose` drops bits at non-points."""
+        points, closures = self.points, self.closures
         for i, x in enumerate(points):
-            if opens[i] >> len(points):
-                raise AssertionError(f"minimal open of {x!r} names a non-point")
-            if not opens[i] >> i & 1:
-                raise AssertionError(f"{x!r} missing from its own minimal open")
-        if escape := first_escape(opens):
-            i, j, _ = escape
-            raise AssertionError(f"basis coherence violated at {points[i]!r}, {points[j]!r}")
+            if closures[i] >> len(points):
+                raise AssertionError(f"closure of {x!r} names a non-element")
+            if not closures[i] >> i & 1:
+                raise AssertionError(f"{x!r} missing from its own closure")
+        if escape := first_escape(closures):
+            x, y = points[escape[0]], points[escape[2].bit_length() - 1]
+            raise AssertionError(f"basis coherence violated on {x!r}..{y!r}")
 
 
 def window_poset(model: DivisibilityModel, window) -> FinitePoset:
@@ -92,9 +91,9 @@ def window_poset(model: DivisibilityModel, window) -> FinitePoset:
 
 
 def poset_to_space(p: FinitePoset) -> AlexandrovSpace:
-    """The space whose minimal open set U_a is the down-set of a, the column
-    of a."""
-    return AlexandrovSpace(p.elements, transpose(p.rows))
+    """The space whose minimal open set U_a is the down-set of a, so the
+    closure of a is its up-set, the row of a."""
+    return AlexandrovSpace(p.elements, p.rows)
 
 
 def is_T0(s: AlexandrovSpace) -> bool:
@@ -118,5 +117,5 @@ def connected_components_topology(s: AlexandrovSpace) -> list[tuple]:
     Since x lies in U_x, U_x and U_y meet exactly when both contain some z,
     so linking each x to the points of U_x, and each of those back to x,
     generates the same equivalence as the pairwise test."""
-    near = [down | up for down, up in zip(s.opens, transpose(s.opens))]
+    near = [down | up for down, up in zip(s.opens, s.closures)]
     return [select(s.points, c) for c in classes(near)]

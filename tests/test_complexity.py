@@ -89,16 +89,37 @@ def test_topology_pair_partitions_once(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", LADDER)
-def test_topology_transposes_the_order_at_most_twice(monkeypatch, kind):
-    # antisymmetry is read off distinct rows, so checking the order needs no
-    # transpose; the space and its components take one each
+def test_topology_transposes_the_order_once(monkeypatch, kind):
+    # the space holds the order's rows as its closures, so checking the
+    # order and building the space need no transpose; the minimal opens,
+    # which the components and min_open read, take one
     m, w = ladder_window(kind)
     calls = []
     monkeypatch.setattr(topology_module, "transpose", counting(topology_module.transpose, calls))
     window_poset(m, w).check_axioms()
     assert not calls
     topology_report(m, w)
-    assert len(calls) <= 2
+    assert len(calls) <= 1
+    calls.clear()
+    assert crosscheck_graph(build_graph(m, w))["ok"]
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_topology_runs_the_closure_test_once(monkeypatch, kind):
+    # the order's axioms and the basis are one closure test on the same
+    # masks; the oracle check reads the components only
+    m, w = ladder_window(kind)
+    calls = []
+    monkeypatch.setattr(topology_module, "first_escape", counting(topology_module.first_escape, calls))
+    window_poset(m, w).check_axioms()
+    assert len(calls) == 1
+    calls.clear()
+    topology_report(m, w)
+    assert len(calls) == 1
+    calls.clear()
+    assert crosscheck_graph(build_graph(m, w))["ok"]
+    assert not calls
 
 
 def divides(d, p) -> bool:

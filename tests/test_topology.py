@@ -1,8 +1,11 @@
 """Alexandrov-space view: axioms, round trips, chain connectivity."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divgraph.models import AntimatterModel, DVRModel, NumericalMonoidModel, ZxQModel
 from divgraph.models.base import WindowSpec
@@ -59,7 +62,7 @@ class TestAxiomsRejected:
 
     def test_missing_reflexive_pair(self):
         p = poset_from_pairs(("a", "b"), {("a", "a"), ("a", "b")})
-        with pytest.raises(AssertionError, match="missing reflexive pair for 'b'"):
+        with pytest.raises(AssertionError, match="'b' missing from its own closure"):
             p.check_axioms()
 
     def test_two_cycle(self):
@@ -74,11 +77,11 @@ class TestAxiomsRejected:
 
     def test_transitivity_is_checked_before_antisymmetry(self):
         # a <= b <= a, and a <= c but not b <= c: both axioms fail
-        with pytest.raises(AssertionError, match="transitivity violated on 'b'..'c'"):
+        with pytest.raises(AssertionError, match="basis coherence violated on 'b'..'c'"):
             self.poset(("a", "b"), ("b", "a"), ("a", "c")).check_axioms()
 
     def test_non_transitive_chain(self):
-        with pytest.raises(AssertionError, match="transitivity violated on 'a'..'c'"):
+        with pytest.raises(AssertionError, match="basis coherence violated on 'a'..'c'"):
             self.poset(("a", "b"), ("b", "c")).check_axioms()
 
     def test_pair_outside_the_elements(self):
@@ -97,39 +100,42 @@ class TestAxiomsRejected:
         i, j = p.elements.index("20"), p.elements.index("9")
         assert len(rows) % 8 and j >= len(rows) // 8 * 8 and rows[i] >> j & 1
         rows[i] &= ~(1 << j)
-        with pytest.raises(AssertionError, match="transitivity violated on '20'..'9'"):
+        with pytest.raises(AssertionError, match="basis coherence violated on '20'..'9'"):
             FinitePoset(p.elements, tuple(rows)).check_axioms()
 
 
 class TestBasisRejected:
     def test_point_outside_its_minimal_open(self):
-        # U_b = {a}
-        s = AlexandrovSpace(("a", "b"), (0b01, 0b01))
-        with pytest.raises(AssertionError, match="'b' missing from its own minimal open"):
+        # the closure of a is {a, b} and that of b is empty: U_b = {a}
+        s = AlexandrovSpace(("a", "b"), (0b11, 0b00))
+        with pytest.raises(AssertionError, match="'b' missing from its own closure"):
             s.check_basis()
 
     def test_minimal_open_not_closed_downward(self):
-        # b lies in U_a, so U_b must lie in U_a, but c is in U_b only
+        # b lies in U_a, so U_b must lie in U_a, but c is in U_b only:
+        # the closure of c holds b, but not a, which the closure of b holds
         # U_a = {a, b}, U_b = {b, c}, U_c = {c}
-        s = AlexandrovSpace(("a", "b", "c"), (0b011, 0b110, 0b100))
-        with pytest.raises(AssertionError, match="basis coherence violated at 'a', 'b'"):
+        s = AlexandrovSpace(("a", "b", "c"), (0b001, 0b011, 0b110))
+        with pytest.raises(AssertionError, match="basis coherence violated on 'c'..'a'"):
             s.check_basis()
 
     def test_open_point_dropped_in_the_last_partial_block(self):
-        # 19 points: drop 9 (bit 18) from U_2, which holds 4, and U_4 holds 9
+        # 19 points: the closures are read in blocks of 8, 8 and 3 bits; drop
+        # 9 (bit 18) from the closure of 13, which holds 11, and the closure
+        # of 11 holds 9
         m = NumericalMonoidModel((2, 3))
         s = poset_to_space(window_poset(m, win(m, max_value=20)))
-        opens = list(s.opens)
-        i, j = s.points.index("2"), s.points.index("9")
-        assert len(opens) % 8 and j >= len(opens) // 8 * 8 and opens[i] >> j & 1
-        opens[i] &= ~(1 << j)
-        with pytest.raises(AssertionError, match="basis coherence violated at '2', '4'"):
-            AlexandrovSpace(s.points, tuple(opens)).check_basis()
+        closures = list(s.closures)
+        i, j = s.points.index("13"), s.points.index("9")
+        assert len(closures) % 8 and j >= len(closures) // 8 * 8 and closures[i] >> j & 1
+        closures[i] &= ~(1 << j)
+        with pytest.raises(AssertionError, match="basis coherence violated on '13'..'9'"):
+            AlexandrovSpace(s.points, tuple(closures)).check_basis()
 
     def test_minimal_open_outside_the_points(self):
-        # U_a = {a, and a third point the space does not have}
+        # the closure of a = {a, and a third point the space does not have}
         s = AlexandrovSpace(("a", "b"), (0b101, 0b010))
-        with pytest.raises(AssertionError, match="minimal open of 'a' names a non-point"):
+        with pytest.raises(AssertionError, match="closure of 'a' names a non-element"):
             s.check_basis()
 
 
@@ -191,3 +197,77 @@ class TestNumericalTopology:
         s = poset_to_space(window_poset(m, win(m, max_value=12)))
         assert len(connected_components_topology(s)) == 1
         assert is_T0(s)
+
+
+@st.composite
+def relations(draw):
+    """Labels and bit rows of a relation on 0..n-1: random pairs, or pairs
+    i -> j with perm[i] < perm[j] only, perhaps made reflexive, perhaps
+    closed transitively, perhaps with one pair then dropped."""
+    n = draw(st.integers(0, 24))
+    rng = draw(st.randoms())
+    p = draw(st.floats(0, 0.4))
+    perm = rng.sample(range(n), n)
+    forward = draw(st.booleans())
+    rows = [
+        sum(1 << j for j in range(n) if (perm[i] < perm[j] or not forward) and rng.random() < p)
+        for i in range(n)
+    ]
+    if draw(st.booleans()):
+        rows = [row | 1 << i for i, row in enumerate(rows)]
+    if draw(st.booleans()):
+        for k in range(n):
+            rows = [row | rows[k] if row >> k & 1 else row for row in rows]
+    if n and draw(st.booleans()):
+        rows[rng.randrange(n)] &= ~(1 << rng.randrange(n))
+    return tuple(f"x{i}" for i in range(n)), rows
+
+
+def pairs(rows) -> list[set]:
+    """Each i's related j, read bit by bit."""
+    return [{j for j in range(len(rows)) if row >> j & 1} for row in rows]
+
+
+def naive_preorder(rows) -> bool:
+    above = pairs(rows)
+    return all(i in above[i] for i in range(len(rows))) and all(
+        k in above[i] for i in range(len(rows)) for j in above[i] for k in above[j]
+    )
+
+
+def naive_partial_order(rows) -> bool:
+    above = pairs(rows)
+    return naive_preorder(rows) and not any(
+        i != j and i in above[j] for i in range(len(rows)) for j in above[i]
+    )
+
+
+def raises(check) -> str | None:
+    try:
+        check()
+    except AssertionError as err:
+        return str(err)
+    return None
+
+
+@given(relations())
+@settings(max_examples=150, deadline=None)
+def test_closure_test_and_opens_match_pairwise_definitions(relation):
+    elements, rows = relation
+    n, above = range(len(rows)), pairs(rows)
+    s = AlexandrovSpace(elements, tuple(rows))
+    basis = raises(s.check_basis)
+    assert (basis is None) == naive_preorder(rows)
+    if basis and (named := re.fullmatch(r"basis coherence violated on '(x\d+)'..'(x\d+)'", basis)):
+        # the named pair is one that transitivity implies and the rows lack
+        i, k = (elements.index(x) for x in named.groups())
+        assert k not in above[i] and any(k in above[j] for j in above[i])
+    p = FinitePoset(elements, tuple(rows))
+    assert (raises(p.check_axioms) is None) == naive_partial_order(rows)
+    down = [{i for i in n if j in above[i]} for j in n]
+    for space in (s, poset_to_space(p)):
+        assert space.closures == tuple(rows)
+        assert space.opens == tuple(sum(1 << i for i in d) for d in down)
+        assert space.min_open == {
+            elements[j]: tuple(elements[i] for i in sorted(d)) for j, d in enumerate(down)
+        }
