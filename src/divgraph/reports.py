@@ -1,12 +1,13 @@
 """Deterministic report builders and serializers for the CLI.
 
-Every builder returns plain dict/list/str data; `to_json` renders it with
-sorted keys so repeated runs are byte-identical.
+Every builder returns str-keyed dicts, lists and tuples of str (a `Status`
+among them), int, bool and None.  `to_json` writes them as `json.dumps` with
+`indent=2, sort_keys=True` does, quoting whole lists of labels or ints in C.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .connectivity import (
     atom_subgroup,
@@ -29,7 +30,51 @@ from .verdicts import Status
 
 
 def to_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"` for the types a
+    report holds; any other type raises `TypeError`."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list) -> None:
+    """Append the JSON text of `obj` to `out`; `nl` is the newline and
+    indent of the line that holds `obj`."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif not isinstance(obj, (dict, list, tuple)):
+        raise TypeError(f"{type(obj).__name__} is not a report type")
+    elif not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        inner = nl + "  "
+        lead = "{" + inner
+        for k in sorted(obj):
+            out += (lead, _quote(k), ": ")
+            _write(obj[k], inner, out)
+            lead = "," + inner
+        out.append(nl + "}")
+    else:
+        inner = nl + "  "
+        sep = "," + inner
+        try:
+            out += ("[", inner, sep.join(map(_quote, obj)), nl, "]")
+        except TypeError:  # the C quoter takes str items only
+            # exactly int: a bool is an int that json writes as true/false
+            if set(map(type, obj)) == {int}:
+                out += ("[", inner, sep.join(map(int.__repr__, obj)), nl, "]")
+                return
+            lead = "[" + inner
+            for item in obj:
+                out.append(lead)
+                _write(item, inner, out)
+                lead = sep
+            out.append(nl + "]")
 
 
 def dot_export(graph: DivGraph) -> str:
@@ -70,7 +115,7 @@ def graph_report(graph: DivGraph) -> dict:
 
 def classify_report(graph: DivGraph) -> dict:
     report = classify(graph.model, graph)
-    # to_json sorts the keys, and renders the length tuples as lists
+    # to_json sorts the keys and writes the length tuples as JSON arrays
     report["verdicts"] = {k: v.to_jsonable() for k, v in report["verdicts"].items()}
     return {**report, "model": graph.model.id, "vertex_count": len(graph.vertices)}
 

@@ -5,6 +5,7 @@ makes a layer do more work per vertex fails here even where the timing
 noise of a benchmark would hide it.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -27,7 +28,14 @@ from divgraph.models import (
 from divgraph.models import zxq as zxq_module
 from divgraph.models.base import WindowSpec
 from divgraph.polynomials import RationalFunction
-from divgraph.reports import crosscheck_graph, dot_export, graph_report, topology_report
+from divgraph.reports import (
+    classify_report,
+    crosscheck_graph,
+    dot_export,
+    graph_report,
+    to_json,
+    topology_report,
+)
 from divgraph.topology import window_poset
 from helpers import FRACTIONAL, LADDER, fractional_window, ladder_window
 
@@ -120,6 +128,20 @@ def test_topology_runs_the_closure_test_once(monkeypatch, kind):
     calls.clear()
     assert crosscheck_graph(build_graph(m, w))["ok"]
     assert not calls
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_to_json_never_runs_the_pure_python_encoder(monkeypatch, kind):
+    # json's indent option builds its encoder with _make_iterencode, a
+    # Python generator per container; the reports are written without it
+    def refuse(*args):
+        raise AssertionError("json's pure-Python encoder was run")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    m, w = ladder_window(kind)
+    graph = build_graph(m, w)
+    for report in (topology_report(m, w), classify_report(graph), graph_report(graph)):
+        assert to_json(report).endswith("}\n")
 
 
 def divides(d, p) -> bool:

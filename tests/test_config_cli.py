@@ -128,6 +128,15 @@ class TestCLI:
         )
         assert r.returncode == 1
 
+    def test_assert_mode_finds_fails_inside_a_tuple(self, monkeypatch, capsys):
+        # reports hold tuples (components, min_open), and the JSON prints
+        # a verdict inside one like any other
+        report = {"x": ({"status": "Fails"},)}
+        monkeypatch.setattr(cli, "topology_report", lambda model, window, pair: report)
+        cfg = str(CONFIG_DIR / "dvr_chain.cfg")
+        assert cli.main(["topology", "--config", cfg, "--assert"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"x": [{"status": "Fails"}]}
+
     def test_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("kind dvr\nbound max_exponent -3\n")
