@@ -48,8 +48,8 @@ def quotient_of_atomics(
     if desc is None:
         desc = atom_subgroup(model)
     diff = model.conn_value(a) - model.conn_value(b)
-    ok, coeffs = desc.membership(diff)
-    if ok:
+    coeffs = desc.membership(diff)
+    if coeffs is not None:
         return holds({"coefficients": coeffs}, "analytic")
     return fails(
         {
@@ -63,13 +63,15 @@ def quotient_of_atomics(
 
 # -- almost / quasi atomicity -------------------------------------------------
 
-def _atom_multiplier(atoms, coeffs) -> list[Element]:
-    """Atoms whose product times e is atomic, from e's membership
-    coefficients over `atoms`: the denominator (each atom with a negative
-    coefficient c, repeated -c times), since e times it has the numerator's
-    value, plus one atom when the numerator is empty.  Complete where the
-    atomic elements are the nonzero atom products' values: on value models,
-    and on zxq (the order-0 non-units)."""
+def _atom_multiplier(model, desc, e) -> list[Element] | None:
+    """Atoms whose product times e is atomic, or None when e's value escapes
+    the atom subgroup `desc`: each atom of a negative coefficient c of e, -c
+    times (e times them has the positive part's value), plus one atom when
+    no coefficient is positive.  Complete where the atomic elements are the
+    nonzero atom products' values: value models, and zxq (order-0 non-units)."""
+    if (coeffs := desc.membership(model.conn_value(e))) is None:
+        return None
+    atoms = model.certificate_atoms()
     den = [atom for c, atom in zip(coeffs, atoms) for _ in range(-c)]
     return den if any(c > 0 for c in coeffs) else den + list(atoms[:1])
 
@@ -79,27 +81,26 @@ def _makes_atomic(model: DivisibilityModel, e: Element, b: Element | None) -> bo
 
 
 def is_almost_atomic(model: DivisibilityModel, window) -> Verdict:
-    """Fails when some element's value escapes the atom subgroup (no atom
-    multiple can ever become atomic); otherwise each non-atomic element is
-    certified by its `_atom_multiplier`, Inconclusive where that fails.  The
-    window is taken as given: distinct elements in label order."""
+    """An atomic element's certificate is empty and costs no subgroup
+    question; a non-atomic one is a witness when its value escapes the atom
+    subgroup, else certified by its `_atom_multiplier` or left unresolved.
+    Fails on any witness, else Inconclusive on any unresolved.  The window
+    is taken as given: distinct elements in label order."""
     desc = atom_subgroup(model)
-    coeffs = [desc.membership(model.conn_value(e))[1] for e in window]
-    witnesses = [e.label for e, c in zip(window, coeffs) if c is None]
-    if witnesses:
-        return fails({"value_outside_atom_subgroup": witnesses}, "analytic")
-    atoms = model.certificate_atoms()
     certificates: dict[str, list[str]] = {}
+    witnesses: list[str] = []
     unresolved: list[str] = []
-    for e, c in zip(window, coeffs):
-        if model.is_atomic_element(e):
-            certificates[e.label] = []
-            continue
-        mult = _atom_multiplier(atoms, c)
-        if model.is_atomic_element(reduce(model.multiply, mult, e)):
+    for e in window:
+        atomic = model.is_atomic_element(e)
+        mult = [] if atomic else _atom_multiplier(model, desc, e)
+        if mult is None:
+            witnesses.append(e.label)
+        elif atomic or model.is_atomic_element(reduce(model.multiply, mult, e)):
             certificates[e.label] = sorted(m.label for m in mult)
         else:
             unresolved.append(e.label)
+    if witnesses:
+        return fails({"value_outside_atom_subgroup": witnesses}, "analytic")
     if unresolved:
         return inconclusive({"unresolved": unresolved})
     return holds({"certificates": certificates})
@@ -123,13 +124,12 @@ def is_quasi_atomic(model: DivisibilityModel, window) -> Verdict:
             continue
         b = model.quasi_complement(e)
         if not _makes_atomic(model, e, b):
-            ok, coeffs = desc.membership(model.conn_value(e))
-            mult = _atom_multiplier(model.certificate_atoms(), coeffs) if ok else []
+            mult = _atom_multiplier(model, desc, e)
             b = reduce(model.multiply, mult) if mult else None
-        if _makes_atomic(model, e, b):
-            certificates[e.label] = b.label
-        else:
-            unresolved.append(e.label)
+            if not _makes_atomic(model, e, b):
+                unresolved.append(e.label)
+                continue
+        certificates[e.label] = b.label
     if unresolved:
         return inconclusive({"unresolved": unresolved})
     return holds({"certificates": certificates})

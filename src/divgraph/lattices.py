@@ -91,26 +91,26 @@ class SubgroupDescriptor:
 
     # -- membership ---------------------------------------------------------
 
-    def membership(self, g: Vec) -> tuple[bool, list[int] | None]:
-        """Decide g in the subgroup; on success also return integer
-        coefficients c with sum(c_i * generators_i) == g."""
+    def membership(self, g: Vec) -> list[int] | None:
+        """Integer c with sum(c_i * generators_i) == g, or None when g is
+        outside the subgroup (so test `is None`: {0} answers [] for 0)."""
         if len(g.ints) != self.ambient.dim:
             raise ValueError("ambient dimension mismatch")
         if g.rat != 0:
-            return False, None
+            return None
         n = len(self.generators)
         residual = list(g.ints)
         y = [0] * n
         for row, col in self._pivots:
             h = self._H[row][col]
             if residual[row] % h != 0:
-                return False, None
+                return None
             t = residual[row] // h
             y[col] = t
             for i in range(self.ambient.dim):
                 residual[i] -= t * self._H[i][col]
         if any(residual):
-            return False, None
+            return None
         coeffs = [sum(self._U[i][j] * y[j] for j in range(n)) for i in range(n)]
         # exactness check against the original generators
         acc = Vec((0,) * self.ambient.dim)
@@ -118,7 +118,7 @@ class SubgroupDescriptor:
             acc = acc + gen.scaled(c)
         if acc != g:
             raise AssertionError("membership certificate failed to reproduce the target")
-        return True, coeffs
+        return coeffs
 
     # -- canonical coset representatives ------------------------------------
 

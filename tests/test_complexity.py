@@ -15,6 +15,7 @@ import pytest
 from divgraph import graph as graph_module
 from divgraph import reports as reports_module
 from divgraph import topology as topology_module
+from divgraph.connectivity import atom_subgroup
 from divgraph.graph import build_graph, classify, window_analysis
 from divgraph.lattices import SubgroupDescriptor
 from divgraph.models import (
@@ -29,6 +30,7 @@ from divgraph.models import zxq as zxq_module
 from divgraph.models.base import WindowSpec
 from divgraph.polynomials import RationalFunction
 from divgraph.reports import (
+    atomicity_report,
     classify_report,
     crosscheck_graph,
     dot_export,
@@ -305,6 +307,35 @@ def test_classify_takes_no_quotient_after_build_graph(monkeypatch, kind):
     monkeypatch.setattr(m, "quotient", counting(m.quotient, calls))
     classify(m, graph)
     assert graph.edges and not calls
+
+
+def multiplier_length(coeffs) -> int:
+    """Length of an element's atom multiplier, from its membership
+    coefficients: -c atoms for each negative c, plus one when no c is
+    positive; 0 when its value escapes the atom subgroup."""
+    if coeffs is None:
+        return 0
+    return sum(-c for c in coeffs if c < 0) + (not any(c > 0 for c in coeffs))
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_atomicity_asks_the_subgroup_only_about_non_atomic_elements(monkeypatch, kind):
+    # an atomic element's certificate is empty (on the numerical window all
+    # are, so nothing is asked); each verdict asks the subgroup at most once
+    # per non-atomic element e, and forms at most the products of its
+    # multiplier of length n: e times it (almost), and e times the
+    # complement, then the multiplier and e times it (quasi)
+    m, w = ladder_window(kind)
+    desc = atom_subgroup(m)
+    lengths = [
+        multiplier_length(desc.membership(m.conn_value(e))) for e in w if not m.is_atomic_element(e)
+    ]
+    asked, products = [], []
+    monkeypatch.setattr(SubgroupDescriptor, "membership", counting(SubgroupDescriptor.membership, asked))
+    monkeypatch.setattr(m, "multiply", counting(m.multiply, products))
+    atomicity_report(m, w)
+    assert len(asked) <= 2 * len(lengths)
+    assert len(products) <= sum(2 * n + 1 for n in lengths)
 
 
 @pytest.mark.parametrize("kind", LADDER)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from divgraph.config import load_config
 from divgraph.connectivity import (
+    atom_subgroup,
     is_almost_atomic,
     is_quasi_atomic,
     quotient_of_atomics,
@@ -145,8 +146,8 @@ small_int_vecs = st.builds(lambda a, b: Vec((a, b)), st.integers(-4, 4), st.inte
 @settings(max_examples=80, deadline=None)
 def test_subgroup_membership_sound_and_closed(gens, target):
     desc = SubgroupDescriptor(Ambient(2, with_rat=True), tuple(gens))
-    ok, coeffs = desc.membership(target)
-    if ok:
+    coeffs = desc.membership(target)
+    if coeffs is not None:
         acc = Vec((0, 0))
         for c, g in zip(coeffs, gens):
             acc = acc + g.scaled(c)
@@ -156,14 +157,14 @@ def test_subgroup_membership_sound_and_closed(gens, target):
         acc = Vec((0, 0))
         for g in gens:
             acc = acc + g.scaled(c0)
-        assert desc.membership(acc)[0]
+        assert desc.membership(acc) is not None
 
 
 @given(st.lists(small_int_vecs, min_size=1, max_size=3), small_vecs, small_vecs)
 @settings(max_examples=60, deadline=None)
 def test_coset_rep_is_canonical(gens, g, h):
     desc = SubgroupDescriptor(Ambient(2, with_rat=True), tuple(gens))
-    same = desc.membership(g - h)[0]
+    same = desc.membership(g - h) is not None
     assert same == (desc.coset_rep(g) == desc.coset_rep(h))
 
 
@@ -492,6 +493,36 @@ def test_atomicity_verdicts_are_decided_and_certified(model_bounds, fractional):
                 continue
             b = element_of_label(m, b_label)
             assert m.in_domain(b) and m.is_atomic_element(m.multiply(e, b)), label
+
+
+def assert_witnesses_are_the_escaping_elements(m, w):
+    # an atomic element is an atom product, so its value lies in the atom
+    # subgroup, which is why is_almost_atomic never asks about it; the
+    # witnesses are then exactly the elements whose value escapes
+    desc = atom_subgroup(m)
+    atomic = [m.is_atomic_element(e) for e in w]
+    escapes = [desc.membership(m.conn_value(e)) is None for e in w]
+    assert not any(a and x for a, x in zip(atomic, escapes))
+    almost = is_almost_atomic(m, w)
+    found = almost.evidence["value_outside_atom_subgroup"] if almost.status is Status.FAILS else []
+    assert found == [e.label for e, x in zip(w, escapes) if x]
+
+
+@given(value_windows, st.booleans())
+@example((AntimatterModel(), {"max_value": 2, "max_den": 2}), True)
+@example((D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}), True)
+@settings(max_examples=60, deadline=None)
+def test_almost_atomic_witnesses_are_the_escaping_elements(model_bounds, fractional):
+    m, bounds = model_bounds
+    assert_witnesses_are_the_escaping_elements(
+        m, m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
+    )
+
+
+def test_zxq_almost_atomic_witnesses_are_the_escaping_elements():
+    for path in sorted(CONFIG_DIR.glob("zxq*.cfg")):
+        m, spec = load_config(path).build()
+        assert_witnesses_are_the_escaping_elements(m, m.enumerate_window(spec))
 
 
 # -- components against the quotient route -----------------------------------
