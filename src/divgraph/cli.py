@@ -72,7 +72,7 @@ def _has_fails(obj) -> bool:
         if obj.get("ok") is False:
             return True
         return any(_has_fails(v) for v in obj.values())
-    if isinstance(obj, (list, tuple)):  # to_json writes both as arrays
+    if type(obj) in (list, tuple):  # to_json writes both as arrays, and no subclass
         return any(_has_fails(v) for v in obj)
     return False
 

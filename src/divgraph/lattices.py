@@ -12,7 +12,7 @@ rational part unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .values import Ambient, Vec
 
@@ -73,17 +73,12 @@ class SubgroupDescriptor:
     ambient: Ambient
     generators: tuple[Vec, ...]
 
-    # derived, filled by __post_init__
-    _H: list = field(init=False, repr=False)
-    _U: list = field(init=False, repr=False)
-    _pivots: list = field(init=False, repr=False)
-
     def __post_init__(self):
         for g in self.generators:
             if g.rat != 0:
                 raise ValueError(f"generator {g} has a nonzero rational part")
         A = [[g.ints[i] for g in self.generators] for i in range(self.ambient.dim)]
-        self._H, self._U, self._pivots = column_echelon(A)
+        self._H, self._U, self._pivots = column_echelon(A)  # derived, not fields
 
     @property
     def no_atoms(self) -> bool:

@@ -84,6 +84,8 @@ class ZxQModel(DivisibilityModel):
         self.declared_atoms = tuple(atoms)
         self._splits: dict = {}  # order-0 integral class -> its split or None
         self._factored: dict = {}  # primitive polynomial -> its `factor_monic`
+        # every atom has order 0, so the prime 2 alone generates the subgroup
+        self._certificate_atoms = tuple(self._atoms([], [2]))
 
     # -- element plumbing ----------------------------------------------------
 
@@ -265,8 +267,7 @@ class ZxQModel(DivisibilityModel):
         return Vec((a.value.order,))
 
     def certificate_atoms(self) -> tuple[Element, ...]:
-        # every atom has order 0, so the prime 2 alone generates the subgroup
-        return tuple(self._atoms([], [2]))
+        return self._certificate_atoms
 
     def _poly_atoms(self, p: Poly) -> list[Poly] | None:
         """Split a primitive order-0 polynomial into its primitive irreducible

@@ -47,7 +47,7 @@ def _write(obj, nl: str, out: list) -> None:
         out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif not isinstance(obj, (dict, list, tuple)):
+    elif type(obj) not in (dict, list, tuple):  # not a tuple subclass such as Vec
         raise TypeError(f"{type(obj).__name__} is not a report type")
     elif not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")

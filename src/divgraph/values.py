@@ -8,8 +8,10 @@ are lexicographic with the rational coordinate last.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 
 @dataclass(frozen=True, order=False)
@@ -20,36 +22,38 @@ class Ambient:
     with_rat: bool = False
 
 
-@dataclass(frozen=True)
-class Vec:
-    """A value: integer coordinates `ints` and one rational coordinate `rat`.
-
-    `rat` keeps the exact number it is given, the int 0 by default, so a
-    model that never leaves Z^d never touches a Fraction.  Equality and
-    hashing do not see the difference: 0 == Fraction(0) and
+class Vec(namedtuple("Vec", "ints rat", defaults=(0,))):
+    """A value: the tuple (ints, rat) of integer coordinates `ints` and one
+    rational coordinate `rat`.  As a tuple it hashes as hash((ints, rat)),
+    and `==` and `hash` run in C, where graphs look quotients up by value;
+    namedtuple's C getters read the fields.  So define no `__eq__`, no rich
+    comparison (any one sends `==` through a Python slot) and no instance
+    attribute.  `rat` keeps the exact number given, the int 0 by default, so
+    a model that stays in Z^d never touches a Fraction: 0 == Fraction(0) and
     hash(0) == hash(Fraction(0)), as for every integer-valued Fraction."""
 
-    ints: tuple[int, ...]
-    rat: Fraction | int = 0
-
-    def _same_shape(self, other: "Vec") -> None:
-        if len(self.ints) != len(other.ints):
-            raise ValueError("value vectors of different shape")
+    __slots__ = ()
+    __mul__ = __rmul__ = None  # not tuple repetition: `scaled` scales
 
     def __add__(self, other: "Vec") -> "Vec":
-        self._same_shape(other)
-        return Vec(tuple(a + b for a, b in zip(self.ints, other.ints)), self.rat + other.rat)
+        (a, p), (b, q) = self, other
+        if len(a) != len(b):
+            raise ValueError("value vectors of different shape")
+        return tuple.__new__(Vec, (tuple(map(add, a, b)), p + q))
 
     def __sub__(self, other: "Vec") -> "Vec":
-        self._same_shape(other)
-        return Vec(tuple(a - b for a, b in zip(self.ints, other.ints)), self.rat - other.rat)
+        (a, p), (b, q) = self, other
+        if len(a) != len(b):
+            raise ValueError("value vectors of different shape")
+        return tuple.__new__(Vec, (tuple(map(sub, a, b)), p - q))
 
     def scaled(self, m: int) -> "Vec":
         return Vec(tuple(m * a for a in self.ints), m * self.rat)
 
     @property
     def is_zero(self) -> bool:
-        return self.rat == 0 and all(a == 0 for a in self.ints)
+        ints, rat = self
+        return rat == 0 and not any(ints)
 
     def __str__(self) -> str:
         parts = [str(a) for a in self.ints]

@@ -32,6 +32,7 @@ from divgraph.polynomials import RationalFunction
 from divgraph.reports import (
     atomicity_report,
     classify_report,
+    components_report,
     crosscheck_graph,
     dot_export,
     graph_report,
@@ -39,6 +40,7 @@ from divgraph.reports import (
     topology_report,
 )
 from divgraph.topology import window_poset
+from divgraph.values import Vec
 from helpers import FRACTIONAL, LADDER, fractional_window, ladder_window
 
 
@@ -48,6 +50,13 @@ def counting(fn, calls: list):
         return fn(*args)
 
     return wrapper
+
+
+def test_vec_compares_and_hashes_in_c():
+    # the window graph looks every quotient up by value; one rich comparison
+    # defined on Vec would send == through a Python slot
+    for name in ("__eq__", "__hash__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(Vec, name) is getattr(tuple, name), name
 
 
 def test_topology_renders_each_label_at_most_once(monkeypatch):
@@ -336,6 +345,19 @@ def test_atomicity_asks_the_subgroup_only_about_non_atomic_elements(monkeypatch,
     atomicity_report(m, w)
     assert len(asked) <= 2 * len(lengths)
     assert len(products) <= sum(2 * n + 1 for n in lengths)
+
+
+def test_zxq_builds_its_certificate_atoms_once_per_model(monkeypatch):
+    # every report that reads the atom subgroup asks for the prime-2 atom;
+    # one model builds it at most once, not once per question
+    m, w = ladder_window("zxq")
+    calls = []
+    monkeypatch.setattr(ZxQModel, "_atoms", counting(ZxQModel._atoms, calls))
+    graph = build_graph(m, w)
+    atomicity_report(m, w)
+    components_report(graph)
+    crosscheck_graph(graph)
+    assert calls.count((m, [], [2])) <= 1
 
 
 @pytest.mark.parametrize("kind", LADDER)

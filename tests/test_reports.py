@@ -11,6 +11,7 @@ from divgraph.graph import build_graph
 from divgraph.models import NumericalMonoidModel
 from divgraph.models.base import WindowSpec
 from divgraph.reports import classify_report, to_json, topology_report
+from divgraph.values import Vec
 from divgraph.verdicts import Status
 
 
@@ -81,7 +82,8 @@ def test_real_reports():
 
 
 @pytest.mark.parametrize(
-    "doc", [1.5, {1, 2}, [1, 2.0], ["a", 1.5], {"a": {"b"}}, {"a": [[1], 0.5]}]
+    "doc",
+    [1.5, {1, 2}, [1, 2.0], ["a", 1.5], {"a": {"b"}}, {"a": [[1], 0.5]}, {"a": Vec((1,))}],
 )
 def test_other_types_raise(doc):
     with pytest.raises(TypeError):

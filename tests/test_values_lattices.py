@@ -1,5 +1,7 @@
 """Exact value vectors and subgroup membership machinery."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,32 @@ class TestVec:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             vec(1) + vec(1, 2)
+        with pytest.raises(ValueError):
+            vec(1) - vec(1, 2)
+
+    @pytest.mark.parametrize("rat", [0, 3, Fraction(2, 3)])
+    def test_hash_is_the_pair_hash(self, rat):
+        # the hash the dataclass computed, so no set or label order moves
+        assert hash(Vec((1, -2), rat)) == hash(((1, -2), rat))
+
+    def test_no_tuple_repetition(self):
+        with pytest.raises(TypeError):
+            Vec((1,)) * 2
+        with pytest.raises(TypeError):
+            2 * Vec((1,))
+
+    def test_immutable(self):
+        v = Vec((1,))
+        with pytest.raises(AttributeError):
+            v.ints = (2,)
+        with pytest.raises(AttributeError):
+            v.extra = 1
+
+    def test_keywords_and_copies(self):
+        v = Vec(ints=(1, 2), rat=Fraction(1, 3))
+        assert (v.ints, v.rat) == ((1, 2), Fraction(1, 3))
+        assert copy.copy(v) == copy.deepcopy(v) == pickle.loads(pickle.dumps(v)) == v
+        assert type(copy.deepcopy(v)) is Vec
 
     def test_str(self):
         assert str(vec(3, rat=Fraction(-1, 3))) == "(3, -1/3)"
