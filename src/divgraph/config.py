@@ -8,7 +8,8 @@ Grammar (one directive per line, `#` starts a comment):
     bound NAME INT              window bound (positive integer)
     flag NAME true|false        boolean flag, e.g. include_fractional
     element C0 [C1 ...]         explicit window element by ascending
-                                coefficients; exact rationals like 1/2 allowed
+                                coefficients; exact rationals like 1/2 allowed,
+                                and a plain ASCII integer is read as an int
     atom C0 [C1 ...]            declared irreducible polynomial (zxq only;
                                 constant term +-1, no rational root)
 
@@ -26,6 +27,7 @@ bounds and zxq's `elements`; and `include_fractional`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -54,7 +56,12 @@ class RunConfig:
         return build_model(self.kind, self.options), spec
 
 
-def _fraction(tok: str, line_no: int) -> Fraction:
+_INT = re.compile(r"[+-]?[0-9]+")  # what int() and Fraction() read alike on every Python
+
+
+def _fraction(tok: str, line_no: int) -> int | Fraction:
+    if _INT.fullmatch(tok):
+        return int(tok)
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):

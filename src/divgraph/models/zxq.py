@@ -49,9 +49,9 @@ from ..polynomials import (
     _prime_factors,
     exact_div,
     factor_monic,
-    poly_str,
     primitive,
     rational_roots,
+    render_terms,
 )
 from ..values import Ambient, Vec
 from .base import DivisibilityModel, FactorSearch, Suffixes, WindowSpec
@@ -68,7 +68,7 @@ class ZxQModel(DivisibilityModel):
         self.degree_cap = degree_cap
         atoms = []
         for row in declared_atoms:
-            name = poly_str(row)
+            name = render_terms([(a.numerator, a.denominator) for a in row])
             if not any(row[1:]):
                 raise InvalidBounds(f"declared atom {name} is constant, not a polynomial atom")
             if abs(row[0]) != 1:
@@ -118,7 +118,7 @@ class ZxQModel(DivisibilityModel):
         rf = a.value
         if not rf.in_domain() or rf.is_unit_class or rf.order != 0:
             return False
-        if len(rf.num) > 1 and abs(rf.c * rf.num[0]) != 1:
+        if len(rf.num) > 1 and abs(rf.cn * rf.num[0]) != rf.cd:
             # p = c * (p / c) with c = p(0) a non-unit integer
             return False
         split = self._atomize_order_zero(rf)
@@ -141,8 +141,8 @@ class ZxQModel(DivisibilityModel):
 
     def _atoms(self, factors: Iterable[Poly], primes: Iterable[int]) -> list[Element]:
         """The atoms f / f(0) of primitive factors f, then the prime atoms."""
-        rfs = [RationalFunction(Fraction(1, abs(f[0])), f, (1,)) for f in factors]
-        rfs += [RationalFunction(Fraction(p), (1,), (1,)) for p in primes]
+        rfs = [RationalFunction.of(1, abs(f[0]), f, (1,), 0) for f in factors]
+        rfs += [RationalFunction.of(p, 1, (1,), (1,), 0) for p in primes]
         return [self.element_of(rf) for rf in rfs]
 
     def _atomize_order_zero(
@@ -161,7 +161,7 @@ class ZxQModel(DivisibilityModel):
         split = None
         factors = self._poly_atoms(rf.num)
         if factors is not None:
-            primes = _prime_factors(rf.c.numerator * rf.num[0] // rf.c.denominator)
+            primes = _prime_factors(rf.cn * rf.num[0] // rf.cd)
             if primes is not None:
                 split = tuple(factors), tuple(primes)
         self._splits[rf] = split
@@ -320,4 +320,6 @@ def _over(rf: RationalFunction, d: RationalFunction) -> RationalFunction | None:
     A factor of rf's numerator is coprime to its denominator, so no gcd is
     taken."""
     q = exact_div(rf.num, d.num)
-    return None if q is None else RationalFunction(rf.c / d.c, q, rf.den)
+    if q is None:
+        return None
+    return RationalFunction.of(rf.cn * d.cd, rf.cd * d.cn, q, rf.den, rf.order - d.order)

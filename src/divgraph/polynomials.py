@@ -11,19 +11,21 @@ such polynomials, unique once they are coprime:
 The sign is a unit and is quotiented away by this form.  The gcd of num and
 den is the primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): a
 pseudo-remainder, then its content divided out.  So every coefficient
-operation is an `int` operation, and only c is a `Fraction`.  Rows of
-rational coefficients are converted on the way in (`RationalFunction.make`)
-and rendered on the way out (`RationalFunction.label`).
+operation is an `int` operation, and c is kept as a reduced pair of positive
+`int`s.  Rows of rational coefficients (`int`s or `Fraction`s) are converted
+on the way in (`RationalFunction.make`) and rendered from the int pairs on
+the way out (`RationalFunction.label`).
 
 Integers are split into primes in one place, `_prime_factors`, and the
-rational root test tries the divisors built from that split.
+rational root test tries the divisors built from that split that lie
+within the Cauchy bounds on the roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from itertools import count
 from math import gcd, lcm
 
@@ -31,18 +33,25 @@ from math import gcd, lcm
 Poly = tuple[int, ...]
 
 
-def primitive(row) -> tuple[Fraction, Poly]:
-    """A nonzero row of rational coefficients, ascending, as its positive
-    content and its primitive part: row = +-content * part."""
-    row = [Fraction(a) for a in row]
+def primitive(row) -> tuple[tuple[int, int], Poly]:
+    """A nonzero row of rational coefficients (`int`s or `Fraction`s),
+    ascending, as its positive content, a reduced pair (numerator,
+    denominator), and its primitive part: row = +-content * part."""
+    row = list(row)
     while row and row[-1] == 0:
         row.pop()
     if not row:
         raise ZeroDivisionError("the zero polynomial is not a class representative")
     den = lcm(*(a.denominator for a in row))
-    ints = [int(a * den) for a in row]
+    ints = [a.numerator * (den // a.denominator) for a in row]
     part = _primitive_part(ints)
-    return Fraction(abs(ints[-1]), den * part[-1]), part
+    return _ratio(abs(ints[-1]) // part[-1], den), part
+
+
+def _ratio(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def _primitive_part(r: list[int]) -> Poly:
@@ -108,32 +117,21 @@ def _low(p: Poly) -> int:
     return next(i for i, a in enumerate(p) if a)
 
 
-def poly_str(row) -> str:
-    """Deterministic compact rendering of rational coefficients, terms in
-    ascending degree."""
-    parts = []
-    for i, c in enumerate(row):
-        if c == 0:
+def render_terms(terms) -> str:
+    """Deterministic compact rendering of rational coefficients, given as
+    (numerator, denominator) pairs in lowest terms with a positive
+    denominator, terms in ascending degree."""
+    out = ""
+    for i, (n, d) in enumerate(terms):
+        if not n:
             continue
-        if i == 0:
-            term = str(c)
-        else:
+        c = str(n) if d == 1 else f"{n}/{d}"
+        if i:
             x = "x" if i == 1 else f"x^{i}"
-            if c == 1:
-                term = x
-            elif c == -1:
-                term = f"-{x}"
-            elif c.denominator == 1:
-                term = f"{c}{x}"
-            else:
-                term = f"({c}){x}"
-        parts.append(term)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for term in parts[1:]:
-        out += term if term.startswith("-") else "+" + term
-    return out
+            # x and -x, then 2x and (1/2)x
+            c = c[:-1] + x if d == 1 and abs(n) == 1 else f"{c}{x}" if d == 1 else f"({c}){x}"
+        out += c if not out or c[0] == "-" else "+" + c
+    return out or "0"
 
 
 # trial division stops here; a number below its square with no factor below
@@ -250,8 +248,10 @@ def _root_factors(p: Poly) -> tuple[list[tuple[int, int]], Poly] | None:
     """The linear factors b*x - a, as (-a, b), of the rational roots a/b of
     p, ascending with multiplicity, and the cofactor of their product.  A
     root a/b in lowest terms has a dividing the lowest nonzero coefficient
-    and b the leading one (the rational root test).  None when either of
-    those coefficients cannot be split into primes."""
+    and b the leading one (the rational root test), and lo <= |a/b| <= hi
+    by Cauchy's bound hi = 1 + max_{i<n} |p_i| / |p_n| and its reciprocal
+    form lo = |p_0| / (|p_0| + max_{i>0} |p_i|).  None when either end
+    coefficient cannot be split into primes."""
     low = _low(p)
     factors, p = [(0, 1)] * low, p[low:]
     if len(p) == 1:
@@ -259,11 +259,21 @@ def _root_factors(p: Poly) -> tuple[list[tuple[int, int]], Poly] | None:
     tops, bottoms = _divisors(p[0]), _divisors(p[-1])
     if tops is None or bottoms is None:
         return None
-    candidates = {Fraction(s * a, b) for a in tops for b in bottoms for s in (1, -1)}
-    for r in sorted(candidates):
-        lin = (-r.numerator, r.denominator)
-        while len(p) > 1 and (q := exact_div(p, lin)) is not None:
-            factors.append(lin)
+    first, last = abs(p[0]), abs(p[-1])
+    lo_n, lo_d = first, first + max(map(abs, p[1:]))
+    hi_n, hi_d = last + max(map(abs, p[:-1])), last
+    tops = sorted(tops)
+    # (a/b scaled by |p_n| to an int, -a, b) for each candidate root a/b
+    keyed = []
+    for b in bottoms:
+        scale = last // b
+        start = bisect_left(tops, -(-lo_n * b // lo_d))
+        for a in tops[start : bisect_right(tops, hi_n * b // hi_d)]:
+            if gcd(a, b) == 1:
+                keyed += ((a * scale, -a, b), (-a * scale, a, b))
+    for _, a, b in sorted(keyed):
+        while len(p) > 1 and (q := exact_div(p, (a, b))) is not None:
+            factors.append((a, b))
             p = q
     return factors, p
 
@@ -289,63 +299,59 @@ def factor_monic(p: Poly) -> list[Poly] | None:
     return factors if len(rest) == 1 else [*factors, rest]
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(namedtuple("RationalFunction", "cn cd num den order")):
     """Canonical class representative c * num/den with num, den primitive,
-    coprime and of positive leading coefficient, and c > 0.  The sign is a
-    unit of the ambient domain and is dropped."""
+    coprime and of positive leading coefficient, c = cn/cd > 0 in lowest
+    terms, and `order` the order at x = 0.  The sign, a unit, is dropped.
+    As a tuple, `==` and `hash` run in C: define no rich comparison and no
+    instance attribute.  Build it through `of`, which reduces c."""
 
-    c: Fraction
-    num: Poly
-    den: Poly
+    __slots__ = ()
+
+    @staticmethod
+    def of(cn: int, cd: int, num: Poly, den: Poly, order: int) -> "RationalFunction":
+        """The class cn/cd * num/den, num and den coprime, content reduced."""
+        g = gcd(cn, cd)
+        return tuple.__new__(RationalFunction, (cn // g, cd // g, num, den, order))
 
     @staticmethod
     def make(num, den=(1,)) -> "RationalFunction":
         """The class of num/den, both rows of rational coefficients in
         ascending degree."""
-        (cn, pn), (cd, pd) = primitive(num), primitive(den)
-        return RationalFunction._reduced(cn / cd, pn, pd)
+        ((a, b), pn), ((c, d), pd) = primitive(num), primitive(den)
+        return RationalFunction._reduced(a * d, b * c, pn, pd)
 
     @staticmethod
-    def _reduced(c: Fraction, num: Poly, den: Poly) -> "RationalFunction":
+    def _reduced(cn: int, cd: int, num: Poly, den: Poly) -> "RationalFunction":
         g = _gcd(num, den)
         if len(g) > 1:
             num, den = exact_div(num, g), exact_div(den, g)
-        return RationalFunction(c, num, den)
+        return RationalFunction.of(cn, cd, num, den, _low(num) - _low(den))
 
     def mul(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction._reduced(
-            self.c * other.c, _mul(self.num, other.num), _mul(self.den, other.den)
-        )
+        (a, b, p, q, _), (c, d, r, s, _) = self, other
+        return RationalFunction._reduced(a * c, b * d, _mul(p, r), _mul(q, s))
 
     def div(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction._reduced(
-            self.c / other.c, _mul(self.num, other.den), _mul(self.den, other.num)
-        )
-
-    @property
-    def is_polynomial(self) -> bool:
-        return len(self.den) == 1
-
-    @cached_property
-    def order(self) -> int:
-        """Order at x = 0 (can be negative for genuine fractions)."""
-        return _low(self.num) - _low(self.den)
+        (a, b, p, q, _), (c, d, r, s, _) = self, other
+        return RationalFunction._reduced(a * d, b * c, _mul(p, s), _mul(q, r))
 
     @property
     def is_unit_class(self) -> bool:
-        return self.c == 1 and len(self.num) == len(self.den) == 1
+        return self.cn == self.cd == 1 and len(self.num) == len(self.den) == 1
 
     def in_domain(self) -> bool:
         """Membership in the ring of polynomials with integer constant term."""
-        # c * num(0) is an integer iff the denominator of c divides num(0)
-        return self.is_polynomial and self.num[0] % self.c.denominator == 0
+        # c * num(0) is an integer iff cd divides num(0)
+        return len(self.den) == 1 and self.num[0] % self.cd == 0
 
     def label(self) -> str:
         """c * num / den printed with the denominator monic, and as a
         polynomial when den = 1."""
-        lead = self.den[-1]
-        top = poly_str([self.c * a / lead for a in self.num])
-        if self.is_polynomial:
+        cn, cd, num, den, _ = self
+        lead = den[-1]
+        top = render_terms([_ratio(cn * a, cd * lead) for a in num])
+        if len(den) == 1:
             return top
-        return f"({top})/({poly_str([Fraction(b, lead) for b in self.den])})"
+        return f"({top})/({render_terms([_ratio(b, lead) for b in den])})"
+

@@ -15,6 +15,7 @@ import pytest
 from divgraph import graph as graph_module
 from divgraph import reports as reports_module
 from divgraph import topology as topology_module
+from divgraph.config import load_config
 from divgraph.connectivity import atom_subgroup
 from divgraph.graph import build_graph, classify, window_analysis
 from divgraph.lattices import SubgroupDescriptor
@@ -41,7 +42,7 @@ from divgraph.reports import (
 )
 from divgraph.topology import window_poset
 from divgraph.values import Vec
-from helpers import FRACTIONAL, LADDER, fractional_window, ladder_window
+from helpers import CONFIG_DIR, FRACTIONAL, LADDER, fractional_window, ladder_window
 
 
 def counting(fn, calls: list):
@@ -57,6 +58,40 @@ def test_vec_compares_and_hashes_in_c():
     # defined on Vec would send == through a Python slot
     for name in ("__eq__", "__hash__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
         assert getattr(Vec, name) is getattr(tuple, name), name
+
+
+def test_rational_function_compares_and_hashes_in_c():
+    # zxq windows look every quotient class up by value, as value models do
+    for name in ("__eq__", "__hash__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(RationalFunction, name) is getattr(tuple, name), name
+
+
+@pytest.mark.parametrize("name", ["zxq_orders", "zxq_prime_witness"])
+def test_zxq_reports_build_no_fraction(monkeypatch, name):
+    # zxq classes are int tuples: from the model's construction to the JSON
+    # and .dot of every report, no Fraction is built
+    cfg = load_config(CONFIG_DIR / f"{name}.cfg")
+    calls = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    m, spec = cfg.build()
+    w = m.enumerate_window(spec)
+    graph = build_graph(m, w)
+    reports = (
+        graph_report(graph),
+        classify_report(graph),
+        components_report(graph),
+        topology_report(m, w),
+        atomicity_report(m, w),
+        crosscheck_graph(graph),
+    )
+    assert all(to_json(r).endswith("}\n") for r in reports) and dot_export(graph)
+    assert calls == []
 
 
 def test_topology_renders_each_label_at_most_once(monkeypatch):

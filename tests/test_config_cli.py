@@ -9,9 +9,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divgraph import cli
-from divgraph.config import parse_config
+from divgraph.config import _fraction, parse_config
 from divgraph.connectivity import weak_components
 from divgraph.errors import ParseError, UnknownModelKind
 from divgraph.graph import DivGraph, build_graph
@@ -30,6 +32,21 @@ def run_cli(*args, timeout=None):
         text=True,
         timeout=timeout,
     )
+
+
+def parses_as_fraction(tok: str):
+    """`_fraction(tok)` is `Fraction(tok)` in value, or the same ParseError
+    where `Fraction` refuses the token, on the running Python."""
+    try:
+        want = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError) as exc:
+            _fraction(tok, 3)
+        assert str(exc.value) == f"line 3: not an exact rational: {tok!r}"
+        return None
+    got = _fraction(tok, 3)
+    assert got == want
+    return got
 
 
 class TestParser:
@@ -55,6 +72,30 @@ class TestParser:
         model, spec = cfg.build()
         w = model.enumerate_window(spec)
         assert sorted(e.label for e in w) == ["(1/2)x", "2"]
+
+    @pytest.mark.parametrize(
+        "tok, kind",
+        [
+            ("12", int),
+            ("-7", int),
+            ("+0", int),
+            ("3_000", None),
+            ("\u0661\u0662", None),  # Arabic-Indic 12
+            ("1e3", Fraction),
+            ("1.5", Fraction),
+            ("3/0", None),
+            ("+-3", None),
+        ],
+    )
+    def test_coefficient_tokens_parse_as_fraction_reads_them(self, tok, kind):
+        got = parses_as_fraction(tok)
+        if kind is not None:
+            assert type(got) is kind
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="+-0123456789/._e\u0661", min_size=1, max_size=6))
+    def test_any_coefficient_token_parses_as_fraction_reads_it(self, tok):
+        parses_as_fraction(tok)
 
     @pytest.mark.parametrize(
         "text,fragment",

@@ -1,13 +1,21 @@
 """Properties of the zxq class arithmetic on primitive integer polynomials."""
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from divgraph.polynomials import RationalFunction, primitive, rational_roots
+from divgraph import polynomials
+from divgraph.polynomials import (
+    RationalFunction,
+    exact_div,
+    factor_monic,
+    primitive,
+    rational_roots,
+)
 
 coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 # rational polynomials of degree <= 4, coefficients ascending, nonzero
@@ -20,6 +28,15 @@ def row_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
+
+
+def is_content(n, d) -> bool:
+    """A positive rational in lowest terms as a pair of ints."""
+    return type(n) is int and type(d) is int and n > 0 and d > 0 and gcd(n, d) == 1
+
+
+def low(p) -> int:
+    return next(i for i, a in enumerate(p) if a)
 
 
 def is_primitive(p) -> bool:
@@ -58,7 +75,8 @@ def test_num_and_den_are_primitive_int_tuples(p, q, r, s):
     a, b = RationalFunction.make(p, q), RationalFunction.make(r, s)
     for rf in (a, b, a.mul(b), a.div(b)):
         assert is_primitive(rf.num) and is_primitive(rf.den)
-        assert type(rf.c) is Fraction and rf.c > 0
+        assert is_content(rf.cn, rf.cd)
+        assert rf.order == low(rf.num) - low(rf.den)
 
 
 def int_eval(p, a, b) -> int:
@@ -114,14 +132,91 @@ def test_div_matches_sympy_cancel():
         want_num, want_den = sympy.fraction(want)
         assert len(got.num) - 1 == sympy.degree(want_num, x)
         assert len(got.den) - 1 == sympy.degree(want_den, x)
-        mine = expr([got.c]) * expr(got.num) / expr(got.den)
+        mine = sympy.Rational(got.cn, got.cd) * expr(got.num) / expr(got.den)
         assert sympy.cancel(mine - want) == 0 or sympy.cancel(mine + want) == 0
 
     agrees()
 
 
 def test_primitive_splits_off_a_positive_content():
-    assert primitive((Fraction(-1, 2), 0, Fraction(-3, 4))) == (Fraction(1, 4), (2, 0, 3))
-    assert primitive((6, -9, 3, 0)) == (Fraction(3), (2, -3, 1))
+    for row, content, part in (
+        ((Fraction(-1, 2), 0, Fraction(-3, 4)), (1, 4), (2, 0, 3)),
+        ((6, -9, 3, 0), (3, 1), (2, -3, 1)),
+        ((Fraction(6), Fraction(-9), 3), (3, 1), (2, -3, 1)),
+        ((Fraction(4, 6), Fraction(-2, 9)), (2, 9), (-3, 1)),
+    ):
+        assert primitive(row) == (content, part)
+        assert is_content(*primitive(row)[0]) and is_primitive(primitive(row)[1])
     with pytest.raises(ZeroDivisionError):
         primitive((0, 0))
+
+
+def fraction_str(row) -> str:
+    """The renderer on `Fraction` coefficients that the int-pair renderer
+    replaced, kept here as an oracle."""
+    parts = []
+    for i, c in enumerate(row):
+        if c == 0:
+            continue
+        if i == 0:
+            term = str(c)
+        else:
+            x = "x" if i == 1 else f"x^{i}"
+            if c == 1:
+                term = x
+            elif c == -1:
+                term = f"-{x}"
+            elif c.denominator == 1:
+                term = f"{c}{x}"
+            else:
+                term = f"({c}){x}"
+        parts.append(term)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for term in parts[1:]:
+        out += term if term.startswith("-") else "+" + term
+    return out
+
+
+def fraction_label(rf) -> str:
+    """c * num / den on `Fraction`s, with the denominator made monic."""
+    c, lead = Fraction(rf.cn, rf.cd), rf.den[-1]
+    top = fraction_str([c * a / lead for a in rf.num])
+    if len(rf.den) == 1:
+        return top
+    return f"({top})/({fraction_str([Fraction(b, lead) for b in rf.den])})"
+
+
+# negative, fractional, with zero gaps and trailing zeros
+gappy = st.lists(st.one_of(st.just(Fraction(0)), coeff), min_size=1, max_size=6).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gappy, st.one_of(st.just([Fraction(1)]), gappy))
+def test_label_matches_a_fraction_renderer(p, q):
+    rf = RationalFunction.make(p, q)
+    assert rf.label() == fraction_label(rf)
+
+
+@pytest.mark.parametrize("n", [73513440, 963761198400])
+def test_root_scan_tries_only_candidates_within_the_root_bounds(monkeypatch, n):
+    # p = n + x + x^2 + n x^3 = (1 + x)(n + (1 - n) x + n x^2); every root r
+    # has 1/2 <= |r| <= 2 (Cauchy's bound on p and on p reversed)
+    divs = sorted(d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in {k, n // k})
+    in_bound = sum(
+        2
+        for b in divs
+        for a in divs[bisect_left(divs, (b + 1) // 2) : bisect_right(divs, 2 * b)]
+        if gcd(a, b) == 1
+    )
+    calls = []
+
+    def counted(p, d):
+        # fail at the first call past the contract, not after the whole scan
+        calls.append(d)
+        assert len(calls) <= in_bound + 3, "exact_div tried outside the root bounds"
+        return exact_div(p, d)
+
+    monkeypatch.setattr(polynomials, "exact_div", counted)
+    assert factor_monic((n, 1, 1, n)) == [(1, 1), (n, 1 - n, n)]
