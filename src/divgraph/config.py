@@ -28,7 +28,6 @@ bounds and zxq's `elements`; and `include_fractional`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,12 +43,12 @@ _KIND_DIRECTIVES = {
 }
 
 
-@dataclass
 class RunConfig:
-    kind: str
-    options: dict = field(default_factory=dict)  # the model's constructor arguments
-    window: dict = field(default_factory=dict)  # the window bounds, and zxq's elements
-    include_fractional: bool = False
+    def __init__(self, kind: str, options=None, window=None, include_fractional=False):
+        self.kind = kind
+        self.options: dict = {} if options is None else options  # the model's constructor arguments
+        self.window: dict = {} if window is None else window  # the window bounds, and zxq's elements
+        self.include_fractional: bool = include_fractional
 
     def build(self) -> tuple[DivisibilityModel, WindowSpec]:
         spec = WindowSpec(self.window, self.include_fractional)

@@ -2,22 +2,26 @@
 
 Two elements represent the same class iff their (model_id, value) pairs are
 equal: models quotient out units first, so the value (a `Vec`, or a zxq
-`RationalFunction`) is canonical.  The label is rendered from the value on
-first read, and serves only for output and for the order of output.
+`RationalFunction`) is canonical.  An element is that pair as a tuple, so
+`==` and `hash` are `tuple`'s and run in C.  The renderer rides in the
+instance `__dict__`, outside the pair, and the label is rendered from the
+value on first read; it serves only for output and for the order of output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
-from typing import Any, Callable
 
 
-@dataclass(frozen=True)
-class Element:
-    model_id: str
-    value: Any
-    render: Callable[[Any], str] = field(compare=False, repr=False)
+class Element(namedtuple("Element", "model_id value")):
+    def __new__(cls, model_id: str, value, render) -> Element:
+        self = tuple.__new__(cls, (model_id, value))
+        self.render = render  # value -> label; not compared, not in the repr
+        return self
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild through __new__
+        return (*self, self.render)
 
     @cached_property
     def label(self) -> str:

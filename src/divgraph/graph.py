@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import graphlib
 from bisect import bisect
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 
@@ -40,20 +40,14 @@ from .models.base import DivisibilityModel, FactorSearch, _walk
 from .verdicts import Status, Verdict, fails, holds, inconclusive
 
 
-@dataclass(frozen=True)
-class DivGraph:
+class DivGraph(namedtuple("DivGraph", "model vertices edges atoms boundary")):
     """A window graph.  `vertices` are in label order, and the rest names
     them by position: `edges` holds the pairs (a, b) in increasing order,
     which is label order, `atoms` the atom a/b of each edge (never None),
     and `boundary` the vertices with a successor outside the window.
-    `proper`, `ends` and `atom_vertices` are computed on first read, so a
-    report that reads none of them (components) never asks the model."""
-
-    model: DivisibilityModel
-    vertices: tuple[Element, ...]
-    edges: tuple[tuple[int, int], ...]
-    atoms: tuple[Element, ...]
-    boundary: frozenset[int]
+    `proper`, `ends` and `atom_vertices` are computed on first read, into
+    the instance `__dict__`, so a report that reads none of them
+    (components) never asks the model."""
 
     @cached_property
     def proper(self) -> tuple[bool, ...]:
@@ -286,12 +280,13 @@ class _Multisets:
         return True
 
 
-@dataclass(frozen=True)
-class _VertexInfo:
-    factorizations: _Multisets  # complete atom multisets
-    lengths: int  # bit n set iff some complete multiset has n atoms
-    escapes: bool  # some path can leave the window or is unresolved
-    dead: bool  # some path along integral non-units ends at a non-atom with no continuation
+class _VertexInfo(namedtuple("_VertexInfo", "factorizations lengths escapes dead")):
+    """`factorizations`: the complete atom multisets (`_Multisets`);
+    `lengths`: bit n set iff some complete multiset has n atoms; `escapes`:
+    some path can leave the window or is unresolved; `dead`: some path along
+    integral non-units ends at a non-atom with no continuation."""
+
+    __slots__ = ()
 
 
 def window_analysis(graph: DivGraph) -> dict[str, _VertexInfo]:

@@ -12,8 +12,6 @@ rational part unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .values import Ambient, Vec
 
 
@@ -65,20 +63,17 @@ def column_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[list[in
     return H, U, pivots
 
 
-@dataclass
 class SubgroupDescriptor:
     """Subgroup of Z^dim (+) Q generated by `generators`, each with rational
     part 0, with normal form."""
 
-    ambient: Ambient
-    generators: tuple[Vec, ...]
-
-    def __post_init__(self):
-        for g in self.generators:
+    def __init__(self, ambient: Ambient, generators: tuple[Vec, ...]):
+        for g in generators:
             if g.rat != 0:
                 raise ValueError(f"generator {g} has a nonzero rational part")
-        A = [[g.ints[i] for g in self.generators] for i in range(self.ambient.dim)]
-        self._H, self._U, self._pivots = column_echelon(A)  # derived, not fields
+        self.ambient, self.generators = ambient, generators
+        A = [[g.ints[i] for g in generators] for i in range(ambient.dim)]
+        self._H, self._U, self._pivots = column_echelon(A)
 
     @property
     def no_atoms(self) -> bool:

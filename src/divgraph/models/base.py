@@ -15,24 +15,26 @@ pure functions of (model, inputs).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping
 from functools import cached_property
-from typing import Callable, Container, Iterable, Iterator, Mapping
 
 from ..elements import Element
 from ..errors import ElementForeignToModel, InvalidBounds
 from ..values import Ambient, Vec
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    bounds: Mapping[str, object]
-    include_fractional: bool = False
+class WindowSpec(namedtuple("WindowSpec", "bounds include_fractional", defaults=(False,))):
+    """The window `bounds` (a mapping of bound names) and whether the window
+    takes the fractional classes too."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Factorization:
-    atoms: tuple[Element, ...]  # sorted by label, repetitions allowed
+class Factorization(namedtuple("Factorization", "atoms")):
+    """`atoms`: the atom elements sorted by label, repetitions allowed."""
+
+    __slots__ = ()
 
 
 class Suffixes:
@@ -72,16 +74,12 @@ def _walk(start, moves: Callable) -> Iterator[tuple[int, ...]]:
             stack.append(moves(step[1]))
 
 
-@dataclass(frozen=True)
-class FactorSearch:
+class FactorSearch(namedtuple("FactorSearch", "atoms bound_too_small tree", defaults=(None,))):
     """An oracle's answer for one element: its factorizations into at most
     the bound's number of atoms, and whether the bound cut the search.
     `tree` holds them as sorted tuples of indices into `atoms` (label
-    order), None when there are none; `found` renders them on first read."""
-
-    atoms: tuple[Element, ...]
-    bound_too_small: bool
-    tree: Suffixes | None = None
+    order), None when there are none; `found` renders them on first read,
+    into the instance `__dict__`."""
 
     @cached_property
     def found(self) -> tuple[Factorization, ...]:

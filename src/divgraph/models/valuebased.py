@@ -10,12 +10,12 @@ factorization oracle, the boundary probe and the atom subgroup.
 from __future__ import annotations
 
 import abc
+from collections.abc import Container, Iterable
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from itertools import product
 from operator import itemgetter, mul, sub
-from typing import Container, Iterable
 
 from ..elements import Element
 from ..errors import EmptyWindow, InvalidBounds

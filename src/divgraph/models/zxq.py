@@ -36,8 +36,8 @@ gcd (`_over`).
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterable
 from fractions import Fraction
-from typing import Container, Iterable
 
 from ..elements import Element
 from ..errors import DegreeCapExceeded, EmptyWindow, InvalidBounds

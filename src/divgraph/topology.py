@@ -10,20 +10,16 @@ transitivity and the basis alike; antisymmetry is read off distinct rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .bitrows import classes, first_escape, select, transpose
 from .models.base import DivisibilityModel
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(namedtuple("FinitePoset", "elements rows")):
     """A finite order held as bit rows, one per element: bit j of rows[i] is
     set iff elements[i] <= elements[j], reflexive pairs included."""
-
-    elements: tuple
-    rows: tuple[int, ...]
 
     @cached_property
     def relation(self) -> frozenset:
@@ -48,13 +44,9 @@ class FinitePoset:
                 raise AssertionError(f"antisymmetry violated on {elements[i]!r}, {elements[j]!r}")
 
 
-@dataclass(frozen=True)
-class AlexandrovSpace:
+class AlexandrovSpace(namedtuple("AlexandrovSpace", "points closures")):
     """A finite space held as its points' closures: bit j of closures[i] is
     set iff points[i] lies in the minimal open set of points[j]."""
-
-    points: tuple
-    closures: tuple[int, ...]
 
     @cached_property
     def opens(self) -> tuple[int, ...]:

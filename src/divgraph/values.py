@@ -9,17 +9,14 @@ are lexicographic with the rational coordinate last.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
 
-@dataclass(frozen=True, order=False)
-class Ambient:
+class Ambient(namedtuple("Ambient", "dim with_rat", defaults=(False,))):
     """Shape descriptor for a value group Z^dim (+) Q."""
 
-    dim: int
-    with_rat: bool = False
+    __slots__ = ()
 
 
 class Vec(namedtuple("Vec", "ints rat", defaults=(0,))):

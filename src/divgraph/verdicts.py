@@ -7,9 +7,8 @@ overstates what was actually checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
-from typing import Any
 
 
 class Status(str, Enum):
@@ -18,15 +17,15 @@ class Status(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: Status
-    evidence: Any = None
-    provenance: str = "window"  # "analytic" or "window" (searched)
+class Verdict(namedtuple("Verdict", "status evidence provenance")):
+    """`provenance` is "analytic" or "window" (searched)."""
 
-    def __post_init__(self):
-        if self.status in (Status.HOLDS, Status.FAILS) and self.evidence is None:
-            raise ValueError(f"{self.status.value} verdicts must carry evidence")
+    __slots__ = ()
+
+    def __new__(cls, status: Status, evidence=None, provenance: str = "window") -> Verdict:
+        if status in (Status.HOLDS, Status.FAILS) and evidence is None:
+            raise ValueError(f"{status.value} verdicts must carry evidence")
+        return tuple.__new__(cls, (status, evidence, provenance))
 
     def to_jsonable(self) -> dict:
         return {
