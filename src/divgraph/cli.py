@@ -48,18 +48,14 @@ def _parser() -> argparse.ArgumentParser:
             action="store_true",
             help="exit nonzero if any verdict in the report is Fails",
         )
-        sp.add_argument(
-            "--dot", action="store_true", help="also emit a Graphviz .dot file"
-        )
+        sp.add_argument("--dot", action="store_true", help="also emit a Graphviz .dot file")
         return sp
 
     add("graph", "vertices, edges, sinks and boundary of the window graph")
     add("classify", "Atomic/ACCP/BFD/FFD/HFD verdicts from path analysis")
     add("components", "weak components and atom-subgroup coset labels")
     sp = add("topology", "finite Alexandrov-space view of the window")
-    sp.add_argument(
-        "--pair", nargs=2, metavar=("A", "B"), help="also test chain connectedness"
-    )
+    sp.add_argument("--pair", nargs=2, metavar=("A", "B"), help="also test chain connectedness")
     add("atomicity", "almost/quasi atomicity verdicts with certificates")
     add("check", "cross-check path classification against the brute-force oracle")
     return p
@@ -67,11 +63,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _has_fails(obj) -> bool:
     if isinstance(obj, dict):
-        if obj.get("status") == "Fails":
-            return True
-        if obj.get("ok") is False:
-            return True
-        return any(_has_fails(v) for v in obj.values())
+        fails = obj.get("status") == "Fails" or obj.get("ok") is False
+        return fails or any(_has_fails(v) for v in obj.values())
     if type(obj) in (list, tuple):  # to_json writes both as arrays, and no subclass
         return any(_has_fails(v) for v in obj)
     return False

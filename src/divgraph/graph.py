@@ -27,7 +27,6 @@ lies outside the window, say) the multisets are listed, as index tuples.
 
 from __future__ import annotations
 
-import graphlib
 from bisect import bisect
 from collections import namedtuple
 from collections.abc import Iterator
@@ -82,34 +81,39 @@ def build_graph(model: DivisibilityModel, window) -> DivGraph:
     """The graph on a window as `enumerate_window` returns it: distinct
     elements in label order, taken as given."""
     vertices = tuple(window)
-    # candidates and probes name values, so the vertices are found by value
-    # and no element is hashed
-    index = {v.value: n for n, v in enumerate(vertices)}
+    # one index per build, which both hooks read; no element is hashed
+    index = model.window_index(vertices)
     edges, atoms = [], []
     for i, a in enumerate(vertices):
         found = {}  # target -> its atom
-        for c, p in model.successor_candidates(a, vertices):
-            j = index.get(c)
-            if j is not None and j != i and cover_edge(model, a, vertices[j]):
+        for j, p in model.successor_candidates(a, vertices, index):
+            if j != i and cover_edge(model, a, vertices[j]):
                 found[j] = p
         for j, p in sorted(found.items()):
             edges.append((i, j))
             atoms.append(p)
-    boundary = frozenset(
-        n for n, v in enumerate(vertices) if model.boundary_probe(v, index)
-    )
+    boundary = frozenset(n for n, v in enumerate(vertices) if model.boundary_probe(v, index))
     return DivGraph(model, vertices, tuple(edges), tuple(atoms), boundary)
 
 
 def topological_order(graph: DivGraph) -> list[int]:
     """The vertex positions, every edge target (the divisor) before its
-    source; raises graphlib.CycleError if the graph is (impossibly) cyclic."""
-    ts = graphlib.TopologicalSorter()
-    for n in range(len(graph.vertices)):
-        ts.add(n)
+    source, in `graphlib.TopologicalSorter.static_order`'s order: a FIFO
+    queue of the vertices without targets in position order, then of each
+    source once its last target is out, in edge order; ValueError on a cycle."""
+    sources, left = [[] for _ in graph.vertices], [0] * len(graph.vertices)
     for a, b in graph.edges:
-        ts.add(a, b)
-    return list(ts.static_order())
+        sources[b].append(a)
+        left[a] += 1  # targets not yet in the order
+    order = [n for n, k in enumerate(left) if not k]
+    for b in order:  # the list is the queue: appends are read in turn
+        for a in sources[b]:
+            left[a] -= 1
+            if not left[a]:
+                order.append(a)
+    if len(order) < len(left):
+        raise ValueError("the graph has a cycle")
+    return order
 
 
 def sinks(graph: DivGraph) -> tuple[list[int], list[int]]:

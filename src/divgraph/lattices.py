@@ -21,46 +21,30 @@ def column_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[list[in
     column right of a pivot has a zero entry in that pivot's row."""
     d = len(rows)
     n = len(rows[0]) if d else 0
-    H = [list(r) for r in rows]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def colop(j, k, q):
-        # column_j -= q * column_k
-        for i in range(d):
-            H[i][j] -= q * H[i][k]
-        for i in range(n):
-            U[i][j] -= q * U[i][k]
-
-    def swap(j, k):
-        for i in range(d):
-            H[i][j], H[i][k] = H[i][k], H[i][j]
-        for i in range(n):
-            U[i][j], U[i][k] = U[i][k], U[i][j]
-
+    # the column operations act on [A; I], which ends as [H; U]
+    M = [list(r) for r in rows] + [[int(i == j) for j in range(n)] for i in range(n)]
     pivots: list[tuple[int, int]] = []
     cur = 0
     for row in range(d):
         while True:
-            live = [j for j in range(cur, n) if H[row][j] != 0]
+            live = [j for j in range(cur, n) if M[row][j] != 0]
             if len(live) <= 1:
                 break
-            j0 = min(live, key=lambda j: abs(H[row][j]))
+            j0 = min(live, key=lambda j: abs(M[row][j]))
             for j in live:
                 if j != j0:
-                    colop(j, j0, H[row][j] // H[row][j0])
-        live = [j for j in range(cur, n) if H[row][j] != 0]
+                    q = M[row][j] // M[row][j0]
+                    for r in M:  # column_j -= q * column_j0
+                        r[j] -= q * r[j0]
         if not live:
             continue
-        if live[0] != cur:
-            swap(live[0], cur)
-        if H[row][cur] < 0:
-            for i in range(d):
-                H[i][cur] = -H[i][cur]
-            for i in range(n):
-                U[i][cur] = -U[i][cur]
+        k = live[0]
+        sign = 1 if M[row][k] > 0 else -1
+        for r in M:  # column k to column cur, with a positive pivot
+            r[k], r[cur] = r[cur], sign * r[k]
         pivots.append((row, cur))
         cur += 1
-    return H, U, pivots
+    return M[:d], M[d:], pivots
 
 
 class SubgroupDescriptor:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from collections import namedtuple
-from collections.abc import Callable, Container, Iterable, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from functools import cached_property
 
 from ..elements import Element
@@ -149,16 +149,21 @@ class DivisibilityModel(abc.ABC):
         """Brute-force oracle: all atom multisets of size <= max_length whose
         product is a, exhaustive within the bound."""
 
+    def window_index(self, vertices: tuple[Element, ...]) -> Mapping:
+        """A mapping keyed by the vertices' values, built once per graph for
+        `successor_candidates` and `boundary_probe`: here each one's position."""
+        return {v.value: n for n, v in enumerate(vertices)}
+
     @abc.abstractmethod
     def successor_candidates(
-        self, a: Element, vertices: tuple[Element, ...]
-    ) -> Iterable[tuple[object, Element]]:
-        """The values of the elements among which lie all edge targets of a
-        in vertices, each with the quotient a/candidate, which is the atom
-        of the edge where there is one.  Where the model can list a's atoms,
-        these are the quotients a/p by them, each with p; elsewhere a subset
-        of vertices.  The graph finds the candidates among its vertices by
-        value and tests those with `cover_edge`."""
+        self, a: Element, vertices: tuple[Element, ...], index: Mapping
+    ) -> Iterable[tuple[int, Element]]:
+        """The positions in vertices among which lie all edge targets of a,
+        each with the quotient a/candidate, which is the atom of the edge
+        where there is one; `index` is `window_index(vertices)`.  Where the
+        model can list a's atoms, these are the quotients a/p by them that
+        lie in the window, each with p; elsewhere a subset of vertices.  The
+        graph tests each candidate with `cover_edge`."""
 
     @abc.abstractmethod
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
@@ -167,12 +172,13 @@ class DivisibilityModel(abc.ABC):
         window[i]/window[j] is a (nonempty) product of atoms."""
 
     @abc.abstractmethod
-    def boundary_probe(self, a: Element, window: Container) -> bool:
+    def boundary_probe(self, a: Element, window: Collection) -> bool:
         """True when a has an atom-quotient successor outside the window:
         for some atom p, a/p is integral, not a unit, and its value is not in
-        `window` (the values of the window's elements).  Also True where the
-        model cannot list the atoms that divide a: a zxq class of positive
-        order, which every prime divides, or one whose split is unknown."""
+        `window`, the values of the window's elements or its `window_index`,
+        which need not hold a's.  Also True where the model cannot list the
+        atoms that divide a: a zxq class of positive order, which every prime
+        divides, or one whose split is unknown."""
 
     @abc.abstractmethod
     def conn_value(self, a: Element) -> Vec:

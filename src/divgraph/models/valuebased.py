@@ -10,16 +10,16 @@ factorization oracle, the boundary probe and the atom subgroup.
 from __future__ import annotations
 
 import abc
-from collections.abc import Container, Iterable
+from collections.abc import Collection, Iterable
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from itertools import product
-from operator import itemgetter, mul, sub
+from operator import itemgetter
 
 from ..elements import Element
 from ..errors import EmptyWindow, InvalidBounds
-from ..values import Ambient, Vec, fmt_exponent
+from ..values import Ambient, Vec, _Box, _place, fmt_exponent
 from .base import DivisibilityModel, FactorSearch, Suffixes, WindowSpec
 
 
@@ -44,7 +44,7 @@ class ValueModel(DivisibilityModel):
         """Canonical label of a nonzero value."""
 
     @abc.abstractmethod
-    def _box(self, *bounds: int) -> list[Vec]:
+    def _half(self, *bounds: int) -> list[Vec]:
         """The distinct values of the fractional window of these bounds (the
         `window_bounds`, in order) whose first coordinate (`rat` where there
         is no other) is >= 0, the unit included.  Every integral value lies
@@ -171,36 +171,24 @@ class ValueModel(DivisibilityModel):
         # any truncation means the list may be incomplete
         return FactorSearch(atoms, height > max_length, node if node.count else None)
 
-    def _atom_quotients(self, v: Vec) -> list[tuple[Vec, Element]]:
-        """The value of a/p for each atom p, with p: values, not elements,
-        so the graph's lookups hash no element."""
-        return [(v - p.value, p) for p in self.atoms()]
+    def window_index(self, vertices: tuple[Element, ...]) -> _Box:
+        return _Box([v.value for v in vertices], self.atoms())
 
     def successor_candidates(
-        self, a: Element, vertices: tuple[Element, ...]
-    ) -> list[tuple[Vec, Element]]:
-        # every quotient a/p, integral or not: a fractional window holds both
-        return self._atom_quotients(a.value)
+        self, a: Element, vertices: tuple[Element, ...], index: _Box
+    ) -> list[tuple[int, Element]]:
+        # every quotient a/p in the window, integral or not
+        at, origin = index.at, index[a.value]
+        return [(j, p) for s, p in index.steps if (j := at.get(origin - s)) is not None]
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
-        # every atom value has rational part 0, so the rational part is one
-        # more coordinate, the index of its value among the window's, where
-        # only the difference 0 can be atomic.  In a box padded to 2w - 1 per
-        # coordinate of width w, row-major with the rational index outermost,
-        # a - b is the fixed shift pos(a) - pos(b), so `is_atomic_value` is
-        # asked once per integer difference in the box, and the answers, as
-        # one bit string reversed, hold the row of a at offset centre - pos(a)
+        # `is_atomic_value` is asked once per integer difference in the box
+        # (rational part 0), and the answers, as one bit string reversed,
+        # hold the row of a at offset centre - pos(a)
         self.check_owned(*window)
         if not window:
             return []
-        rats = {r: n for n, r in enumerate(sorted({e.value.rat for e in window}))}
-        coords = [(rats[e.value.rat], *e.value.ints) for e in window]
-        lows = [min(c) for c in zip(*coords)]
-        widths = [max(c) - low + 1 for c, low in zip(zip(*coords), lows)]
-        strides = [1]
-        for w in reversed(widths[1:]):
-            strides.insert(0, strides[0] * (2 * w - 1))
-        pos = [sum(map(mul, map(sub, c, lows), strides)) for c in coords]
+        pos, widths, strides = _place([e.value for e in window])
         centre = sum((w - 1) * s for w, s in zip(widths, strides))
         diffs = product(*(range(1 - w, w) for w in widths[1:]))
         slab = "".join("1" if self.is_atomic_value(Vec(d)) else "0" for d in diffs)
@@ -214,13 +202,16 @@ class ValueModel(DivisibilityModel):
             for i, p in enumerate(pos)
         ]
 
-    def boundary_probe(self, a: Element, window: Container) -> bool:
+    def boundary_probe(self, a: Element, window: Collection) -> bool:
         self.check_owned(a)
-        # an integral quotient a/p may be a unit: the zero value lies in every
-        # value monoid
+        v = a.value
+        # a box of the given values and a (a/p is never a); only a quotient
+        # outside the window is built, and the unit is integral
+        box = window if isinstance(window, _Box) else _Box([*{*window, v}], self.atoms())
+        at, origin = box.at, box[v]
         return any(
-            self.contains_value(q) and not q.is_zero and q not in window
-            for q, _ in self._atom_quotients(a.value)
+            origin - s not in at and self.contains_value(q := v - p.value) and not q.is_zero
+            for s, p in box.steps
         )
 
     def conn_value(self, a: Element) -> Vec:
@@ -230,7 +221,7 @@ class ValueModel(DivisibilityModel):
         return self.atoms()
 
     def enumerate_window(self, spec: WindowSpec) -> tuple[Element, ...]:
-        half = self._box(*self.require_positive(spec.bounds, *self.window_bounds))
+        half = self._half(*self.require_positive(spec.bounds, *self.window_bounds))
         if spec.include_fractional:
             values = {*half, *(v.scaled(-1) for v in half)}
         else:
@@ -265,7 +256,7 @@ class DVRModel(ValueModel):
             return "pi" if k == 1 else f"pi^{k}"
         return "1/pi" if k == -1 else f"1/pi^{-k}"
 
-    def _box(self, n: int) -> list[Vec]:
+    def _half(self, n: int) -> list[Vec]:
         return [Vec((k,)) for k in range(n + 1)]
 
 
@@ -296,7 +287,7 @@ class AntimatterModel(ValueModel):
             "witness": witness.label if witness else None,
         }
 
-    def _box(self, max_value: int, max_den: int) -> list[Vec]:
+    def _half(self, max_value: int, max_den: int) -> list[Vec]:
         return [Vec((), q) for q in _fraction_range(max_value, max_den)]
 
 
@@ -339,7 +330,7 @@ class NumericalMonoidModel(ValueModel):
     def label_for(self, v: Vec) -> str:
         return str(v.ints[0])
 
-    def _box(self, max_value: int) -> list[Vec]:
+    def _half(self, max_value: int) -> list[Vec]:
         # the value group: the multiples of the generators' gcd
         step = gcd(*self.generators)
         return [Vec((n,)) for n in range(0, max_value + 1, step)]
@@ -412,7 +403,7 @@ class D1Model(_TwoGeneratorValuationModel):
             return self.element(Vec((max(2, 1 - a.value.ints[0]),), -a.value.rat))
         return None
 
-    def _box(self, k_max: int, den_max: int, alpha_max: int) -> list[Vec]:
+    def _half(self, k_max: int, den_max: int, alpha_max: int) -> list[Vec]:
         alphas = _fraction_range(alpha_max, den_max)
         alphas |= {-a for a in alphas}
         return [Vec((k,), a) for k in range(k_max + 1) for a in alphas]
@@ -444,5 +435,5 @@ class D2Model(_TwoGeneratorValuationModel):
         k, j = v.ints
         return v.rat == 0 and k >= 0 and j >= 0 and (k, j) != (0, 0)
 
-    def _box(self, k_max: int, j_max: int) -> list[Vec]:
+    def _half(self, k_max: int, j_max: int) -> list[Vec]:
         return [Vec((k, j)) for k in range(k_max + 1) for j in range(-j_max, j_max + 1)]

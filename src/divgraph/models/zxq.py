@@ -36,7 +36,7 @@ gcd (`_over`).
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable
+from collections.abc import Container, Iterable, Mapping
 from fractions import Fraction
 
 from ..elements import Element
@@ -245,14 +245,14 @@ class ZxQModel(DivisibilityModel):
         return any(not q.is_unit_class and q not in window for q, _ in quotients)
 
     def successor_candidates(
-        self, a: Element, vertices: tuple[Element, ...]
-    ) -> list[tuple[RationalFunction, Element]]:
+        self, a: Element, vertices: tuple[Element, ...], index: Mapping
+    ) -> list[tuple[int, Element]]:
         rf = a.value
         if rf.order == 0 and rf.in_domain():
             quotients = self._atom_quotients(rf)
             if quotients is not None:
-                return quotients
-        return [(vertices[j].value, self.element_of(q)) for j, q in _divisors(a, vertices)]
+                return [(j, p) for q, p in quotients if (j := index.get(q)) is not None]
+        return [(j, self.element_of(q)) for j, q in _divisors(a, vertices)]
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
         rows = [1 << i for i in range(len(window))]

@@ -180,9 +180,7 @@ MAX_CHECK_VERTICES = 500
 def require_checkable(window) -> None:
     """Refuse a window too large for the exhaustive search of `check`."""
     if len(window) > MAX_CHECK_VERTICES:
-        raise WindowTooLarge(
-            f"check is exhaustive and limited to {MAX_CHECK_VERTICES} vertices"
-        )
+        raise WindowTooLarge(f"check is exhaustive and limited to {MAX_CHECK_VERTICES} vertices")
 
 
 def crosscheck_graph(graph: DivGraph) -> dict:
@@ -241,13 +239,7 @@ def crosscheck_graph(graph: DivGraph) -> dict:
     topo = connected_components_topology(space)
     topo_map = {x: c[0] for c in topo for x in c}
     if topo_map != cmap:
-        disagreements.append(
-            {
-                "kind": "components",
-                "weak_graph": cmap,
-                "topology": topo_map,
-            }
-        )
+        disagreements.append({"kind": "components", "weak_graph": cmap, "topology": topo_map})
 
     desc = atom_subgroup(model)
     vertex = {v.label: v for v in graph.vertices}

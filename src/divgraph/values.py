@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import add, sub
+from operator import add, lt, mul, sub
 
 
 class Ambient(namedtuple("Ambient", "dim with_rat", defaults=(False,))):
@@ -64,3 +64,33 @@ def fmt_exponent(q: Fraction | int) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"({q})"
+
+
+def _place(values: list[Vec]) -> tuple[list[int], list[int], list[int]]:
+    """Distinct values' positions in a box, with its widths and strides.  The
+    rational part's index among the values' is the outermost coordinate, each
+    of width w padded to 2w - 1: a - b with coordinates within w - 1 is the
+    shift pos(a) - pos(b), which no other such difference has."""
+    rats = {r: n for n, r in enumerate(sorted({v.rat for v in values}))}
+    coords = [(rats[v.rat], *v.ints) for v in values]
+    lows = [min(c) for c in zip(*coords)]
+    widths = [max(c) - low + 1 for c, low in zip(zip(*coords), lows)]
+    strides = [1]
+    for w in reversed(widths[1:]):
+        strides.insert(0, strides[0] * (2 * w - 1))
+    return [sum(map(mul, map(sub, c, lows), strides)) for c in coords], widths, strides
+
+
+class _Box(dict):
+    """Distinct values by their positions (`_place`), for one graph build.
+    `at` gives the index of the value at a position, and `steps` each atom
+    p (an element; its value has rational part 0) with its shift, so a/p is
+    at pos(a) - shift, or past every position where p does not fit the box."""
+
+    def __init__(self, values: list[Vec], atoms: tuple):
+        pos, widths, strides = _place(values)
+        super().__init__(zip(values, pos))
+        self.at, past = dict(zip(pos, range(len(pos)))), max(pos, default=0) + 1
+        fit = [all(map(lt, map(abs, p.value.ints), widths[1:])) for p in atoms]
+        shift = [sum(map(mul, p.value.ints, strides[1:])) for p in atoms]
+        self.steps = [(s if f else past, p) for s, f, p in zip(shift, fit, atoms)]

@@ -4,6 +4,7 @@ Each construction restates a definition directly so the tests can compare
 the package's answers against it.
 """
 
+import graphlib
 import heapq
 import os
 import subprocess
@@ -64,6 +65,17 @@ def all_pairs_edges(model, window) -> tuple:
         for j, b in enumerate(window)
         if cover_edge(model, a, b)
     )
+
+
+def graphlib_order(graph) -> list[int]:
+    """The oracle order: `graphlib`'s static order with every vertex added
+    first, in position order, then each edge a -> b as "b before a"."""
+    ts = graphlib.TopologicalSorter()
+    for n in range(len(graph.vertices)):
+        ts.add(n)
+    for a, b in graph.edges:
+        ts.add(a, b)
+    return list(ts.static_order())
 
 
 def spelled_multisets(graph) -> dict:

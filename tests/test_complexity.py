@@ -286,6 +286,26 @@ def test_build_graph_takes_a_quotient_only_in_cover_edge(monkeypatch, kind):
     assert tested and len(quotients) == len(tested)
 
 
+@pytest.mark.parametrize("kind", [*(k for k in LADDER if k != "zxq"), "numerical-2-5-182"])
+def test_build_graph_subtracts_once_per_vertex_and_atom(monkeypatch, kind):
+    # a candidate or a probe reads a/p as a shift of box positions; a value
+    # is subtracted only where cover_edge forms the quotient of a candidate
+    # in the window or the probe meets one outside it, and only those
+    # outside are asked whether they are integral
+    if kind == "numerical-2-5-182":
+        m = NumericalMonoidModel((2, 5))
+        w = m.enumerate_window(WindowSpec({"max_value": 182}))
+    else:
+        m, w = ladder_window(kind)
+    subs, asked = [], []
+    monkeypatch.setattr(Vec, "__sub__", counting(Vec.__sub__, subs))
+    monkeypatch.setattr(m, "contains_value", counting(m.contains_value, asked))
+    build_graph(m, w)
+    values = {e.value for e in w}
+    assert subs and len(subs) <= len(w) * len(m.atoms())
+    assert asked and not any(v in values for (v,) in asked)
+
+
 def test_integral_window_enumerates_only_its_half_of_the_box(monkeypatch):
     # <2,5> max_value 182 holds 180 values; the box from -182 to 182 holds 365
     m = NumericalMonoidModel((2, 5))

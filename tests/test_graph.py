@@ -1,10 +1,12 @@
 """Window graphs, paths, sinks and the path-based classifier."""
 
+import graphlib
 from fractions import Fraction
 
 import pytest
 
 from divgraph.graph import (
+    DivGraph,
     build_graph,
     classify,
     cover_edge,
@@ -22,7 +24,16 @@ from divgraph.models import (
 from divgraph.models.base import WindowSpec
 from divgraph.reports import crosscheck_graph
 from divgraph.verdicts import Status
-from helpers import FRACTIONAL, fractional_window, interval, run_optimised, vec
+from helpers import (
+    FRACTIONAL,
+    LADDER,
+    fractional_window,
+    graphlib_order,
+    interval,
+    ladder_window,
+    run_optimised,
+    vec,
+)
 
 
 def win(model, **bounds):
@@ -262,3 +273,23 @@ def test_unsplit_zxq_vertex_with_successors_is_not_asked_whether_atom():
     g = build_graph(m, zxq_window(m, rows))
     counts = classify(m, g)["factorization_counts"]
     assert counts == {"1+3x+4x^2+3x^3+x^4": 1, "1+2x+2x^2+x^3": 1, "1+x": 1, "1+x+x^2": 1}
+
+
+@pytest.mark.parametrize(
+    "window, kind",
+    [pytest.param(ladder_window, k, id=k) for k in LADDER]
+    + [pytest.param(fractional_window, k, id=f"fractional-{k}") for k in FRACTIONAL],
+)
+def test_topological_order_is_graphlibs(window, kind):
+    g = build_graph(*window(kind))
+    assert g.edges and topological_order(g) == graphlib_order(g)
+
+
+def test_topological_order_raises_value_error_on_a_cycle():
+    # no window graph has a cycle; a hand-built one is refused, as graphlib
+    # refuses it (its CycleError is a ValueError)
+    g = DivGraph(None, ("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 0), (3, 0)), (), frozenset())
+    with pytest.raises(ValueError, match="cycle"):
+        topological_order(g)
+    with pytest.raises(graphlib.CycleError):
+        graphlib_order(g)

@@ -177,7 +177,7 @@ class TestD2:
         assert len(window(self.m, k_max=3, j_max=2)) == 15
 
     def test_boundary_probe_divides_once_per_atom(self, monkeypatch):
-        # both atoms divide y*x; each is divided off once, as a value, and
+        # both atoms divide y*x; each quotient is read as a box position, and
         # no quotient element is built
         m = D2Model()
         w = frozenset(e.value for e in window(m, k_max=3, j_max=2))

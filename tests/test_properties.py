@@ -17,7 +17,7 @@ from divgraph.connectivity import (
     quotient_of_atomics,
     weak_components,
 )
-from divgraph.graph import build_graph, classify, topological_order, window_analysis
+from divgraph.graph import DivGraph, build_graph, classify, topological_order, window_analysis
 from divgraph.lattices import SubgroupDescriptor
 from divgraph.models import (
     AntimatterModel,
@@ -42,6 +42,7 @@ from helpers import (
     all_pairs_edges,
     all_pairs_order,
     element_of_label,
+    graphlib_order,
     ladder_window,
     order_from_values,
     poset_from_pairs,
@@ -276,6 +277,32 @@ def test_graph_edges_match_all_pairs(model_bounds, fractional):
     g = build_graph(m, w)
     assert g.edges == all_pairs_edges(m, w)
     assert g.atoms == tuple(m.quotient(w[i], w[j]) for i, j in g.edges)
+
+
+@given(value_windows, st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_value_graph_edges_and_boundary_match_their_definitions(model_bounds, fractional, data):
+    # a random sub-window is no box, so some atom quotients fall outside it
+    # and atoms may be wider than it
+    m, bounds = model_bounds
+    full = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
+    w = tuple(e for e, k in zip(full, keep) if k) or full
+    g = build_graph(m, w)
+    assert g.edges == all_pairs_edges(m, w)
+    assert g.atoms == tuple(m.quotient(w[i], w[j]) for i, j in g.edges)
+
+    def escapes(v) -> bool:
+        # boundary_probe's rule: some atom p has v/p integral, not a unit
+        # and outside the window
+        quotients = (m.quotient(v, p) for p in m.atoms())
+        return any(m.in_domain(q) and not m.is_unit(q) and q not in w for q in quotients)
+
+    assert g.boundary == {n for n, v in enumerate(w) if escapes(v)}
+    # asked directly, with the values of the window, also about elements
+    # that are not in it
+    values = frozenset(e.value for e in w)
+    assert [m.boundary_probe(v, values) for v in full] == [escapes(v) for v in full]
 
 
 @given(value_windows, st.booleans(), st.data())
@@ -639,3 +666,20 @@ def test_zxq_graph_order_and_boundary_match_their_definitions(tops, data):
         return any(not m.is_unit(q) and q not in w for q in quotients)
 
     assert g.boundary == {n for n, v in enumerate(w) if escapes(v)}
+
+
+@st.composite
+def dags(draw):
+    """A hand-built `DivGraph` of a random DAG: the edges (a, b), in
+    increasing order, go down a random ranking of the vertices."""
+    n = draw(st.integers(0, 12))
+    rank = draw(st.permutations(range(n)))
+    pairs = [(a, b) for a in range(n) for b in range(n) if rank[b] < rank[a]]
+    edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    return DivGraph(None, tuple(range(n)), tuple(edges), (), frozenset())
+
+
+@given(dags())
+@settings(max_examples=200, deadline=None)
+def test_topological_order_matches_graphlib(g):
+    assert topological_order(g) == graphlib_order(g)

@@ -96,6 +96,8 @@ SHARED_PRIVATE = {
     ("polynomials", "_MR_EXACT_BELOW", "models.zxq"),
     ("polynomials", "_RHO_STEPS", "models.zxq"),
     ("polynomials", "_prime_factors", "models.zxq"),
+    ("values", "_Box", "models.valuebased"),
+    ("values", "_place", "models.valuebased"),
 }
 PACKAGE = Path(divgraph.__file__).parent
 
