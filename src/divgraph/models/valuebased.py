@@ -5,6 +5,11 @@ the integral elements), a finite set of atom values, and an analytic
 characterisation of the atomic elements as the N-span of the atom values.
 The finite atom list answers every atom question: the atom test, the
 factorization oracle, the boundary probe and the atom subgroup.
+
+One renderer, the classmethod `ValueModel.label_for`, labels every value
+from its kind's `symbols` (one per exponent in (*ints, rat)): the powers
+with positive exponent over those with negative exponent, "1" for the unit.
+A numerical monoid's labels are its values instead.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ class ValueModel(DivisibilityModel):
     """Base for models with value-decided divisibility; an element is an atom
     exactly when it is one of `atoms()`."""
 
-    unit_label = "1"  # label of the zero value; no nonzero value may share it
     atom_values: frozenset[Vec]  # the value of every atom class
+    symbols: tuple[str, ...]  # the label's symbol for each exponent in (*ints, rat)
 
     # -- subclass hooks -----------------------------------------------------
 
@@ -40,10 +45,6 @@ class ValueModel(DivisibilityModel):
     def is_atomic_value(self, v: Vec) -> bool: ...
 
     @abc.abstractmethod
-    def label_for(self, v: Vec) -> str:
-        """Canonical label of a nonzero value."""
-
-    @abc.abstractmethod
     def _half(self, *bounds: int) -> list[Vec]:
         """The distinct values of the fractional window of these bounds (the
         `window_bounds`, in order) whose first coordinate (`rat` where there
@@ -52,11 +53,24 @@ class ValueModel(DivisibilityModel):
 
     # -- generic operations -------------------------------------------------
 
-    def element(self, v: Vec) -> Element:
-        return Element(self.id, v, self._label)
+    @classmethod
+    def label_for(cls, v: Vec) -> str:
+        """Canonical label of a value: the powers of `symbols` with positive
+        exponent over those with negative exponent, "1" for the unit."""
+        num, den = [], []
+        for sym, e in zip(cls.symbols, (*v.ints, v.rat)):
+            if e > 0:
+                num.append(sym if e == 1 else f"{sym}^{fmt_exponent(e)}")
+            elif e:
+                den.append(sym if e == -1 else f"{sym}^{fmt_exponent(-e)}")
+        num_s = "*".join(num) or "1"
+        if not den:
+            return num_s
+        return f"{num_s}/{den[0]}" if len(den) == 1 else f"{num_s}/({'*'.join(den)})"
 
-    def _label(self, v: Vec) -> str:
-        return self.unit_label if v.is_zero else self.label_for(v)
+    def element(self, v: Vec) -> Element:
+        # a class-bound renderer: an element refers to no model
+        return Element(self.id, v, self.label_for)
 
     def is_unit(self, a: Element) -> bool:
         self.check_owned(a)
@@ -242,6 +256,7 @@ class DVRModel(ValueModel):
     id = "dvr"
     ambient = Ambient(1)
     atom_values = frozenset({Vec((1,))})
+    symbols = ("pi",)
     window_bounds = ("max_exponent",)
 
     def contains_value(self, v: Vec) -> bool:
@@ -249,12 +264,6 @@ class DVRModel(ValueModel):
 
     def is_atomic_value(self, v: Vec) -> bool:
         return v.rat == 0 and v.ints[0] >= 1
-
-    def label_for(self, v: Vec) -> str:
-        k = v.ints[0]
-        if k >= 1:
-            return "pi" if k == 1 else f"pi^{k}"
-        return "1/pi" if k == -1 else f"1/pi^{-k}"
 
     def _half(self, n: int) -> list[Vec]:
         return [Vec((k,)) for k in range(n + 1)]
@@ -266,6 +275,7 @@ class AntimatterModel(ValueModel):
     id = "antimatter"
     ambient = Ambient(0, with_rat=True)
     atom_values = frozenset()
+    symbols = ("x",)
     window_bounds = ("max_value", "max_den")
 
     def contains_value(self, v: Vec) -> bool:
@@ -273,12 +283,6 @@ class AntimatterModel(ValueModel):
 
     def is_atomic_value(self, v: Vec) -> bool:
         return False
-
-    def label_for(self, v: Vec) -> str:
-        q = v.rat
-        if q > 0:
-            return "x" if q == 1 else f"x^{fmt_exponent(q)}"
-        return "1/x" if q == -1 else f"1/x^{fmt_exponent(-q)}"
 
     def quasi_obstruction(self, window: Iterable[Element]) -> dict | None:
         witness = next(iter(window), None)
@@ -295,7 +299,6 @@ class NumericalMonoidModel(ValueModel):
     """Additive submonoid of N generated by a finite set of positive integers."""
 
     ambient = Ambient(1)
-    unit_label = "0"  # labels are the values, so "1" names the value 1
     window_bounds = ("max_value",)
 
     def __init__(self, generators: Iterable[int] = ()):
@@ -327,7 +330,9 @@ class NumericalMonoidModel(ValueModel):
         # every nonzero monoid element is a sum of atoms
         return v.rat == 0 and v.ints[0] > 0 and self._member(v.ints[0])
 
-    def label_for(self, v: Vec) -> str:
+    @staticmethod
+    def label_for(v: Vec) -> str:
+        # labels are the values, so the unit is "0" and "1" names the value 1
         return str(v.ints[0])
 
     def _half(self, max_value: int) -> list[Vec]:
@@ -336,51 +341,15 @@ class NumericalMonoidModel(ValueModel):
         return [Vec((n,)) for n in range(0, max_value + 1, step)]
 
 
-def _power_label(sym: str, q: Fraction | int) -> str:
-    if q == 1:
-        return sym
-    return f"{sym}^{fmt_exponent(q)}"
-
-
-class _TwoGeneratorValuationModel(ValueModel):
-    """Shared label/arithmetic plumbing for the two rank-two monoids below.
-
-    Values are (k, e) with k the y-exponent and e the x-exponent; e lives in
-    Q for the first model and in Z for the second.
-    """
-
-    def _exp_pair(self, v: Vec) -> tuple[int, Fraction | int]:
-        raise NotImplementedError
-
-    def label_for(self, v: Vec) -> str:
-        k, e = self._exp_pair(v)
-        num, den = [], []
-        if k > 0:
-            num.append(_power_label("y", k))
-        elif k < 0:
-            den.append(_power_label("y", -k))
-        if e > 0:
-            num.append(_power_label("x", e))
-        elif e < 0:
-            den.append(_power_label("x", -e))
-        num_s = "*".join(num) if num else "1"
-        if not den:
-            return num_s
-        den_s = den[0] if len(den) == 1 else "(" + "*".join(den) + ")"
-        return f"{num_s}/{den_s}"
-
-
-class D1Model(_TwoGeneratorValuationModel):
+class D1Model(ValueModel):
     """Monoid generated by the values (0, a) for a in Q+, (1, 0), and (k, -a)
     for k >= 2, a in Q+, inside Z (+) Q ordered lexicographically."""
 
     id = "d1"
     ambient = Ambient(1, with_rat=True)
     atom_values = frozenset({Vec((1,))})
+    symbols = ("y", "x")
     window_bounds = ("k_max", "den_max", "alpha_max")
-
-    def _exp_pair(self, v: Vec):
-        return v.ints[0], v.rat
 
     def contains_value(self, v: Vec) -> bool:
         k, a = v.ints[0], v.rat
@@ -409,17 +378,15 @@ class D1Model(_TwoGeneratorValuationModel):
         return [Vec((k,), a) for k in range(k_max + 1) for a in alphas]
 
 
-class D2Model(_TwoGeneratorValuationModel):
+class D2Model(ValueModel):
     """Discrete analogue of D1: value group Z (+) Z, atoms of value (1, 0)
     and (0, 1)."""
 
     id = "d2"
     ambient = Ambient(2)
     atom_values = frozenset({Vec((1, 0)), Vec((0, 1))})
+    symbols = ("y", "x")
     window_bounds = ("k_max", "j_max")
-
-    def _exp_pair(self, v: Vec):
-        return v.ints[0], v.ints[1]
 
     def contains_value(self, v: Vec) -> bool:
         if v.rat != 0:

@@ -257,8 +257,9 @@ def zero(ambient) -> Vec:
 def element_of_label(model, label):
     """The element of a shipped value model that a canonical label names:
     the inverse of `label_for`, checked by rendering the label back."""
-    if label == model.unit_label:
-        return model.element(zero(model.ambient))
+    unit = model.element(zero(model.ambient))
+    if label == unit.label:
+        return unit
     if isinstance(model, NumericalMonoidModel):
         return model.element(Vec((int(label),)))
     # num/den, where the split is the first "/" outside parentheses

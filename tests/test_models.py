@@ -1,6 +1,8 @@
 """Model-level behavior, frozen against independently computed values."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from divgraph.errors import (
     ElementForeignToModel,
     InvalidBounds,
 )
+from divgraph.graph import build_graph
 from divgraph.models import (
     AntimatterModel,
     D1Model,
@@ -21,8 +24,15 @@ from divgraph.models import (
 )
 from divgraph.models.base import FactorSearch, WindowSpec
 from divgraph.polynomials import _prime_factors, factor_monic, rational_roots
+from divgraph.reports import (
+    atomicity_report,
+    classify_report,
+    crosscheck_graph,
+    graph_report,
+    topology_report,
+)
 from divgraph.values import Vec
-from helpers import vec
+from helpers import LADDER, ladder_window, vec
 
 
 def window(model, **bounds):
@@ -113,6 +123,7 @@ class TestNumericalMonoid:
         m = NumericalMonoidModel((1, 3))
         unit, one = m.element(vec(0)), m.element(vec(1))
         assert unit != one
+        assert (unit.label, one.label) == ("0", "1")
         assert m.is_unit(unit) and not m.is_atom(unit)
         assert m.is_atom(one)
         w = window(NumericalMonoidModel((2, 3)), max_value=3, include_fractional=True)
@@ -197,6 +208,41 @@ class TestD2:
 def test_atoms_are_built_once(model):
     # the graph, the boundary probe and the oracle ask for them once per vertex
     assert model.atoms() is model.atoms()
+
+
+def model_and_window(kind):
+    # a fresh model each call, unlike the shared ones of `fractional_window`
+    if kind == "dvr":
+        m = DVRModel()
+        return m, window(m, max_exponent=4, include_fractional=True)
+    if kind == "antimatter":
+        m = AntimatterModel()
+        return m, window(m, max_value=2, max_den=2, include_fractional=True)
+    return ladder_window(kind)
+
+
+@pytest.mark.parametrize("kind", [*LADDER, "dvr", "antimatter"])
+def test_models_are_freed_without_the_cyclic_gc(kind):
+    # no element refers back to its model (zxq's never did), so once a
+    # report is written and its last name dropped, the model goes at once
+    # rather than at the next full collection
+    gc.disable()
+    try:
+        m, w = model_and_window(kind)
+        graph = build_graph(m, w)
+        for report in (
+            graph_report(graph),
+            classify_report(graph),
+            crosscheck_graph(graph),
+            topology_report(m, w),
+            atomicity_report(m, w),
+        ):
+            assert report["model"] == m.id
+        ref = weakref.ref(m)
+        del m, w, graph, report
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestZxQ:

@@ -420,6 +420,90 @@ def test_labels_name_classes_one_to_one(model_bounds, fractional):
     assert len(set(by_value.values())) == len(by_value)
 
 
+# -- labels against an oracle of one renderer per kind ---------------------------
+#
+# Each value kind's labels spelled out apart, with its unit label, as an
+# oracle for the one `label_for` every kind but numerical-monoid shares.
+
+
+def oracle_exponent(q):
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"({q})"
+
+
+def oracle_power(sym, q):
+    if q == 1:
+        return sym
+    return f"{sym}^{oracle_exponent(q)}"
+
+
+def oracle_dvr(v):
+    k = v.ints[0]
+    if k >= 1:
+        return "pi" if k == 1 else f"pi^{k}"
+    return "1/pi" if k == -1 else f"1/pi^{-k}"
+
+
+def oracle_antimatter(v):
+    q = v.rat
+    if q > 0:
+        return "x" if q == 1 else f"x^{oracle_exponent(q)}"
+    return "1/x" if q == -1 else f"1/x^{oracle_exponent(-q)}"
+
+
+def oracle_two_generator(k, e):
+    num, den = [], []
+    if k > 0:
+        num.append(oracle_power("y", k))
+    elif k < 0:
+        den.append(oracle_power("y", -k))
+    if e > 0:
+        num.append(oracle_power("x", e))
+    elif e < 0:
+        den.append(oracle_power("x", -e))
+    num_s = "*".join(num) if num else "1"
+    if not den:
+        return num_s
+    den_s = den[0] if len(den) == 1 else "(" + "*".join(den) + ")"
+    return f"{num_s}/{den_s}"
+
+
+def oracle_label(m, v):
+    if isinstance(m, NumericalMonoidModel):
+        return str(v.ints[0])
+    if v.is_zero:
+        return "1"
+    if isinstance(m, DVRModel):
+        return oracle_dvr(v)
+    if isinstance(m, AntimatterModel):
+        return oracle_antimatter(v)
+    return oracle_two_generator(v.ints[0], v.rat if isinstance(m, D1Model) else v.ints[1])
+
+
+label_ints = st.integers(-12, 12)
+label_exponents = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+labelled_values = st.one_of(
+    st.builds(lambda k: (DVRModel(), Vec((k,))), label_ints),
+    st.builds(lambda q: (AntimatterModel(), Vec((), q)), label_exponents),
+    st.builds(lambda gens, n: (NumericalMonoidModel(gens), Vec((n,))), monoid_gens, label_ints),
+    st.builds(lambda k, q: (D1Model(), Vec((k,), q)), label_ints, label_exponents),
+    st.builds(lambda k, j: (D2Model(), Vec((k, j))), label_ints, label_ints),
+)
+
+
+@given(labelled_values)
+@example((D1Model(), Vec((-2,), Fraction(-1, 3))))  # y^2*x^(1/3) in the denominator
+@example((D2Model(), Vec((-1, -4))))
+@example((AntimatterModel(), Vec((), Fraction(-5, 2))))
+@example((AntimatterModel(), Vec((), 0)))
+@example((NumericalMonoidModel((2, 3)), Vec((0,))))
+@settings(max_examples=300, deadline=None)
+def test_labels_match_a_renderer_per_kind(model_value):
+    m, v = model_value
+    assert m.element(v).label == oracle_label(m, v)
+
+
 def test_zxq_graph_edges_match_all_pairs():
     for path in sorted(CONFIG_DIR.glob("zxq*.cfg")):
         m, spec = load_config(path).build()
