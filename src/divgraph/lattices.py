@@ -5,12 +5,15 @@ Every generator has rational part 0 (an atom subgroup of the shipped models
 lies in Z^d), so the subgroup is an integer lattice in Z^d (+) 0.  It is
 handled with a column echelon form computed by unimodular column operations
 (transform tracked, so membership certificates come back as integer
-coefficients over the original generators).  A target with a nonzero
+coefficients over the original generators, each checked by one integer
+product with the generator matrix).  A target with a nonzero
 rational part is never a member, and its coset representative keeps that
 rational part unchanged.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .values import Ambient, Vec
 
@@ -56,8 +59,8 @@ class SubgroupDescriptor:
             if g.rat != 0:
                 raise ValueError(f"generator {g} has a nonzero rational part")
         self.ambient, self.generators = ambient, generators
-        A = [[g.ints[i] for g in generators] for i in range(ambient.dim)]
-        self._H, self._U, self._pivots = column_echelon(A)
+        self._A = [[g.ints[i] for g in generators] for i in range(ambient.dim)]
+        self._H, self._U, self._pivots = column_echelon(self._A)
 
     @property
     def no_atoms(self) -> bool:
@@ -85,12 +88,9 @@ class SubgroupDescriptor:
                 residual[i] -= t * self._H[i][col]
         if any(residual):
             return None
-        coeffs = [sum(self._U[i][j] * y[j] for j in range(n)) for i in range(n)]
-        # exactness check against the original generators
-        acc = Vec((0,) * self.ambient.dim)
-        for c, gen in zip(coeffs, self.generators):
-            acc = acc + gen.scaled(c)
-        if acc != g:
+        coeffs = [sum(map(mul, u, y)) for u in self._U]
+        # exactness check against the original generators: A * coeffs == g
+        if tuple(sum(map(mul, a, coeffs)) for a in self._A) != g.ints:
             raise AssertionError("membership certificate failed to reproduce the target")
         return coeffs
 

@@ -9,8 +9,9 @@ question from the split of the element itself.  One splitter,
 `_poly_atoms`, splits the polynomial part for `is_atom`, factorizations,
 the edge candidates and the boundary probe: it removes the declared `atom`
 polynomials first, then factors the rest with the rational-root test.  A
-model splits each class once and factors each polynomial once, however
-many of those ask: both splits are memoised on the model, an unknown
+model splits each class once, factors each polynomial once and forms each
+class's atom quotients once, however many of those ask: the three are
+memoised on the model (`_splits`, `_factored`, `_quotients`), an unknown
 split included.
 `polynomials._prime_factors` splits the integer part, and the end
 coefficients whose divisors the rational-root test tries: trial division
@@ -84,6 +85,7 @@ class ZxQModel(DivisibilityModel):
         self.declared_atoms = tuple(atoms)
         self._splits: dict = {}  # order-0 integral class -> its split or None
         self._factored: dict = {}  # primitive polynomial -> its `factor_monic`
+        self._quotients: dict = {}  # order-0 integral class -> its `_atom_quotients`
         # every atom has order 0, so the prime 2 alone generates the subgroup
         self._certificate_atoms = tuple(self._atoms([], [2]))
 
@@ -171,12 +173,13 @@ class ZxQModel(DivisibilityModel):
         self, rf: RationalFunction
     ) -> list[tuple[RationalFunction, Element]] | None:
         """The quotient rf/p by each distinct atom p of an order-0 integral
-        class, with p; None when the split is unknown."""
-        split = self._atomize_order_zero(rf)
-        if split is None:
-            return None
-        atoms = self._atoms(*map(dict.fromkeys, split))
-        return [(_over(rf, p.value), p) for p in atoms]
+        class, with p; None when the split is unknown.  Memoised per model."""
+        if rf not in self._quotients:
+            split = self._atomize_order_zero(rf)
+            self._quotients[rf] = None if split is None else [
+                (_over(rf, p.value), p) for p in self._atoms(*map(dict.fromkeys, split))
+            ]
+        return self._quotients[rf]
 
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
         self.check_owned(a)

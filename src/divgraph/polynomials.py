@@ -12,7 +12,9 @@ The sign is a unit and is quotiented away by this form.  The gcd of num and
 den is the primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): a
 pseudo-remainder, then its content divided out.  So every coefficient
 operation is an `int` operation, and c is kept as a reduced pair of positive
-`int`s.  Rows of rational coefficients (`int`s or `Fraction`s) are converted
+`int`s.  The gcd is skipped when num or den is the constant 1, which is
+coprime to everything, and when den divides num exactly, as den is then the
+gcd.  Rows of rational coefficients (`int`s or `Fraction`s) are converted
 on the way in (`RationalFunction.make`) and rendered from the int pairs on
 the way out (`RationalFunction.label`).
 
@@ -323,9 +325,12 @@ class RationalFunction(namedtuple("RationalFunction", "cn cd num den order")):
 
     @staticmethod
     def _reduced(cn: int, cd: int, num: Poly, den: Poly) -> "RationalFunction":
-        g = _gcd(num, den)
-        if len(g) > 1:
-            num, den = exact_div(num, g), exact_div(den, g)
+        if len(num) > 1 and len(den) > 1:
+            # a den that divides num is their gcd
+            if (q := exact_div(num, den)) is not None:
+                num, den = q, (1,)
+            elif len(g := _gcd(num, den)) > 1:
+                num, den = exact_div(num, g), exact_div(den, g)
         return RationalFunction.of(cn, cd, num, den, _low(num) - _low(den))
 
     def mul(self, other: "RationalFunction") -> "RationalFunction":

@@ -13,6 +13,7 @@ from math import prod
 import pytest
 
 from divgraph import graph as graph_module
+from divgraph import polynomials
 from divgraph import reports as reports_module
 from divgraph import topology as topology_module
 from divgraph.config import load_config
@@ -334,6 +335,43 @@ def test_zxq_factors_each_polynomial_once(monkeypatch):
     monkeypatch.setattr(zxq_module, "factor_monic", counting(zxq_module.factor_monic, calls))
     assert crosscheck_graph(build_graph(m, w))["ok"]
     assert calls and max(Counter(calls).values()) == 1
+
+
+@pytest.mark.parametrize("name", ["zxq_orders", "zxq_prime_witness"])
+def test_zxq_window_and_graph_take_no_polynomial_gcd(monkeypatch, name):
+    # a row over the constant 1 is reduced, and a candidate b divides a, so
+    # the quotient's denominator divides its numerator exactly: no reduction
+    # needs the remainder sequence
+    calls = []
+    monkeypatch.setattr(polynomials, "_gcd", counting(polynomials._gcd, calls))
+    m, spec = load_config(CONFIG_DIR / f"{name}.cfg").build()
+    graph = build_graph(m, m.enumerate_window(spec))
+    assert graph.edges and not calls
+
+
+@pytest.mark.parametrize("name", ["zxq_orders", "zxq_prime_witness"])
+def test_zxq_build_graph_forms_atoms_once_per_order_zero_class(monkeypatch, name):
+    # the candidates and the boundary probe of a vertex share its atom
+    # quotients, formed once per class
+    m, spec = load_config(CONFIG_DIR / f"{name}.cfg").build()
+    w = m.enumerate_window(spec)
+    calls = []
+    monkeypatch.setattr(ZxQModel, "_atoms", counting(ZxQModel._atoms, calls))
+    build_graph(m, w)
+    order_zero = sum(1 for e in w if e.value.order == 0)
+    assert calls and len(calls) <= order_zero
+
+
+@pytest.mark.parametrize("kind", LADDER)
+def test_membership_forms_no_vec(monkeypatch, kind):
+    # the coefficients and their certificate are checked on int lists
+    m, w = ladder_window(kind)
+    desc = atom_subgroup(m)
+    calls = []
+    monkeypatch.setattr(Vec, "scaled", counting(Vec.scaled, calls))
+    monkeypatch.setattr(Vec, "__add__", counting(Vec.__add__, calls))
+    found = [desc.membership(m.conn_value(e)) for e in w]
+    assert any(c is not None for c in found) and not calls
 
 
 @pytest.mark.parametrize("kind", LADDER)

@@ -79,6 +79,43 @@ def test_num_and_den_are_primitive_int_tuples(p, q, r, s):
         assert rf.order == low(rf.num) - low(rf.den)
 
 
+def remainder_sequence_reduced(cn, cd, num, den) -> RationalFunction:
+    """`RationalFunction._reduced` with no shortcut: the gcd of num and den
+    by the primitive remainder sequence, always."""
+    g = polynomials._gcd(num, den)
+    if len(g) > 1:
+        num, den = exact_div(num, g), exact_div(den, g)
+    return RationalFunction.of(cn, cd, num, den, low(num) - low(den))
+
+
+def int_mul(p, q) -> tuple:
+    return tuple(int(c) for c in row_mul(p, q))
+
+
+constant = st.builds(lambda c: [c], coeff.filter(bool))
+# (num, den) rows: a constant side, one side dividing the other, or general
+row_pairs = st.one_of(
+    st.tuples(rows, constant),
+    st.tuples(constant, rows),
+    st.builds(lambda p, r: (row_mul(p, r), r), rows, rows),
+    st.builds(lambda p, r: (r, row_mul(p, r)), rows, rows),
+    st.tuples(rows, rows),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_pairs, row_pairs)
+def test_gcd_shortcuts_match_the_remainder_sequence(x, y):
+    ref = []
+    for num, den in (x, y):
+        ((a, b), pn), ((c, d), pd) = primitive(num), primitive(den)
+        ref.append(remainder_sequence_reduced(a * d, b * c, pn, pd))
+        assert RationalFunction.make(num, den) == ref[-1]
+    (a, b, p, q, _), (c, d, r, s, _) = ref
+    assert ref[0].mul(ref[1]) == remainder_sequence_reduced(a * c, b * d, int_mul(p, r), int_mul(q, s))
+    assert ref[0].div(ref[1]) == remainder_sequence_reduced(a * d, b * c, int_mul(p, s), int_mul(q, r))
+
+
 def int_eval(p, a, b) -> int:
     """b^deg(p) * p(a/b), exactly."""
     n = len(p) - 1

@@ -161,6 +161,52 @@ def test_subgroup_membership_sound_and_closed(gens, target):
         assert desc.membership(acc) is not None
 
 
+def vec_membership(desc, g):
+    """`SubgroupDescriptor.membership` as it was on `Vec`s: the pivot solve,
+    then the certificate rebuilt as a sum of scaled generators."""
+    if g.rat != 0:
+        return None
+    n, dim = len(desc.generators), desc.ambient.dim
+    residual, y = list(g.ints), [0] * n
+    for row, col in desc._pivots:
+        h = desc._H[row][col]
+        if residual[row] % h != 0:
+            return None
+        t = y[col] = residual[row] // h
+        for i in range(dim):
+            residual[i] -= t * desc._H[i][col]
+    if any(residual):
+        return None
+    coeffs = [sum(desc._U[i][j] * y[j] for j in range(n)) for i in range(n)]
+    acc = Vec((0,) * dim)
+    for c, gen in zip(coeffs, desc.generators):
+        acc = acc + gen.scaled(c)
+    assert acc == g
+    return coeffs
+
+
+@st.composite
+def lattices_and_targets(draw):
+    dim = draw(st.integers(1, 3))
+    entry = st.integers(-6, 6)
+    ints = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
+    gens = draw(st.lists(ints.map(Vec), max_size=4))
+    rat = draw(st.sampled_from([0, 0, 0, Fraction(1, 3)]))
+    # a combination of the generators, so members are drawn as well
+    coeffs = draw(st.lists(entry, min_size=len(gens), max_size=len(gens)))
+    member = tuple(sum(c * v.ints[i] for c, v in zip(coeffs, gens)) for i in range(dim))
+    target = member if draw(st.booleans()) else draw(ints)
+    return Ambient(dim, with_rat=True), tuple(gens), Vec(target, rat)
+
+
+@given(lattices_and_targets())
+@settings(max_examples=300, deadline=None)
+def test_membership_matches_the_vec_certificate(case):
+    ambient, gens, target = case
+    desc = SubgroupDescriptor(ambient, gens)
+    assert desc.membership(target) == vec_membership(desc, target)
+
+
 @given(st.lists(small_int_vecs, min_size=1, max_size=3), small_vecs, small_vecs)
 @settings(max_examples=60, deadline=None)
 def test_coset_rep_is_canonical(gens, g, h):
