@@ -5,14 +5,15 @@ Elements are canonical rational-function class representatives (the only
 units are +-1, so a class is a sign-normalised reduced fraction).  The atoms
 are the integer primes and the Q-irreducible polynomials with constant term
 +-1: infinitely many, so this model has no atom list and answers each atom
-question from the split of the element itself.  One splitter,
-`_poly_atoms`, splits the polynomial part for `is_atom`, factorizations,
-the edge candidates and the boundary probe: it removes the declared `atom`
-polynomials first, then factors the rest with the rational-root test.  A
-model splits each class once, factors each polynomial once and forms each
-class's atom quotients once, however many of those ask: the three are
-memoised on the model (`_splits`, `_factored`, `_quotients`), an unknown
-split included.
+question from the split of the element itself.  A class is a product of
+atoms exactly when it is integral, not a unit and of order 0 at x = 0, and
+one test, `_atomic`, says so to `is_atom`, `is_atomic_element`,
+factorizations, the edge candidates and the order.  One splitter,
+`_poly_atoms`, removes the declared `atom` polynomials first, then factors
+the rest with the rational-root test.  A model splits each class, factors
+each polynomial and forms each class's atom quotients, with their atoms,
+once (`_splits`, `_factored`, `_quotients`, an unknown split included);
+factorizations read those atoms, and how often each occurs from the split.
 `polynomials._prime_factors` splits the integer part, and the end
 coefficients whose divisors the rational-root test tries: trial division
 below 1000, then Miller-Rabin, exact below 3.3e24, and Brent's variant of
@@ -31,12 +32,13 @@ by its distinct atoms (`_atom_quotients`), each with its atom.  Elsewhere,
 and in the factorization order, a pair (a, b) is tested only when b's
 primitive polynomial part divides a's: a/b = c * num_a * den_b / (den_a *
 num_b) is a polynomial only then, since num_b is coprime to den_b.  Each
-such candidate comes with its quotient a/b, from one exact division and no
-gcd (`_over`).
+such candidate comes with its quotient class a/b, from one exact division
+and no gcd (`_over`), and the order asks `_atomic` of that class itself.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Container, Iterable, Mapping
 from fractions import Fraction
 
@@ -118,7 +120,7 @@ class ZxQModel(DivisibilityModel):
     def is_atom(self, a: Element) -> bool:
         self.check_owned(a)
         rf = a.value
-        if not rf.in_domain() or rf.is_unit_class or rf.order != 0:
+        if not _atomic(rf):
             return False
         if len(rf.num) > 1 and abs(rf.cn * rf.num[0]) != rf.cd:
             # p = c * (p / c) with c = p(0) a non-unit integer
@@ -138,8 +140,7 @@ class ZxQModel(DivisibilityModel):
 
     def is_atomic_element(self, a: Element) -> bool:
         self.check_owned(a)
-        rf = a.value
-        return rf.in_domain() and not rf.is_unit_class and rf.order == 0
+        return _atomic(a.value)
 
     def _atoms(self, factors: Iterable[Poly], primes: Iterable[int]) -> list[Element]:
         """The atoms f / f(0) of primitive factors f, then the prime atoms."""
@@ -186,30 +187,23 @@ class ZxQModel(DivisibilityModel):
         if max_length < 1:
             raise InvalidBounds("max_length must be >= 1")
         rf = a.value
-        if rf.is_unit_class or not rf.in_domain():
-            return FactorSearch((), False)
-        if rf.order >= 1:
+        if not _atomic(rf):
             # atoms all have order 0, so no atom product can reach order >= 1;
             # emptiness is exact, not a bound artifact
             return FactorSearch((), False)
         split = self._atomize_order_zero(rf)
-        if split is None:
+        if split is None or sum(map(len, split)) > max_length:
             return FactorSearch((), True)
-        atoms = sorted(self._atoms(*split), key=lambda e: e.label)
-        if len(atoms) > max_length:
-            return FactorSearch((), True)
-        # the one factorization, as a chain of nodes over its distinct atoms;
-        # sorted, equal atoms are neighbours
-        distinct: list[Element] = []
-        chain = []
-        for a in atoms:
-            if not distinct or a.label != distinct[-1].label:
-                distinct.append(a)
-            chain.append(len(distinct) - 1)
+        # the one factorization, as a chain of nodes over the distinct atoms of
+        # the class's quotients in label order, each as often as the split has
+        # it (both list the distinct factors, then primes, by first occurrence)
+        counts = Counter(split[0] + split[1]).values()
+        quotients = self._atom_quotients(rf)
+        atoms = sorted(zip((p for _, p in quotients), counts), key=lambda pn: pn[0].label)
         node = None
-        for i in reversed(chain):
+        for i in reversed([i for i, (_, n) in enumerate(atoms) for _ in range(n)]):
             node = Suffixes(((i, node),), 1)
-        return FactorSearch(tuple(distinct), False, node)
+        return FactorSearch(tuple(p for p, _ in atoms), False, node)
 
     # -- window construction -------------------------------------------------
 
@@ -251,17 +245,15 @@ class ZxQModel(DivisibilityModel):
         self, a: Element, vertices: tuple[Element, ...], index: Mapping
     ) -> list[tuple[int, Element]]:
         rf = a.value
-        if rf.order == 0 and rf.in_domain():
-            quotients = self._atom_quotients(rf)
-            if quotients is not None:
-                return [(j, p) for q, p in quotients if (j := index.get(q)) is not None]
+        if _atomic(rf) and (quotients := self._atom_quotients(rf)) is not None:
+            return [(j, p) for q, p in quotients if (j := index.get(q)) is not None]
         return [(j, self.element_of(q)) for j, q in _divisors(a, vertices)]
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
         rows = [1 << i for i in range(len(window))]
         for i, a in enumerate(window):
             for j, q in _divisors(a, window):
-                if self.is_atomic_element(self.element_of(q)):
+                if _atomic(q):
                     rows[i] |= 1 << j
         return rows
 
@@ -305,6 +297,11 @@ class ZxQModel(DivisibilityModel):
                     "witness": e.label,
                 }
         return None
+
+
+def _atomic(rf: RationalFunction) -> bool:
+    """Whether a class is a product of atoms (see the module docstring)."""
+    return rf.order == 0 and rf.in_domain() and not rf.is_unit_class
 
 
 def _divisors(a: Element, window: tuple[Element, ...]) -> list[tuple[int, RationalFunction]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 
+from .bitrows import select
 from .connectivity import (
     atom_subgroup,
     is_almost_atomic,
@@ -191,7 +192,14 @@ def crosscheck_graph(graph: DivGraph) -> dict:
        `is_atomic_element` with whether that search found any (the two are
        compared as atom index tuples, shared subtree by shared subtree, and
        rendered as labels only for a disagreement);
-    2. the weak components must coincide with the topological components;
+    2. each weak component must lie inside one topological component, as an
+       edge a -> b has a <= b; and each order pair a <= b whose a does not
+       escape must lie inside one weak component, as a chain of edges inside
+       the window then links them (a/p is in the window for an atom p with
+       a/p >= b, and does not escape either).  A pair whose a escapes may
+       leave the window on every chain, so the window cannot decide it: the
+       report lists it as [a, b] under `skipped_escaping` (absent when there
+       are none);
     3. each vertex must be a quotient of atomics over the first member of its
        weak component, so the components refine the cosets of the atom
        subgroup (on divisor-closed windows the two partitions coincide).
@@ -235,10 +243,21 @@ def crosscheck_graph(graph: DivGraph) -> dict:
 
     comps = weak_components(graph)
     cmap = {label: comp[0] for comp in comps for label in comp}
-    space = poset_to_space(window_poset(model, graph.vertices))
-    topo = connected_components_topology(space)
+    poset = window_poset(model, graph.vertices)
+    topo = connected_components_topology(poset_to_space(poset))
     topo_map = {x: c[0] for c in topo for x in c}
-    if topo_map != cmap:
+    split = any(len({topo_map[x] for x in comp}) > 1 for comp in comps)
+    members = dict.fromkeys(cmap.values(), 0)  # each weak component as a bit mask
+    for n, label in enumerate(poset.elements):
+        members[cmap[label]] |= 1 << n
+    undecided: list[list[str]] = []
+    for label, row in zip(poset.elements, poset.rows):
+        if outside := row & ~members[cmap[label]]:
+            if not info[label].escapes:
+                split = True
+            else:
+                undecided += ([label, b] for b in select(poset.elements, outside))
+    if split:
         disagreements.append({"kind": "components", "weak_graph": cmap, "topology": topo_map})
 
     desc = atom_subgroup(model)
@@ -257,4 +276,6 @@ def crosscheck_graph(graph: DivGraph) -> dict:
     }
     if skipped:
         report["skipped_oracle_bound"] = skipped
+    if undecided:
+        report["skipped_escaping"] = undecided
     return report

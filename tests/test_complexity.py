@@ -222,12 +222,15 @@ def divisor_pairs(model, window) -> set:
 @pytest.mark.parametrize("kind", LADDER)
 def test_window_poset_quotients_only_same_order_pairs(monkeypatch, kind):
     m, w = ladder_window(kind)
-    quotients, atomic = [], []
+    quotients, atomic, elements = [], [], []
     monkeypatch.setattr(m, "quotient", counting(m.quotient, quotients))
     monkeypatch.setattr(m, "is_atomic_element", counting(m.is_atomic_element, atomic))
+    maker = "element_of" if kind == "zxq" else "element"
+    monkeypatch.setattr(m, maker, counting(getattr(m, maker), elements))
     window_poset(m, w)
-    # zxq divides the divisor pairs exactly, with no quotient
-    assert not quotients and len(atomic) <= len(divisor_pairs(m, w))
+    # zxq divides the divisor pairs exactly, with no quotient, and tests the
+    # class of each quotient without wrapping it in an element
+    assert not quotients and not atomic and not elements
 
 
 def difference_box(window) -> int:
@@ -360,6 +363,24 @@ def test_zxq_build_graph_forms_atoms_once_per_order_zero_class(monkeypatch, name
     build_graph(m, w)
     order_zero = sum(1 for e in w if e.value.order == 0)
     assert calls and len(calls) <= order_zero
+
+
+@pytest.mark.parametrize("name", ["zxq_orders", "zxq_prime_witness"])
+def test_zxq_crosscheck_forms_no_atoms_and_renders_no_label(monkeypatch, name):
+    # the oracle reads the atoms that the graph's quotients already hold; the
+    # renderer is patched before any element is built, so every element
+    # counts, and each label is read once before the check
+    labels, atoms = [], []
+    monkeypatch.setattr(RationalFunction, "label", counting(RationalFunction.label, labels))
+    m, spec = load_config(CONFIG_DIR / f"{name}.cfg").build()
+    w = m.enumerate_window(spec)
+    graph = build_graph(m, w)
+    built = [*w, *graph.atoms, *(p for qs in m._quotients.values() if qs for _, p in qs)]
+    assert all(e.label for e in built) and labels
+    labels.clear()
+    monkeypatch.setattr(ZxQModel, "_atoms", counting(ZxQModel._atoms, atoms))
+    assert crosscheck_graph(graph)["ok"]
+    assert not atoms and not labels
 
 
 @pytest.mark.parametrize("kind", LADDER)

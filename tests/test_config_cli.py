@@ -473,6 +473,62 @@ class TestCLI:
             assert r.returncode == 0, cfg.name
 
 
+class TestCheckDecidesOnlyWhatTheWindowSees:
+    def run_check(self, tmp_path, capsys, text: str) -> dict:
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(text)
+        assert cli.main(["check", "--config", str(cfg)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_check_skips_an_order_pair_that_leaves_the_window(self, tmp_path, capsys):
+        # 30/2 = 15 is atomic, so 30 <= 2; but the atom quotients of 30 (15,
+        # 10 and 6) all lie outside the window, so no edge links the two
+        report = self.run_check(tmp_path, capsys, "kind zxq\nelement 30\nelement 2\n")
+        assert report["ok"] is True and report["disagreements"] == []
+        assert report["skipped_escaping"] == [["30", "2"]]
+
+    def test_check_still_fails_a_reducible_declared_atom(self, tmp_path, capsys):
+        # (1+x^2)(1+x+x^2) declared an atom: the product does not escape, as
+        # its split is itself, yet no edge links it to its factors below it
+        text = (
+            "kind zxq\nbound degree_cap 4\natom 1 1 2 1 1\n"
+            "element 1 1 2 1 1\nelement 1 0 1\nelement 1 1 1\n"
+        )
+        report = self.run_check(tmp_path, capsys, text)
+        assert report["ok"] is False and "skipped_escaping" not in report
+        assert [d["kind"] for d in report["disagreements"]] == ["components"]
+
+    def test_check_fails_an_edge_dropped_between_vertices_that_do_not_escape(self):
+        from divgraph.models import ZxQModel
+
+        m = ZxQModel()
+        g = build_graph(m, m.enumerate_window(WindowSpec({"elements": [[6], [2], [3]]})))
+        assert crosscheck_graph(g)["ok"] and not g.boundary
+        # 6 -> 2 goes; 6 -> 3 stays, and 2 is left alone
+        labels = [(g.vertices[a].label, g.vertices[b].label) for a, b in g.edges]
+        kept = [n for n, pair in enumerate(labels) if pair != ("6", "2")]
+        assert len(kept) == len(g.edges) - 1
+        edges, atoms = (tuple(xs[n] for n in kept) for xs in (g.edges, g.atoms))
+        report = crosscheck_graph(DivGraph(m, g.vertices, edges, atoms, g.boundary))
+        assert not report["ok"] and "skipped_escaping" not in report
+        assert "components" in {d["kind"] for d in report["disagreements"]}
+
+    def test_check_fails_an_edge_added_across_topology_components(self):
+        from divgraph.models import ZxQModel
+
+        m = ZxQModel()
+        g = build_graph(m, m.enumerate_window(WindowSpec({"elements": [[6], [2], [3], [5]]})))
+        assert crosscheck_graph(g)["ok"]
+        # 5 -> 2, though 5 and 2 are incomparable: one weak component over two
+        # topological ones, with every order pair inside it
+        position = {v.label: n for n, v in enumerate(g.vertices)}
+        added = ((position["5"], position["2"]), m.from_coeffs([7]))
+        edges, atoms = zip(*sorted([*zip(g.edges, g.atoms), added]))
+        report = crosscheck_graph(DivGraph(m, g.vertices, edges, atoms, g.boundary))
+        assert not report["ok"]
+        assert "components" in {d["kind"] for d in report["disagreements"]}
+
+
 class TestTamperedGraph:
     def test_crosscheck_detects_missing_edge(self):
         from divgraph.models import NumericalMonoidModel

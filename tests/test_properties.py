@@ -27,8 +27,9 @@ from divgraph.models import (
     NumericalMonoidModel,
     ZxQModel,
 )
+from divgraph.models import zxq as zxq_module
 from divgraph.models.base import WindowSpec
-from divgraph.reports import graph_report
+from divgraph.reports import crosscheck_graph, graph_report
 from divgraph.topology import (
     chain_connected,
     connected_components_topology,
@@ -623,7 +624,24 @@ def test_zxq_order_rows_match_all_pairs():
     for path in sorted(CONFIG_DIR.glob("zxq*.cfg")):
         m, spec = load_config(path).build()
         w = m.enumerate_window(spec)
-        assert window_poset(m, w).rows == all_pairs_order(m, w), path.name
+        order = zxq_order_from_coefficients(m, w, spec.bounds["elements"])
+        assert window_poset(m, w).rows == all_pairs_order(m, w) == order, path.name
+
+
+def test_zxq_order_from_coefficients_catches_what_all_pairs_order_misses(monkeypatch):
+    # with the integer constant term dropped from the atomic-class test,
+    # x/(2x) = 1/2 makes x <= 2x; the rows and all_pairs_order, which asks the
+    # same test through is_atomic_element, still agree, and the order from the
+    # coefficient rows does not
+    def polynomial(rf):
+        return rf.order == 0 and len(rf.den) == 1 and not rf.is_unit_class
+
+    m, spec = load_config(CONFIG_DIR / "zxq_orders.cfg").build()
+    w = m.enumerate_window(spec)
+    monkeypatch.setattr(zxq_module, "_atomic", polynomial)
+    rows = window_poset(m, w).rows
+    assert rows == all_pairs_order(m, w)
+    assert rows != zxq_order_from_coefficients(m, w, spec.bounds["elements"])
 
 
 # -- almost and quasi atomicity ------------------------------------------------
@@ -762,27 +780,34 @@ zxq_tops = st.tuples(
 )
 
 
-@given(st.lists(zxq_tops, min_size=1, max_size=2), st.data())
-@settings(max_examples=40, deadline=None)
-def test_zxq_graph_order_and_boundary_match_their_definitions(tops, data):
-    # each top with every sub-product of its atoms, then a random
-    # sub-window, so that some atom quotients escape
+@st.composite
+def zxq_rows(draw):
+    """The coefficient rows of a random zxq window: each top with every
+    sub-product of its atoms, then a random sub-window, so that some atom
+    quotients escape."""
     rows = set()
-    for monomial, primes, polys in tops:
+    for monomial, primes, polys in draw(st.lists(zxq_tops, min_size=1, max_size=2)):
         factors = primes + polys
         for keep in product((False, True), repeat=len(factors)):
             chosen = (f for f, k in zip(factors, keep) if k)
             rows.add(reduce(poly_mul, chosen, tuple(map(Fraction, monomial))))
     rows = sorted(rows)
-    keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    keep = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     rows = [r for r, k in zip(rows, keep) if k and r != (1,)]
     assume(rows)
+    return rows
+
+
+@given(zxq_rows())
+@settings(max_examples=40, deadline=None)
+def test_zxq_graph_order_and_boundary_match_their_definitions(rows):
     m = ZxQModel()
     w = m.enumerate_window(WindowSpec({"elements": rows}))
     g = build_graph(m, w)
     assert g.edges == all_pairs_edges(m, w)
     assert g.atoms == tuple(m.quotient(w[i], w[j]) for i, j in g.edges)
-    assert window_poset(m, w).rows == all_pairs_order(m, w)
+    order = zxq_order_from_coefficients(m, w, rows)
+    assert window_poset(m, w).rows == all_pairs_order(m, w) == order
 
     def escapes(v) -> bool:
         # boundary_probe's rule: some atom p has v/p integral, not a unit
@@ -796,6 +821,46 @@ def test_zxq_graph_order_and_boundary_match_their_definitions(tops, data):
         return any(not m.is_unit(q) and q not in w for q in quotients)
 
     assert g.boundary == {n for n, v in enumerate(w) if escapes(v)}
+    # an untampered graph passes its check, the pairs left undecided aside
+    assert crosscheck_graph(g)["ok"]
+
+
+# -- zxq: the order from the coefficient rows alone ----------------------------
+
+def trimmed(p) -> list:
+    p = list(map(Fraction, p))
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_quotient(p, d) -> list | None:
+    """p/d when d divides p in Q[x], by long division, else None."""
+    r, d = trimmed(p), trimmed(d)
+    q = [Fraction(0)] * max(len(r) - len(d) + 1, 1)
+    while len(r) >= len(d) and any(r):
+        k = len(r) - len(d)
+        q[k] = c = r[-1] / d[-1]
+        for i, a in enumerate(d):
+            r[k + i] -= c * a
+        r.pop()
+    return None if any(r) else trimmed(q)
+
+
+def zxq_order_from_coefficients(m, w, rows) -> tuple:
+    """The order on the window w of these rows, as bit rows in window order,
+    from Fraction arithmetic on the rows alone: a <= b iff a/b is a
+    polynomial whose constant term is a nonzero integer (+-1 when a and b
+    name one class).  The model only says which element each row names."""
+    named = [(r, w.index(m.from_coeffs(r))) for r in rows if trimmed(r) not in ([1], [-1])]
+    assert {i for _, i in named} == set(range(len(w)))
+    order = [0] * len(w)
+    for a, i in named:
+        for b, j in named:
+            q = poly_quotient(a, b)
+            if q is not None and q[0] != 0 and q[0].denominator == 1:
+                order[i] |= 1 << j
+    return tuple(order)
 
 
 @st.composite
