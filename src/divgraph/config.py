@@ -15,14 +15,14 @@ Grammar (one directive per line, `#` starts a comment):
 
 A directive the kind does not read is an error: every kind reads
 `flag include_fractional` and the window bounds its model class names in
-`window_bounds`; only numerical-monoid reads `generator`, and only zxq
-reads `element`, `atom` and `bound degree_cap`.
+`window_bounds`, and `_KIND_DIRECTIVES` names the rest: `generator`, zxq's
+`element`, `atom` and `bound degree_cap`, and the bounds of a rational grid.
 Only `generator`, `element` and `atom` lines may repeat: they accumulate.
 
 Each line goes straight to the argument it feeds, into one of the fields
 of `RunConfig`: `kind`; `options`, the model's constructor arguments
-(`generators`, `declared_atoms`, `degree_cap`); `window`, the window
-bounds and zxq's `elements`; and `include_fractional`.
+(`generators`, `declared_atoms` and a bound of `_KIND_DIRECTIVES`); `window`,
+the window bounds and zxq's `elements`; and `include_fractional`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,10 @@ _REPEATABLE = ("generator", "element", "atom")  # any other directive appears on
 _KIND_DIRECTIVES = {
     "numerical-monoid": ("generator",),
     "zxq": ("element", "atom", "bound degree_cap"),
+    "d1": ("bound den_max",),
+    "antimatter": ("bound max_den",),
 }
+_OPTION_BOUNDS = ("degree_cap", "den_max", "max_den")  # the bounds that are constructor arguments
 
 
 class RunConfig:
@@ -106,10 +109,7 @@ def parse_config(text: str) -> RunConfig:
             if len(args) != 2:
                 raise ParseError("bound takes a name and an integer", line=line_no)
             n = _positive_int(args[1], line_no, f"bound {args[0]!r}")
-            if args[0] == "degree_cap":
-                options["degree_cap"] = n
-            else:
-                window[args[0]] = n
+            (options if args[0] in _OPTION_BOUNDS else window)[args[0]] = n
         elif directive == "flag":
             if len(args) != 2 or args[1] not in ("true", "false"):
                 raise ParseError("flag takes a name and true|false", line=line_no)

@@ -53,7 +53,7 @@ def quotient_of_atomics(
         return holds({"coefficients": coeffs}, "analytic")
     return fails(
         {
-            "value_difference": str(diff),
+            "value_difference": diff.render(desc.ambient.grid),
             "coset_of_a": desc.coset_label(model.conn_value(a)),
             "coset_of_b": desc.coset_label(model.conn_value(b)),
         },

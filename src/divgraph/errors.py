@@ -9,6 +9,10 @@ class ElementForeignToModel(DivGraphError):
     """An element built by one model was passed to a different model."""
 
 
+class OffGrid(DivGraphError):
+    """An exact rational is no multiple of 1/grid, the grid that would hold it."""
+
+
 class DegreeCapExceeded(DivGraphError):
     """An element cannot be split into atoms: after the declared atoms are
     divided out, its polynomial part has degree above the configured cap or a

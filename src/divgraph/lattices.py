@@ -2,13 +2,12 @@
 membership.
 
 Every generator has rational part 0 (an atom subgroup of the shipped models
-lies in Z^d), so the subgroup is an integer lattice in Z^d (+) 0.  It is
-handled with a column echelon form computed by unimodular column operations
-(transform tracked, so membership certificates come back as integer
-coefficients over the original generators, each checked by one integer
-product with the generator matrix).  A target with a nonzero
-rational part is never a member, and its coset representative keeps that
-rational part unchanged.
+lies in Z^d), so the subgroup is an integer lattice in Z^d (+) 0, handled
+with a column echelon form by unimodular column operations (transform
+tracked, so membership certificates are integer coefficients over the
+original generators, each checked by one integer product with them).  A
+target with a nonzero rational part is never a member; its coset
+representative keeps it, and renders it on the ambient's grid.
 """
 
 from __future__ import annotations
@@ -107,13 +106,13 @@ class SubgroupDescriptor:
         return Vec(tuple(w), g.rat)
 
     def coset_label(self, g: Vec) -> str:
-        return str(self.coset_rep(g))
+        return self.coset_rep(g).render(self.ambient.grid)
 
     def to_jsonable(self) -> dict:
         return {
             "ambient_dim": self.ambient.dim,
             "ambient_rational": self.ambient.with_rat,
-            "generators": sorted(str(g) for g in self.generators),
+            "generators": sorted(g.render(self.ambient.grid) for g in self.generators),
             "no_atoms": self.no_atoms,
             # the generators have rational part 0, so the subgroup meets the
             # rational axis only in 0

@@ -97,22 +97,24 @@ class DivisibilityModel(abc.ABC):
 
     # -- plumbing ------------------------------------------------------------
 
+    @cached_property
+    def owner(self) -> str:
+        """Its elements' model_id: the id, and the grid that reads a rational part."""
+        return f"{self.id} on grid {self.ambient.grid}" if self.ambient.with_rat else self.id
+
     def check_owned(self, *elements: Element) -> None:
         for e in elements:
-            if e.model_id != self.id:
+            if e.model_id != self.owner:
                 raise ElementForeignToModel(
-                    f"element {e.label!r} belongs to model {e.model_id!r}, not {self.id!r}"
+                    f"element {e.label!r} belongs to model {e.model_id!r}, not {self.owner!r}"
                 )
 
     @staticmethod
     def require_positive(bounds: Mapping[str, object], *names: str) -> list[int]:
-        out = []
         for name in names:
-            v = bounds.get(name)
-            if not isinstance(v, int) or v <= 0:
+            if not isinstance(v := bounds.get(name), int) or v <= 0:
                 raise InvalidBounds(f"bound {name!r} must be a positive integer, got {v!r}")
-            out.append(v)
-        return out
+        return [bounds[name] for name in names]
 
     # -- core operations -----------------------------------------------------
 

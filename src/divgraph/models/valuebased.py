@@ -6,19 +6,18 @@ characterisation of the atomic elements as the N-span of the atom values.
 The finite atom list answers every atom question: the atom test, the
 factorization oracle, the boundary probe and the atom subgroup.
 
-One renderer, the classmethod `ValueModel.label_for`, labels every value
-from its kind's `symbols` (one per exponent in (*ints, rat)): the powers
-with positive exponent over those with negative exponent, "1" for the unit.
-A numerical monoid's labels are its values instead.
+One renderer, `_label`, labels every value from one symbol per exponent
+in (*ints, rat) and the grid of rat (`_fix_grid`): the powers with positive
+exponent over those with negative ones, "1" for the unit.  A numerical
+monoid's labels are its values instead.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Collection, Iterable
-from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from collections.abc import Callable, Collection, Iterable
+from functools import cached_property, partial
+from math import gcd, lcm
 from itertools import product
 from operator import itemgetter
 
@@ -33,7 +32,7 @@ class ValueModel(DivisibilityModel):
     exactly when it is one of `atoms()`."""
 
     atom_values: frozenset[Vec]  # the value of every atom class
-    symbols: tuple[str, ...]  # the label's symbol for each exponent in (*ints, rat)
+    label_for: Callable[[Vec], str]  # a plain function, so no element refers to a model
 
     # -- subclass hooks -----------------------------------------------------
 
@@ -46,31 +45,20 @@ class ValueModel(DivisibilityModel):
 
     @abc.abstractmethod
     def _half(self, *bounds: int) -> list[Vec]:
-        """The distinct values of the fractional window of these bounds (the
-        `window_bounds`, in order) whose first coordinate (`rat` where there
-        is no other) is >= 0, the unit included.  Every integral value lies
-        in this half, and the window is the half and its negatives."""
+        """The values of first coordinate >= 0 of the fractional window of the
+        `window_bounds`, the integral ones among them; the rest are their negatives."""
 
     # -- generic operations -------------------------------------------------
 
-    @classmethod
-    def label_for(cls, v: Vec) -> str:
-        """Canonical label of a value: the powers of `symbols` with positive
-        exponent over those with negative exponent, "1" for the unit."""
-        num, den = [], []
-        for sym, e in zip(cls.symbols, (*v.ints, v.rat)):
-            if e > 0:
-                num.append(sym if e == 1 else f"{sym}^{fmt_exponent(e)}")
-            elif e:
-                den.append(sym if e == -1 else f"{sym}^{fmt_exponent(-e)}")
-        num_s = "*".join(num) or "1"
-        if not den:
-            return num_s
-        return f"{num_s}/{den[0]}" if len(den) == 1 else f"{num_s}/({'*'.join(den)})"
+    def _fix_grid(self, symbols: tuple[str, ...], name: str, den: int | None) -> int:
+        """Fix the grid lcm(1..den) of the bound `name`, and the labels on it; returns den."""
+        (den,) = self.require_positive({name: den}, name)
+        self.ambient = self.ambient._replace(grid=lcm(*range(1, den + 1)))
+        self.label_for = partial(_label, symbols, (*(1,) * self.ambient.dim, self.ambient.grid))
+        return den
 
     def element(self, v: Vec) -> Element:
-        # a class-bound renderer: an element refers to no model
-        return Element(self.id, v, self.label_for)
+        return Element(self.owner, v, self.label_for)
 
     def is_unit(self, a: Element) -> bool:
         self.check_owned(a)
@@ -245,9 +233,24 @@ class ValueModel(DivisibilityModel):
         return tuple(sorted(map(self.element, values), key=lambda e: e.label))
 
 
-def _fraction_range(max_abs: int, max_den: int) -> set[Fraction]:
-    """The fractions from 0 to max_abs of denominator at most max_den."""
-    return {Fraction(n, d) for d in range(1, max_den + 1) for n in range(max_abs * d + 1)}
+def _label(symbols: tuple[str, ...], grids: tuple[int, ...], v: Vec) -> str:
+    """Canonical label of a value, each exponent in (*ints, rat) on its grid in `grids`."""
+    num, den = [], []
+    for sym, e, g in zip(symbols, (*v.ints, v.rat), grids):
+        if e > 0:
+            num.append(sym if e == g else f"{sym}^{fmt_exponent(e, g)}")
+        elif e:
+            den.append(sym if e == -g else f"{sym}^{fmt_exponent(-e, g)}")
+    num_s = "*".join(num) or "1"
+    if not den:
+        return num_s
+    return f"{num_s}/{den[0]}" if len(den) == 1 else f"{num_s}/({'*'.join(den)})"
+
+
+def _fraction_range(max_abs: int, max_den: int, grid: int) -> set[int]:
+    """The fractions from 0 to max_abs of denominator at most max_den, as
+    counts of steps of 1/grid (grid a multiple of each such denominator)."""
+    return {n for d in range(1, max_den + 1) for n in range(0, max_abs * grid + 1, grid // d)}
 
 
 class DVRModel(ValueModel):
@@ -256,7 +259,7 @@ class DVRModel(ValueModel):
     id = "dvr"
     ambient = Ambient(1)
     atom_values = frozenset({Vec((1,))})
-    symbols = ("pi",)
+    label_for = staticmethod(partial(_label, ("pi",), (1,)))
     window_bounds = ("max_exponent",)
 
     def contains_value(self, v: Vec) -> bool:
@@ -275,8 +278,10 @@ class AntimatterModel(ValueModel):
     id = "antimatter"
     ambient = Ambient(0, with_rat=True)
     atom_values = frozenset()
-    symbols = ("x",)
-    window_bounds = ("max_value", "max_den")
+    window_bounds = ("max_value",)
+
+    def __init__(self, max_den: int | None = None):
+        self.max_den = self._fix_grid(("x",), "max_den", max_den)
 
     def contains_value(self, v: Vec) -> bool:
         return v.rat >= 0
@@ -291,8 +296,8 @@ class AntimatterModel(ValueModel):
             "witness": witness.label if witness else None,
         }
 
-    def _half(self, max_value: int, max_den: int) -> list[Vec]:
-        return [Vec((), q) for q in _fraction_range(max_value, max_den)]
+    def _half(self, max_value: int) -> list[Vec]:
+        return [Vec((), q) for q in _fraction_range(max_value, self.max_den, self.ambient.grid)]
 
 
 class NumericalMonoidModel(ValueModel):
@@ -348,18 +353,14 @@ class D1Model(ValueModel):
     id = "d1"
     ambient = Ambient(1, with_rat=True)
     atom_values = frozenset({Vec((1,))})
-    symbols = ("y", "x")
-    window_bounds = ("k_max", "den_max", "alpha_max")
+    window_bounds = ("k_max", "alpha_max")
+
+    def __init__(self, den_max: int | None = None):
+        self.den_max = self._fix_grid(("y", "x"), "den_max", den_max)
 
     def contains_value(self, v: Vec) -> bool:
-        k, a = v.ints[0], v.rat
-        if k < 0:
-            return False
-        if k == 0:
-            return a >= 0
-        if k == 1:
-            return a >= 0
-        return True
+        k = v.ints[0]
+        return k >= 2 or (k >= 0 and v.rat >= 0)
 
     def is_atomic_value(self, v: Vec) -> bool:
         return v.rat == 0 and v.ints[0] >= 1
@@ -372,8 +373,8 @@ class D1Model(ValueModel):
             return self.element(Vec((max(2, 1 - a.value.ints[0]),), -a.value.rat))
         return None
 
-    def _half(self, k_max: int, den_max: int, alpha_max: int) -> list[Vec]:
-        alphas = _fraction_range(alpha_max, den_max)
+    def _half(self, k_max: int, alpha_max: int) -> list[Vec]:
+        alphas = _fraction_range(alpha_max, self.den_max, self.ambient.grid)
         alphas |= {-a for a in alphas}
         return [Vec((k,), a) for k in range(k_max + 1) for a in alphas]
 
@@ -385,18 +386,12 @@ class D2Model(ValueModel):
     id = "d2"
     ambient = Ambient(2)
     atom_values = frozenset({Vec((1, 0)), Vec((0, 1))})
-    symbols = ("y", "x")
+    label_for = staticmethod(partial(_label, ("y", "x"), (1, 1)))
     window_bounds = ("k_max", "j_max")
 
     def contains_value(self, v: Vec) -> bool:
-        if v.rat != 0:
-            return False
         k, j = v.ints
-        if k < 0:
-            return False
-        if k <= 1:
-            return j >= 0
-        return True
+        return v.rat == 0 and (k >= 2 or (k >= 0 and j >= 0))
 
     def is_atomic_value(self, v: Vec) -> bool:
         k, j = v.ints

@@ -1,33 +1,34 @@
-"""Exact value vectors in Z^d (+) Q with lexicographic order.
-
-Every value-based model maps its elements into a common shape: a tuple of
-integers followed by a single exact rational coordinate.  Models that do
-not use the rational coordinate simply leave it at zero.  All comparisons
-are lexicographic with the rational coordinate last.
+"""Exact value vectors in Z^d (+) Q, ordered lexicographically with the
+rational coordinate last.  Every coordinate is an int: the rational one
+counts steps of 1/grid on its model's grid, or stays 0 where a model has none.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
+from math import gcd
 from operator import add, lt, mul, sub
 
+from .errors import OffGrid
 
-class Ambient(namedtuple("Ambient", "dim with_rat", defaults=(False,))):
-    """Shape descriptor for a value group Z^dim (+) Q."""
+
+class Ambient(namedtuple("Ambient", "dim with_rat grid", defaults=(False, 1))):
+    """Shape of a value group Z^dim (+) Q, rational steps of 1/grid."""
 
     __slots__ = ()
 
+    def value(self, ints: tuple[int, ...], rat=0) -> Vec:
+        """(ints, rat) with the exact rational rat put on the grid; OffGrid, never rounded."""
+        if (steps := rat * self.grid).denominator != 1:
+            raise OffGrid(f"{rat} is off the grid 1/{self.grid}")
+        return Vec(tuple(ints), int(steps))
+
 
 class Vec(namedtuple("Vec", "ints rat", defaults=(0,))):
-    """A value: the tuple (ints, rat) of integer coordinates `ints` and one
-    rational coordinate `rat`.  As a tuple it hashes as hash((ints, rat)),
-    and `==` and `hash` run in C, where graphs look quotients up by value;
-    namedtuple's C getters read the fields.  So define no `__eq__`, no rich
-    comparison (any one sends `==` through a Python slot) and no instance
-    attribute.  `rat` keeps the exact number given, the int 0 by default, so
-    a model that stays in Z^d never touches a Fraction: 0 == Fraction(0) and
-    hash(0) == hash(Fraction(0)), as for every integer-valued Fraction."""
+    """A value: the tuple (ints, rat) of integer coordinates `ints` and the
+    int `rat`, the rational coordinate times the grid.  `==` and `hash` are
+    tuple's and run in C on ints, where graphs look quotients up by value, so
+    define no `__eq__`, no rich comparison or instance attribute."""
 
     __slots__ = ()
     __mul__ = __rmul__ = None  # not tuple repetition: `scaled` scales
@@ -49,21 +50,20 @@ class Vec(namedtuple("Vec", "ints rat", defaults=(0,))):
 
     @property
     def is_zero(self) -> bool:
-        ints, rat = self
-        return rat == 0 and not any(ints)
+        return self.rat == 0 and not any(self.ints)
 
-    def __str__(self) -> str:
+    def render(self, grid: int = 1) -> str:
+        """The value as "(ints..., rat)", rat read on `grid` and shown when nonzero or alone."""
         parts = [str(a) for a in self.ints]
-        if self.rat != 0 or not parts:
-            parts.append(str(self.rat))
+        if self.rat or not parts:
+            parts.append(fmt_exponent(self.rat, grid, "{}"))
         return "(" + ", ".join(parts) + ")"
 
 
-def fmt_exponent(q: Fraction | int) -> str:
-    """Render an exponent for canonical labels: 2 -> "2", 1/3 -> "(1/3")."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"({q})"
+def fmt_exponent(n: int, grid: int = 1, fraction: str = "({})") -> str:
+    """n/grid in lowest terms, a fraction in `fraction`: (6, 3) -> "2", (2, 6) -> "(1/3)"."""
+    g = gcd(n, grid)
+    return str(n // g) if g == grid else fraction.format(f"{n // g}/{grid // g}")
 
 
 def _place(values: list[Vec]) -> tuple[list[int], list[int], list[int]]:

@@ -15,10 +15,17 @@ from pathlib import Path
 
 from divgraph.config import load_config
 from divgraph.graph import cover_edge
-from divgraph.models import AntimatterModel, D1Model, D2Model, DVRModel, NumericalMonoidModel
+from divgraph.models import (
+    AntimatterModel,
+    D1Model,
+    D2Model,
+    DVRModel,
+    NumericalMonoidModel,
+    ValueModel,
+)
 from divgraph.models.base import WindowSpec
 from divgraph.topology import FinitePoset, is_T0
-from divgraph.values import Vec
+from divgraph.values import Ambient, Vec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,7 +42,7 @@ def ladder_window(kind):
     m, bounds = {
         "d2": (D2Model(), {"k_max": 6, "j_max": 5}),
         "numerical": (NumericalMonoidModel((2, 3)), {"max_value": 30}),
-        "d1": (D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}),
+        "d1": (D1Model(den_max=2), {"k_max": 2, "alpha_max": 2}),
     }[kind]
     return m, m.enumerate_window(WindowSpec(bounds))
 
@@ -45,7 +52,7 @@ FRACTIONAL = {
     "dvr": (DVRModel(), {"max_exponent": 4}),
     "numerical": (NumericalMonoidModel((4, 6)), {"max_value": 12}),
     "d2": (D2Model(), {"k_max": 2, "j_max": 2}),
-    "d1": (D1Model(), {"k_max": 1, "den_max": 1, "alpha_max": 1}),
+    "d1": (D1Model(den_max=1), {"k_max": 1, "alpha_max": 1}),
 }
 
 
@@ -244,9 +251,12 @@ def run_optimised(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def vec(*ints, rat=0) -> Vec:
-    """The value with integer coordinates `ints` and rational part `rat`."""
-    return Vec(tuple(ints), rat)
+def vec(*ints, rat=0, on=Ambient(0)) -> Vec:
+    """The value with integer coordinates `ints` and the exact rational part
+    `rat`, held as its count of steps of 1/grid: on the grid of the value
+    model or `Ambient` `on` (grid 1 by default), by `Ambient.value`, which
+    refuses an off-grid rat."""
+    return (on.ambient if isinstance(on, ValueModel) else on).value(ints, rat)
 
 
 def zero(ambient) -> Vec:
@@ -278,7 +288,7 @@ def element_of_label(model, label):
             exps[sym] += sign * (Fraction(exp.strip("()")) if exp else 1)
     value = {
         "dvr": Vec((int(exps["pi"]),)),
-        "d1": Vec((int(exps["y"]),), exps["x"]),
+        "d1": vec(int(exps["y"]), rat=exps["x"], on=model),
         "d2": Vec((int(exps["y"]), int(exps["x"]))),
     }[model.id]
     e = model.element(value)

@@ -34,6 +34,7 @@ from divgraph.topology import (
     poset_to_space,
     window_poset,
 )
+from divgraph.values import Vec
 from divgraph.verdicts import Status
 from helpers import (
     interval,
@@ -128,11 +129,11 @@ def test_criterion_04_d1(capsys):
         # subgroup is exactly the integer multiples of (1, 0)
         for k in range(-4, 5):
             assert desc.membership(vec(k)) is not None
-        assert desc.membership(vec(0, rat=Fraction(1, 2))) is None
-        assert desc.membership(vec(1, rat=Fraction(1, 3))) is None
+        assert desc.membership(vec(0, rat=Fraction(1, 2), on=model)) is None
+        assert desc.membership(vec(1, rat=Fraction(1, 3), on=model)) is None
 
-        f = model.element(vec(0, rat=Fraction(1, 2)))  # x^(1/2)
-        g = model.element(vec(3, rat=Fraction(-1, 3)))  # y^3/x^(1/3)
+        f = model.element(vec(0, rat=Fraction(1, 2), on=model))  # x^(1/2)
+        g = model.element(vec(3, rat=Fraction(-1, 3), on=model))  # y^3/x^(1/3)
         assert desc.coset_label(model.conn_value(f)) != desc.coset_label(model.conn_value(g))
 
         verdict = quotient_of_atomics(model, g, f)
@@ -148,10 +149,10 @@ def test_criterion_04_d1(capsys):
         for label, mult in certs.items():
             if mult is None:
                 continue
-            alpha = by_label[label].value.rat
+            alpha = by_label[label].value.rat  # in steps of the model's grid
             if alpha != 0:
                 # the named multiplier has value (2, -alpha)
-                assert by_label[mult].value == vec(2, rat=-alpha)
+                assert by_label[mult].value == Vec((2,), -alpha)
 
     emit(capsys, "criterion-04-d1", body)
 

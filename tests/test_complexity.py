@@ -28,6 +28,7 @@ from divgraph.models import (
     NumericalMonoidModel,
     ZxQModel,
 )
+from divgraph.models import valuebased
 from divgraph.models import zxq as zxq_module
 from divgraph.models.base import WindowSpec
 from divgraph.polynomials import RationalFunction
@@ -93,6 +94,45 @@ def test_zxq_reports_build_no_fraction(monkeypatch, name):
     )
     assert all(to_json(r).endswith("}\n") for r in reports) and dot_export(graph)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["d1", "antimatter"])
+def test_rational_reports_hash_no_fraction(monkeypatch, name):
+    # d1 and antimatter values hold their rational part as an int on the
+    # model's grid: from the model's construction to the JSON and .dot of
+    # every report no Fraction is hashed, and no more are built than
+    # rational exponents and value strings are rendered
+    hashed, built, exponents, strings = [], [], [], []
+    fraction_new, fraction_hash = Fraction.__new__, Fraction.__hash__
+
+    def new(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    def hashing(q):
+        hashed.append(q)
+        return fraction_hash(q)
+
+    monkeypatch.setattr(Fraction, "__new__", new)
+    monkeypatch.setattr(Fraction, "__hash__", hashing)
+    monkeypatch.setattr(valuebased, "fmt_exponent", counting(valuebased.fmt_exponent, exponents))
+    monkeypatch.setattr(Vec, "render", counting(Vec.render, strings))
+    m, spec = load_config(CONFIG_DIR / f"{name}.cfg").build()
+    w = m.enumerate_window(spec)
+    graph = build_graph(m, w)
+    reports = (
+        graph_report(graph),
+        classify_report(graph),
+        components_report(graph),
+        topology_report(m, w),
+        atomicity_report(m, w),
+        crosscheck_graph(graph),
+    )
+    assert all(to_json(r).endswith("}\n") for r in reports) and dot_export(graph)
+    assert hashed == []
+    rational = [(n, grid) for n, grid in exponents if grid != 1]
+    assert rational and strings  # a rational exponent and a coset string were rendered
+    assert len(built) <= len(rational) + len(strings)
 
 
 def test_topology_renders_each_label_at_most_once(monkeypatch):
@@ -248,12 +288,12 @@ def difference_box(window) -> int:
             (D2Model(), {"k_max": 9, "j_max": 8}, False, 627),
             (D2Model(), {"k_max": 9, "j_max": 8}, True, 37 * 33),
             # (0, a) for a > 0 is in the window, so k runs from 0 to 4
-            (D1Model(), {"k_max": 4, "den_max": 4, "alpha_max": 2}, False, 9),
-            (D1Model(), {"k_max": 4, "den_max": 4, "alpha_max": 2}, True, 17),
+            (D1Model(den_max=4), {"k_max": 4, "alpha_max": 2}, False, 9),
+            (D1Model(den_max=4), {"k_max": 4, "alpha_max": 2}, True, 17),
             (NumericalMonoidModel((2, 3)), {"max_value": 30}, False, 57),
             (NumericalMonoidModel((4, 6)), {"max_value": 12}, True, 49),
             (DVRModel(), {"max_exponent": 4}, True, 17),
-            (AntimatterModel(), {"max_value": 2, "max_den": 3}, True, 1),
+            (AntimatterModel(max_den=3), {"max_value": 2}, True, 1),
         ]
     ],
 )

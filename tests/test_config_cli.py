@@ -21,6 +21,7 @@ from divgraph.models import KINDS
 from divgraph.models.base import WindowSpec
 from divgraph.reports import crosscheck_graph
 from divgraph.values import Vec
+from helpers import vec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -124,6 +125,8 @@ class TestParser:
         bounds = KINDS[kind].window_bounds
         options, lines = {
             "numerical-monoid": ({"generators": (2, 3)}, ["generator 2 3"]),
+            "d1": ({"den_max": 2}, ["bound den_max 2"]),
+            "antimatter": ({"max_den": 2}, ["bound max_den 2"]),
             "zxq": (
                 {"degree_cap": 4, "declared_atoms": ((1, 0, 1),)},
                 ["bound degree_cap 4", "atom 1 0 1", "element 1 1", "element 2"],
@@ -575,8 +578,8 @@ class TestTamperedGraph:
     def test_crosscheck_detects_a_vertex_off_its_components_coset(self, monkeypatch):
         from divgraph.models import D1Model
 
-        m = D1Model()
-        bounds = {"k_max": 3, "den_max": 3, "alpha_max": 1}
+        m = D1Model(den_max=3)
+        bounds = {"k_max": 3, "alpha_max": 1}
         g = build_graph(m, m.enumerate_window(WindowSpec(bounds)))
         assert crosscheck_graph(g)["ok"]
         rep, moved = next(c for c in weak_components(g) if len(c) > 1)[:2]
@@ -585,7 +588,7 @@ class TestTamperedGraph:
         def shifted(e):
             # off the atom subgroup, which has no rational part
             v = conn_value(e)
-            return Vec(v.ints, v.rat + Fraction(1, 2)) if e.label == moved else v
+            return v + vec(0, rat=Fraction(1, 2), on=m) if e.label == moved else v
 
         monkeypatch.setattr(m, "conn_value", shifted)
         report = crosscheck_graph(g)

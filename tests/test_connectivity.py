@@ -40,8 +40,8 @@ ZXQ_ROWS = [
 
 class TestWeakComponents:
     def test_antimatter_all_singletons(self):
-        m = AntimatterModel()
-        g = build_graph(m, win(m, max_value=2, max_den=5))
+        m = AntimatterModel(max_den=5)
+        g = build_graph(m, win(m, max_value=2))
         assert len(weak_components(g)) == 20
 
     def test_zxq_partitions_by_order(self):
@@ -61,10 +61,11 @@ class TestWeakComponents:
 
 class TestAtomSubgroup:
     def test_d1_rank_one(self):
-        desc = atom_subgroup(D1Model())
+        m = D1Model(den_max=3)
+        desc = atom_subgroup(m)
         assert desc.membership(vec(5)) is not None
-        assert desc.membership(vec(0, rat=Fraction(1, 2))) is None
-        assert desc.membership(vec(2, rat=Fraction(-1, 3))) is None
+        assert desc.membership(vec(0, rat=Fraction(1, 2), on=m)) is None
+        assert desc.membership(vec(2, rat=Fraction(-1, 3), on=m)) is None
 
     def test_d2_full_lattice(self):
         desc = atom_subgroup(D2Model())
@@ -73,15 +74,16 @@ class TestAtomSubgroup:
                 assert desc.membership(vec(a, b)) is not None
 
     def test_antimatter_trivial(self):
-        desc = atom_subgroup(AntimatterModel())
+        m = AntimatterModel(max_den=2)
+        desc = atom_subgroup(m)
         assert desc.no_atoms
-        assert desc.membership(vec(rat=Fraction(1, 2))) is None
+        assert desc.membership(vec(rat=Fraction(1, 2), on=m)) is None
 
     def test_component_labels(self):
-        m = D1Model()
-        a = m.element(vec(0, rat=Fraction(1, 2)))
-        b = m.element(vec(3, rat=Fraction(-1, 3)))
-        c = m.element(vec(2, rat=Fraction(1, 2)))
+        m = D1Model(den_max=3)
+        a = m.element(vec(0, rat=Fraction(1, 2), on=m))
+        b = m.element(vec(3, rat=Fraction(-1, 3), on=m))
+        c = m.element(vec(2, rat=Fraction(1, 2), on=m))
         desc = atom_subgroup(m)
         la, lb, lc = (desc.coset_label(m.conn_value(e)) for e in (a, b, c))
         assert la != lb
@@ -111,9 +113,9 @@ def assert_quotient_of_atoms(m, a, b):
 
 class TestQuotientOfAtomics:
     def test_d1_refuted_by_values(self):
-        m = D1Model()
-        g = m.element(vec(3, rat=Fraction(-1, 3)))
-        f = m.element(vec(0, rat=Fraction(1, 2)))
+        m = D1Model(den_max=3)
+        g = m.element(vec(3, rat=Fraction(-1, 3), on=m))
+        f = m.element(vec(0, rat=Fraction(1, 2), on=m))
         verdict = quotient_of_atomics(m, g, f)
         assert verdict.status is Status.FAILS
         assert verdict.provenance == "analytic"
@@ -164,8 +166,8 @@ class TestAlmostAtomic:
         assert verdict.status is Status.HOLDS
 
     def test_d1_fails_analytically(self):
-        m = D1Model()
-        verdict = is_almost_atomic(m, win(m, k_max=3, den_max=3, alpha_max=1))
+        m = D1Model(den_max=3)
+        verdict = is_almost_atomic(m, win(m, k_max=3, alpha_max=1))
         assert verdict.status is Status.FAILS
         assert verdict.provenance == "analytic"
         assert "x^(1/2)" in verdict.evidence["value_outside_atom_subgroup"]
@@ -179,8 +181,8 @@ class TestAlmostAtomic:
         assert certs["y^2/x"] == ["x"]
 
     def test_antimatter_fails(self):
-        m = AntimatterModel()
-        verdict = is_almost_atomic(m, win(m, max_value=1, max_den=3))
+        m = AntimatterModel(max_den=3)
+        verdict = is_almost_atomic(m, win(m, max_value=1))
         assert verdict.status is Status.FAILS
 
     def test_certificates_verified(self):
@@ -196,16 +198,16 @@ class TestAlmostAtomic:
 
 class TestQuasiAtomic:
     def test_d1_holds(self):
-        m = D1Model()
-        w = win(m, k_max=3, den_max=3, alpha_max=1)
+        m = D1Model(den_max=3)
+        w = win(m, k_max=3, alpha_max=1)
         verdict = is_quasi_atomic(m, w)
         assert verdict.status is Status.HOLDS
         # the named multiplier for x^alpha has value (2, -alpha)
         assert verdict.evidence["certificates"]["x^(1/2)"] == "y^2/x^(1/2)"
 
     def test_d1_certificates_verified(self):
-        m = D1Model()
-        w = win(m, k_max=3, den_max=3, alpha_max=1)
+        m = D1Model(den_max=3)
+        w = win(m, k_max=3, alpha_max=1)
         by_label = {e.label: e for e in w}
         verdict = is_quasi_atomic(m, w)
         for label, mult in verdict.evidence["certificates"].items():
@@ -218,16 +220,16 @@ class TestQuasiAtomic:
 
     def test_d1_complement_on_a_fractional_window(self):
         # (k, alpha) with k <= -2 needs the y-exponent 1 - k to reach (1, 0)
-        m = D1Model()
-        bounds = {"k_max": 2, "den_max": 2, "alpha_max": 1}
+        m = D1Model(den_max=2)
+        bounds = {"k_max": 2, "alpha_max": 1}
         w = m.enumerate_window(WindowSpec(bounds, include_fractional=True))
         verdict = is_quasi_atomic(m, w)
         assert verdict.status is Status.HOLDS
         assert verdict.evidence["certificates"]["x^(1/2)/y^2"] == "y^3/x^(1/2)"
 
     def test_antimatter_fails_with_obstruction(self):
-        m = AntimatterModel()
-        verdict = is_quasi_atomic(m, win(m, max_value=1, max_den=3))
+        m = AntimatterModel(max_den=3)
+        verdict = is_quasi_atomic(m, win(m, max_value=1))
         assert verdict.status is Status.FAILS
         assert "witness" in verdict.evidence
 

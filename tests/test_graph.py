@@ -73,8 +73,8 @@ class TestDVRChain:
 
 class TestAntimatterGraph:
     def setup_method(self):
-        self.m = AntimatterModel()
-        self.g = build_graph(self.m, win(self.m, max_value=2, max_den=5))
+        self.m = AntimatterModel(max_den=5)
+        self.g = build_graph(self.m, win(self.m, max_value=2))
 
     def test_edgeless(self):
         assert len(self.g.vertices) == 20
@@ -219,7 +219,7 @@ class TestChainInvariant:
             (DVRModel(), {"max_exponent": 6}),
             (NumericalMonoidModel((2, 3)), {"max_value": 15}),
             (NumericalMonoidModel((3, 5, 7)), {"max_value": 20}),
-            (AntimatterModel(), {"max_value": 1, "max_den": 4}),
+            (AntimatterModel(max_den=4), {"max_value": 1}),
             (D2Model(), {"k_max": 3, "j_max": 2}),
         ],
     )

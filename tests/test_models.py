@@ -11,6 +11,7 @@ from divgraph.errors import (
     DegreeCapExceeded,
     ElementForeignToModel,
     InvalidBounds,
+    OffGrid,
 )
 from divgraph.graph import build_graph
 from divgraph.models import (
@@ -31,7 +32,6 @@ from divgraph.reports import (
     graph_report,
     topology_report,
 )
-from divgraph.values import Vec
 from helpers import LADDER, ladder_window, vec
 
 
@@ -68,28 +68,28 @@ class TestDVR:
 
 
 class TestAntimatter:
-    m = AntimatterModel()
+    m = AntimatterModel(max_den=5)
 
     def test_no_atoms(self):
         assert self.m.atoms() == ()
-        x = self.m.element(Vec((), Fraction(1, 2)))
+        x = self.m.element(vec(rat=Fraction(1, 2), on=self.m))
         assert not self.m.is_atom(x)
         assert not self.m.is_atomic_element(x)
 
     def test_window_count(self):
         # distinct positive rationals p/q <= 2 with q <= 5
-        w = window(self.m, max_value=2, max_den=5)
+        w = window(self.m, max_value=2)
         assert len(w) == 20
 
     def test_halving_chain(self):
         # every element is divisible by its half: no minimal divisors
-        x = self.m.element(Vec((), Fraction(1, 2)))
-        half = self.m.element(Vec((), Fraction(1, 4)))
+        x = self.m.element(vec(rat=Fraction(1, 2), on=self.m))
+        half = self.m.element(vec(rat=Fraction(1, 4), on=self.m))
         assert self.m.in_domain(self.m.quotient(x, half))
 
     def test_empty_window(self):
         with pytest.raises(InvalidBounds):
-            window(self.m, max_value=0, max_den=1)
+            window(AntimatterModel(max_den=1), max_value=0)
 
 
 class TestNumericalMonoid:
@@ -136,34 +136,54 @@ class TestNumericalMonoid:
 
 
 class TestD1:
-    m = D1Model()
+    m = D1Model(den_max=3)
 
     def test_monoid_membership(self):
-        assert self.m.contains_value(vec(0, rat=Fraction(1, 2)))
-        assert not self.m.contains_value(vec(0, rat=Fraction(-1, 2)))
-        assert self.m.contains_value(vec(1, rat=0))
-        assert not self.m.contains_value(vec(1, rat=Fraction(-1, 3)))
-        assert self.m.contains_value(vec(2, rat=Fraction(-7, 3)))
+        assert self.m.contains_value(vec(0, rat=Fraction(1, 2), on=self.m))
+        assert not self.m.contains_value(vec(0, rat=Fraction(-1, 2), on=self.m))
+        assert self.m.contains_value(vec(1, rat=0, on=self.m))
+        assert not self.m.contains_value(vec(1, rat=Fraction(-1, 3), on=self.m))
+        assert self.m.contains_value(vec(2, rat=Fraction(-7, 3), on=self.m))
 
     def test_single_atom(self):
         assert [a.value for a in self.m.atoms()] == [vec(1)]
         assert self.m.is_atom(self.m.element(vec(1)))
-        assert not self.m.is_atom(self.m.element(vec(0, rat=Fraction(1, 2))))
+        assert not self.m.is_atom(self.m.element(vec(0, rat=Fraction(1, 2), on=self.m)))
 
     def test_labels(self):
-        assert self.m.element(vec(3, rat=Fraction(-1, 3))).label == "y^3/x^(1/3)"
-        assert self.m.element(vec(0, rat=Fraction(1, 2))).label == "x^(1/2)"
+        assert self.m.element(vec(3, rat=Fraction(-1, 3), on=self.m)).label == "y^3/x^(1/3)"
+        assert self.m.element(vec(0, rat=Fraction(1, 2), on=self.m)).label == "x^(1/2)"
 
     def test_quotient_value(self):
-        g = self.m.element(vec(3, rat=Fraction(-1, 3)))
-        f = self.m.element(vec(0, rat=Fraction(1, 2)))
-        assert self.m.quotient(g, f).value == vec(3, rat=Fraction(-5, 6))
+        g = self.m.element(vec(3, rat=Fraction(-1, 3), on=self.m))
+        f = self.m.element(vec(0, rat=Fraction(1, 2), on=self.m))
+        assert self.m.quotient(g, f).value == vec(3, rat=Fraction(-5, 6), on=self.m)
 
     def test_atomic_elements_are_y_powers(self):
         assert self.m.is_atomic_element(self.m.element(vec(2)))
         assert not self.m.is_atomic_element(
-            self.m.element(vec(2, rat=Fraction(-1, 2)))
+            self.m.element(vec(2, rat=Fraction(-1, 2), on=self.m))
         )
+
+    def test_off_grid_rationals_are_refused_not_rounded(self):
+        # den_max 3 fixes the grid 1/6: it holds 1/2 and -7/3, not 1/4
+        assert self.m.ambient.value((0,), Fraction(-7, 3)) == ((0,), -14)
+        with pytest.raises(OffGrid, match="1/4"):
+            self.m.ambient.value((0,), Fraction(1, 4))
+        with pytest.raises(OffGrid):
+            AntimatterModel(max_den=2).ambient.value((), Fraction(1, 3))
+        with pytest.raises(OffGrid):  # no grid but 1 without a rational coordinate
+            D2Model().ambient.value((0, 0), Fraction(1, 2))
+
+    def test_elements_are_not_read_on_another_grid(self):
+        # rat 3 is 1/2 on this grid of 1/6, and would be 1/4 on the 1/12 of den_max 4
+        half = self.m.element(vec(0, rat=Fraction(1, 2), on=self.m))
+        other = D1Model(den_max=4)
+        for ask in (other.is_atom, other.in_domain, lambda a: other.quotient(a, a)):
+            with pytest.raises(ElementForeignToModel, match="grid 6.*grid 12"):
+                ask(half)
+        # another model on the same grid reads it alike
+        assert D1Model(den_max=3).multiply(half, half).label == "x"
 
 
 class TestD2:
@@ -202,7 +222,13 @@ class TestD2:
 
 @pytest.mark.parametrize(
     "model",
-    [DVRModel(), AntimatterModel(), NumericalMonoidModel((3, 5, 7)), D1Model(), D2Model()],
+    [
+        DVRModel(),
+        AntimatterModel(max_den=2),
+        NumericalMonoidModel((3, 5, 7)),
+        D1Model(den_max=2),
+        D2Model(),
+    ],
     ids=lambda m: m.id,
 )
 def test_atoms_are_built_once(model):
@@ -216,8 +242,8 @@ def model_and_window(kind):
         m = DVRModel()
         return m, window(m, max_exponent=4, include_fractional=True)
     if kind == "antimatter":
-        m = AntimatterModel()
-        return m, window(m, max_value=2, max_den=2, include_fractional=True)
+        m = AntimatterModel(max_den=2)
+        return m, window(m, max_value=2, include_fractional=True)
     return ladder_window(kind)
 
 

@@ -49,6 +49,7 @@ from helpers import (
     poset_from_pairs,
     space_to_poset,
     spelled_multisets,
+    vec,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -133,8 +134,10 @@ def test_topology_components_match_comparability_graph(p):
 
 # -- subgroups ---------------------------------------------------------------
 
+# rational parts of denominator up to 4, on the grid 1/12
+GRID_12 = Ambient(2, with_rat=True, grid=12)
 small_vecs = st.builds(
-    lambda a, b, num, den: Vec((a, b), Fraction(num, den)),
+    lambda a, b, num, den: vec(a, b, rat=Fraction(num, den), on=GRID_12),
     st.integers(-4, 4),
     st.integers(-4, 4),
     st.integers(-6, 6),
@@ -147,7 +150,7 @@ small_int_vecs = st.builds(lambda a, b: Vec((a, b)), st.integers(-4, 4), st.inte
 @given(st.lists(small_int_vecs, min_size=1, max_size=3), small_vecs)
 @settings(max_examples=80, deadline=None)
 def test_subgroup_membership_sound_and_closed(gens, target):
-    desc = SubgroupDescriptor(Ambient(2, with_rat=True), tuple(gens))
+    desc = SubgroupDescriptor(GRID_12, tuple(gens))
     coeffs = desc.membership(target)
     if coeffs is not None:
         acc = Vec((0, 0))
@@ -197,7 +200,8 @@ def lattices_and_targets(draw):
     coeffs = draw(st.lists(entry, min_size=len(gens), max_size=len(gens)))
     member = tuple(sum(c * v.ints[i] for c, v in zip(coeffs, gens)) for i in range(dim))
     target = member if draw(st.booleans()) else draw(ints)
-    return Ambient(dim, with_rat=True), tuple(gens), Vec(target, rat)
+    ambient = Ambient(dim, with_rat=True, grid=3)
+    return ambient, tuple(gens), vec(*target, rat=rat, on=ambient)
 
 
 @given(lattices_and_targets())
@@ -211,7 +215,7 @@ def test_membership_matches_the_vec_certificate(case):
 @given(st.lists(small_int_vecs, min_size=1, max_size=3), small_vecs, small_vecs)
 @settings(max_examples=60, deadline=None)
 def test_coset_rep_is_canonical(gens, g, h):
-    desc = SubgroupDescriptor(Ambient(2, with_rat=True), tuple(gens))
+    desc = SubgroupDescriptor(GRID_12, tuple(gens))
     same = desc.membership(g - h) is not None
     assert same == (desc.coset_rep(g) == desc.coset_rep(h))
 
@@ -274,7 +278,7 @@ def test_classify_chain_never_contradicted(gens, max_value):
 value_windows = st.one_of(
     st.builds(lambda n: (DVRModel(), {"max_exponent": n}), st.integers(1, 8)),
     st.builds(
-        lambda v, d: (AntimatterModel(), {"max_value": v, "max_den": d}),
+        lambda v, d: (AntimatterModel(max_den=d), {"max_value": v}),
         st.integers(1, 3),
         st.integers(1, 3),
     ),
@@ -284,7 +288,7 @@ value_windows = st.one_of(
         st.integers(9, 24),
     ),
     st.builds(
-        lambda k, d, a: (D1Model(), {"k_max": k, "den_max": d, "alpha_max": a}),
+        lambda k, d, a: (D1Model(den_max=d), {"k_max": k, "alpha_max": a}),
         st.integers(1, 2),
         st.integers(1, 2),
         st.integers(1, 2),
@@ -485,15 +489,14 @@ def oracle_power(sym, q):
     return f"{sym}^{oracle_exponent(q)}"
 
 
-def oracle_dvr(v):
-    k = v.ints[0]
+def oracle_dvr(ints):
+    k = ints[0]
     if k >= 1:
         return "pi" if k == 1 else f"pi^{k}"
     return "1/pi" if k == -1 else f"1/pi^{-k}"
 
 
-def oracle_antimatter(v):
-    q = v.rat
+def oracle_antimatter(q):
     if q > 0:
         return "x" if q == 1 else f"x^{oracle_exponent(q)}"
     return "1/x" if q == -1 else f"1/x^{oracle_exponent(-q)}"
@@ -516,39 +519,86 @@ def oracle_two_generator(k, e):
     return f"{num_s}/{den_s}"
 
 
-def oracle_label(m, v):
+def oracle_label(m, ints, q):
+    """The label of the value with integer coordinates ints and the exact
+    rational part q."""
     if isinstance(m, NumericalMonoidModel):
-        return str(v.ints[0])
-    if v.is_zero:
+        return str(ints[0])
+    if not any(ints) and q == 0:
         return "1"
     if isinstance(m, DVRModel):
-        return oracle_dvr(v)
+        return oracle_dvr(ints)
     if isinstance(m, AntimatterModel):
-        return oracle_antimatter(v)
-    return oracle_two_generator(v.ints[0], v.rat if isinstance(m, D1Model) else v.ints[1])
+        return oracle_antimatter(q)
+    return oracle_two_generator(ints[0], q if isinstance(m, D1Model) else ints[1])
 
 
 label_ints = st.integers(-12, 12)
 label_exponents = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+# (model, ints, exact rational part); den_max 6 puts every label exponent on the grid
 labelled_values = st.one_of(
-    st.builds(lambda k: (DVRModel(), Vec((k,))), label_ints),
-    st.builds(lambda q: (AntimatterModel(), Vec((), q)), label_exponents),
-    st.builds(lambda gens, n: (NumericalMonoidModel(gens), Vec((n,))), monoid_gens, label_ints),
-    st.builds(lambda k, q: (D1Model(), Vec((k,), q)), label_ints, label_exponents),
-    st.builds(lambda k, j: (D2Model(), Vec((k, j))), label_ints, label_ints),
+    st.builds(lambda k: (DVRModel(), (k,), 0), label_ints),
+    st.builds(lambda q: (AntimatterModel(max_den=6), (), q), label_exponents),
+    st.builds(lambda gens, n: (NumericalMonoidModel(gens), (n,), 0), monoid_gens, label_ints),
+    st.builds(lambda k, q: (D1Model(den_max=6), (k,), q), label_ints, label_exponents),
+    st.builds(lambda k, j: (D2Model(), (k, j), 0), label_ints, label_ints),
 )
 
 
 @given(labelled_values)
-@example((D1Model(), Vec((-2,), Fraction(-1, 3))))  # y^2*x^(1/3) in the denominator
-@example((D2Model(), Vec((-1, -4))))
-@example((AntimatterModel(), Vec((), Fraction(-5, 2))))
-@example((AntimatterModel(), Vec((), 0)))
-@example((NumericalMonoidModel((2, 3)), Vec((0,))))
+@example((D1Model(den_max=6), (-2,), Fraction(-1, 3)))  # y^2*x^(1/3) in the denominator
+@example((D2Model(), (-1, -4), 0))
+@example((AntimatterModel(max_den=6), (), Fraction(-5, 2)))
+@example((AntimatterModel(max_den=6), (), 0))
+@example((NumericalMonoidModel((2, 3)), (0,), 0))
 @settings(max_examples=300, deadline=None)
 def test_labels_match_a_renderer_per_kind(model_value):
-    m, v = model_value
-    assert m.element(v).label == oracle_label(m, v)
+    m, ints, q = model_value
+    assert m.element(vec(*ints, rat=q, on=m)).label == oracle_label(m, ints, q)
+
+
+# -- d1 and antimatter strings against the exact Fraction ------------------------
+
+
+def oracle_value_string(ints, q):
+    """A value as the reports print it: its integer coordinates, then the
+    exact rational part where it is nonzero or alone."""
+    shown = [*ints, q] if q != 0 or not ints else list(ints)
+    return "(" + ", ".join(str(x) for x in shown) + ")"
+
+
+@st.composite
+def rational_models_and_values(draw):
+    """A d1 or antimatter model of a random denominator bound, and two
+    exact values whose rational parts lie on its grid."""
+    den = draw(st.integers(1, 7))
+    d1 = draw(st.booleans())
+    m = D1Model(den_max=den) if d1 else AntimatterModel(max_den=den)
+
+    def value():
+        ints = (draw(st.integers(-6, 6)),) if d1 else ()
+        return ints, Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, den)))
+
+    return m, value(), value()
+
+
+@given(rational_models_and_values())
+@example((D1Model(den_max=3), ((3,), Fraction(-1, 3)), ((0,), Fraction(1, 2))))
+@example((AntimatterModel(max_den=6), ((), Fraction(5, 6)), ((), Fraction(0))))
+@settings(max_examples=200, deadline=None)
+def test_rational_strings_render_the_exact_fraction(case):
+    m, (a_ints, a_q), (b_ints, b_q) = case
+    a, b = (m.element(vec(*ints, rat=q, on=m)) for ints, q in ((a_ints, a_q), (b_ints, b_q)))
+    diff_ints = tuple(x - y for x, y in zip(a_ints, b_ints))
+    assert a.label == oracle_label(m, a_ints, a_q)
+    assert m.quotient(a, b).label == oracle_label(m, diff_ints, a_q - b_q)
+    # the atoms of d1 have values (k, 0), so a coset is named by (0, q); antimatter has none
+    desc = atom_subgroup(m)
+    assert desc.coset_label(m.conn_value(a)) == oracle_value_string((0,) * len(a_ints), a_q)
+    verdict = quotient_of_atomics(m, a, b, desc)
+    assert (verdict.status is Status.HOLDS) == (a_q == b_q)
+    if a_q != b_q:
+        assert verdict.evidence["value_difference"] == oracle_value_string(diff_ints, a_q - b_q)
 
 
 def test_zxq_graph_edges_match_all_pairs():
@@ -591,10 +641,10 @@ ALTERNATE = (1 << 128) // 3
 
 @given(value_windows, st.booleans(), st.integers(0, 2**128 - 1))
 @example((NumericalMonoidModel((2, 3)), {"max_value": 9}), False, 1)  # one element
-@example((AntimatterModel(), {"max_value": 3, "max_den": 3}), True, ALTERNATE)
+@example((AntimatterModel(max_den=3), {"max_value": 3}), True, ALTERNATE)
 @example((D2Model(), {"k_max": 3, "j_max": 2}), True, ALTERNATE)  # k from -3 to 3
-@example((D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}), True, ALTERNATE)
-@example((D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}), False, 0b1101_0110_1011_0101)
+@example((D1Model(den_max=2), {"k_max": 2, "alpha_max": 2}), True, ALTERNATE)
+@example((D1Model(den_max=2), {"k_max": 2, "alpha_max": 2}), False, 0b1101_0110_1011_0101)
 @settings(max_examples=60, deadline=None)
 def test_order_rows_of_a_sub_window_match_both_orders(model_bounds, fractional, keep):
     # the elements whose bit is set in keep, in label order: a window with
@@ -684,8 +734,8 @@ def assert_witnesses_are_the_escaping_elements(m, w):
 
 
 @given(value_windows, st.booleans())
-@example((AntimatterModel(), {"max_value": 2, "max_den": 2}), True)
-@example((D1Model(), {"k_max": 2, "den_max": 2, "alpha_max": 2}), True)
+@example((AntimatterModel(max_den=2), {"max_value": 2}), True)
+@example((D1Model(den_max=2), {"k_max": 2, "alpha_max": 2}), True)
 @settings(max_examples=60, deadline=None)
 def test_almost_atomic_witnesses_are_the_escaping_elements(model_bounds, fractional):
     m, bounds = model_bounds

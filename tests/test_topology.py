@@ -150,8 +150,8 @@ class TestWindowPoset:
         assert ("pi", "pi^2") not in p.relation
 
     def test_antimatter_discrete(self):
-        m = AntimatterModel()
-        w = win(m, max_value=2, max_den=3)
+        m = AntimatterModel(max_den=3)
+        w = win(m, max_value=2)
         p = window_poset(m, w)
         s = poset_to_space(p)
         # no atomic elements at all: every minimal open is a singleton

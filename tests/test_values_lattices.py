@@ -11,13 +11,18 @@ from divgraph.values import Ambient, Vec, fmt_exponent
 from helpers import run_optimised, vec, zero
 
 
+# rational parts on the grids 1/6 and 1/105
+GRID_6 = Ambient(2, with_rat=True, grid=6)
+GRID_105 = Ambient(1, with_rat=True, grid=105)
+
+
 class TestVec:
     def test_arithmetic(self):
-        a = vec(1, 2, rat=Fraction(1, 3))
-        b = vec(4, -1, rat=Fraction(1, 6))
-        assert a + b == vec(5, 1, rat=Fraction(1, 2))
-        assert a - b == vec(-3, 3, rat=Fraction(1, 6))
-        assert a.scaled(3) == vec(3, 6, rat=1)
+        a = vec(1, 2, rat=Fraction(1, 3), on=GRID_6)
+        b = vec(4, -1, rat=Fraction(1, 6), on=GRID_6)
+        assert a + b == vec(5, 1, rat=Fraction(1, 2), on=GRID_6)
+        assert a - b == vec(-3, 3, rat=Fraction(1, 6), on=GRID_6)
+        assert a.scaled(3) == vec(3, 6, rat=1, on=GRID_6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -50,17 +55,22 @@ class TestVec:
         assert type(copy.deepcopy(v)) is Vec
 
     def test_str(self):
-        assert str(vec(3, rat=Fraction(-1, 3))) == "(3, -1/3)"
-        assert str(vec(2, 0)) == "(2, 0)"
-        assert str(Vec((), Fraction(1, 2))) == "(1/2)"
+        # a value renders only on a grid: its rat counts steps of 1/grid
+        assert vec(3, rat=Fraction(-1, 3), on=GRID_105).render(105) == "(3, -1/3)"
+        assert vec(2, 0).render() == "(2, 0)"
+        assert Vec((), 3).render(6) == "(1/2)"
+        assert vec(3, 0, rat=Fraction(1, 2), on=GRID_6).render(6) == "(3, 0, 1/2)"
 
     def test_fmt_exponent(self):
-        assert fmt_exponent(Fraction(2)) == "2"
-        assert fmt_exponent(Fraction(1, 3)) == "(1/3)"
+        assert fmt_exponent(2) == "2"
+        assert fmt_exponent(1, 3) == "(1/3)"
+        # read on the grid in lowest terms
+        assert fmt_exponent(12, 6) == "2"
+        assert fmt_exponent(-4, 12) == "(-1/3)"
 
     def test_is_zero(self):
         assert zero(Ambient(2)).is_zero
-        assert not vec(0, rat=Fraction(1, 5)).is_zero
+        assert not vec(0, rat=Fraction(1, 5), on=GRID_105).is_zero
 
     def test_int_rational_part_equals_fraction(self):
         # integer coordinates stay ints; sets and dicts must not tell them apart
@@ -118,25 +128,30 @@ class TestSubgroup:
         assert "membership certificate failed to reproduce the target" in proc.stderr
 
     def test_rational_coordinate(self):
-        desc = SubgroupDescriptor(Ambient(1, with_rat=True), (vec(2),))
+        desc = SubgroupDescriptor(GRID_105, (vec(2),))
         # an integer lattice meets the rational axis only in 0
-        assert desc.membership(vec(4, rat=Fraction(1, 3))) is None
-        assert desc.membership(vec(0, rat=Fraction(1, 5))) is None
+        assert desc.membership(vec(4, rat=Fraction(1, 3), on=GRID_105)) is None
+        assert desc.membership(vec(0, rat=Fraction(1, 5), on=GRID_105)) is None
         assert desc.membership(vec(4)) == [2]
         # the rational part passes through the coset representative
-        assert desc.coset_rep(vec(5, rat=Fraction(1, 3))) == vec(1, rat=Fraction(1, 3))
-        assert desc.coset_rep(vec(-3, rat=Fraction(-2, 7))) == vec(1, rat=Fraction(-2, 7))
+        third, minus_two_sevenths = (Fraction(1, 3), Fraction(-2, 7))
+        rep = desc.coset_rep(vec(5, rat=third, on=GRID_105))
+        assert rep == vec(1, rat=third, on=GRID_105)
+        assert desc.coset_label(vec(5, rat=third, on=GRID_105)) == "(1, 1/3)"
+        rep = desc.coset_rep(vec(-3, rat=minus_two_sevenths, on=GRID_105))
+        assert rep == vec(1, rat=minus_two_sevenths, on=GRID_105)
 
     def test_rejects_a_generator_with_a_rational_part(self):
         with pytest.raises(ValueError, match="rational part"):
-            SubgroupDescriptor(Ambient(1, with_rat=True), (vec(1), vec(0, rat=Fraction(1, 3))))
+            SubgroupDescriptor(GRID_105, (vec(1), vec(0, rat=Fraction(1, 3), on=GRID_105)))
 
     def test_trivial_subgroup(self):
-        desc = SubgroupDescriptor(Ambient(1, with_rat=True), ())
+        grid_2 = Ambient(1, with_rat=True, grid=2)
+        desc = SubgroupDescriptor(grid_2, ())
         assert desc.no_atoms
         assert desc.membership(vec(0)) == []
         assert desc.membership(vec(1)) is None
-        assert desc.membership(vec(0, rat=Fraction(1, 2))) is None
+        assert desc.membership(vec(0, rat=Fraction(1, 2), on=grid_2)) is None
 
     def test_coset_reps_characterise_cosets(self):
         desc = SubgroupDescriptor(Ambient(2), (vec(2, 0), vec(0, 3)))
