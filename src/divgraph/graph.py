@@ -151,7 +151,8 @@ class _Paths:
     multisets as sorted index tuples, and their number and length bits
     replace that vertex's `count[v][0]` and `lengths[v][0]`; so those two
     are each vertex's own, and no count at a floor above 0 is read where
-    `spelled` holds."""
+    `spelled` holds.  `reach[v]` has bit w set when a path of edges leads
+    from v to w, v itself included."""
 
     def __init__(self, graph: DivGraph):
         vertices, proper, ends = graph.vertices, graph.proper, graph.ends
@@ -171,6 +172,7 @@ class _Paths:
         k = len(self.atoms)
         self.count = count = [[]] * len(vertices)
         self.lengths = lengths = [[]] * len(vertices)
+        self.reach = reach = [0] * len(vertices)
         self.spelled: dict[int, set[tuple[int, ...]]] = {}
         self.escapes = [False] * len(vertices)
         self.dead = [False] * len(vertices)
@@ -179,16 +181,17 @@ class _Paths:
         # topological_order also asserts acyclicity
         for v in topological_order(graph):
             out, t = steps[v], term[v]
-            c, m = [0] * (k + 1), [0] * (k + 1)
+            c, m, r = [0] * (k + 1), [0] * (k + 1), 1 << v
             if t >= 0:
                 c[t], m[t] = 1, 2
             for i, w in out.items():
                 c[i] += count[w][i]
                 m[i] |= lengths[w][i] << 1
+                r |= reach[w]
             for f in range(k - 1, -1, -1):
                 c[f] += c[f + 1]
                 m[f] |= m[f + 1]
-            count[v], lengths[v] = c, m
+            count[v], lengths[v], reach[v] = c, m, r
             self.escapes[v] = v in boundary or any(self.escapes[w] for w in out.values())
             # a dead end is read at an end and along edges to integral
             # non-units: a path through the others never completes
@@ -284,22 +287,23 @@ class _Multisets:
         return True
 
 
-class _VertexInfo(namedtuple("_VertexInfo", "factorizations lengths escapes dead")):
+class _VertexInfo(namedtuple("_VertexInfo", "factorizations lengths escapes dead reach")):
     """`factorizations`: the complete atom multisets (`_Multisets`);
     `lengths`: bit n set iff some complete multiset has n atoms; `escapes`:
     some path can leave the window or is unresolved; `dead`: some path along
-    integral non-units ends at a non-atom with no continuation."""
+    integral non-units ends at a non-atom with no continuation; `reach`: the
+    bit row of the positions its paths reach, its own included."""
 
     __slots__ = ()
 
 
 def window_analysis(graph: DivGraph) -> dict[str, _VertexInfo]:
     """Per-vertex complete factorizations (counted, see `_Paths`), their
-    lengths, and whether a path escapes the window or dead-ends in it."""
-    paths = _Paths(graph)
+    lengths, reach, and whether a path escapes the window or dead-ends in it."""
+    p = _Paths(graph)
     return {
         v.label: _VertexInfo(
-            _Multisets(paths, n), paths.lengths[n][0], paths.escapes[n], paths.dead[n]
+            _Multisets(p, n), p.lengths[n][0], p.escapes[n], p.dead[n], p.reach[n]
         )
         for n, v in enumerate(graph.vertices)
     }

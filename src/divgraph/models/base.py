@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from collections import namedtuple
-from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property
 
 from ..elements import Element
@@ -174,13 +174,13 @@ class DivisibilityModel(abc.ABC):
         window[i]/window[j] is a (nonempty) product of atoms."""
 
     @abc.abstractmethod
-    def boundary_probe(self, a: Element, window: Collection) -> bool:
+    def boundary_probe(self, a: Element, index: Mapping) -> bool:
         """True when a has an atom-quotient successor outside the window:
-        for some atom p, a/p is integral, not a unit, and its value is not in
-        `window`, the values of the window's elements or its `window_index`,
-        which need not hold a's.  Also True where the model cannot list the
-        atoms that divide a: a zxq class of positive order, which every prime
-        divides, or one whose split is unknown."""
+        for some atom p, a/p is integral, not a unit, and its value is not
+        in `index`, the `window_index` of a window that holds a.  Also True
+        where the model cannot list the atoms that divide a: a zxq class of
+        positive order, which every prime divides, or one whose split is
+        unknown."""
 
     @abc.abstractmethod
     def conn_value(self, a: Element) -> Vec:

@@ -15,7 +15,7 @@ monoid's labels are its values instead.
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Callable, Iterable
 from functools import cached_property, partial
 from math import gcd, lcm
 from itertools import product
@@ -204,16 +204,14 @@ class ValueModel(DivisibilityModel):
             for i, p in enumerate(pos)
         ]
 
-    def boundary_probe(self, a: Element, window: Collection) -> bool:
+    def boundary_probe(self, a: Element, index: _Box) -> bool:
         self.check_owned(a)
         v = a.value
-        # a box of the given values and a (a/p is never a); only a quotient
-        # outside the window is built, and the unit is integral
-        box = window if isinstance(window, _Box) else _Box([*{*window, v}], self.atoms())
-        at, origin = box.at, box[v]
+        # only a quotient outside the window is built, and the unit is integral
+        at, origin = index.at, index[v]
         return any(
             origin - s not in at and self.contains_value(q := v - p.value) and not q.is_zero
-            for s, p in box.steps
+            for s, p in index.steps
         )
 
     def conn_value(self, a: Element) -> Vec:

@@ -229,7 +229,7 @@ class ZxQModel(DivisibilityModel):
 
     # -- boundary and connectivity hooks -------------------------------------
 
-    def boundary_probe(self, a: Element, window: Container) -> bool:
+    def boundary_probe(self, a: Element, index: Container) -> bool:
         self.check_owned(a)
         rf = a.value
         if rf.order >= 1:
@@ -239,7 +239,7 @@ class ZxQModel(DivisibilityModel):
         quotients = self._atom_quotients(rf)
         if quotients is None:
             return True  # unknown factors: be conservative
-        return any(not q.is_unit_class and q not in window for q, _ in quotients)
+        return any(not q.is_unit_class and q not in index for q, _ in quotients)
 
     def successor_candidates(
         self, a: Element, vertices: tuple[Element, ...], index: Mapping

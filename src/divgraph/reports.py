@@ -192,14 +192,15 @@ def crosscheck_graph(graph: DivGraph) -> dict:
        `is_atomic_element` with whether that search found any (the two are
        compared as atom index tuples, shared subtree by shared subtree, and
        rendered as labels only for a disagreement);
-    2. each weak component must lie inside one topological component, as an
-       edge a -> b has a <= b; and each order pair a <= b whose a does not
-       escape must lie inside one weak component, as a chain of edges inside
-       the window then links them (a/p is in the window for an atom p with
-       a/p >= b, and does not escape either).  A pair whose a escapes may
-       leave the window on every chain, so the window cannot decide it: the
-       report lists it as [a, b] under `skipped_escaping` (absent when there
-       are none);
+    2. each vertex's reach row (itself and the vertices its paths reach)
+       must lie inside its order row, as an edge a -> b has a <= b, and equal
+       it where a does not escape, as a chain of edges inside the window then
+       links a to each b >= a (a/p is in the window for an atom p with
+       a/p >= b, and does not escape either); an `order_row` disagreement
+       names the labels in one row only.  A pair a <= b whose a escapes may
+       leave the window on every chain, so the window cannot decide it: when
+       a and b lie in two weak components, the report lists it as [a, b]
+       under `skipped_escaping` (absent when there are none);
     3. each vertex must be a quotient of atomics over the first member of its
        weak component, so the components refine the cosets of the atom
        subgroup (on divisor-closed windows the two partitions coincide).
@@ -243,22 +244,19 @@ def crosscheck_graph(graph: DivGraph) -> dict:
 
     comps = weak_components(graph)
     cmap = {label: comp[0] for comp in comps for label in comp}
-    poset = window_poset(model, graph.vertices)
-    topo = connected_components_topology(poset_to_space(poset))
-    topo_map = {x: c[0] for c in topo for x in c}
-    split = any(len({topo_map[x] for x in comp}) > 1 for comp in comps)
+    labels, rows = window_poset(model, graph.vertices)
     members = dict.fromkeys(cmap.values(), 0)  # each weak component as a bit mask
-    for n, label in enumerate(poset.elements):
+    for n, label in enumerate(labels):
         members[cmap[label]] |= 1 << n
     undecided: list[list[str]] = []
-    for label, row in zip(poset.elements, poset.rows):
-        if outside := row & ~members[cmap[label]]:
-            if not info[label].escapes:
-                split = True
-            else:
-                undecided += ([label, b] for b in select(poset.elements, outside))
-    if split:
-        disagreements.append({"kind": "components", "weak_graph": cmap, "topology": topo_map})
+    for label, row in zip(labels, rows):
+        i = info[label]
+        extra, missing = i.reach & ~row, 0 if i.escapes else row & ~i.reach
+        if i.escapes:
+            undecided += ([label, b] for b in select(labels, row & ~members[cmap[label]]))
+        if extra or missing:
+            only = {"reach_only": select(labels, extra), "order_only": select(labels, missing)}
+            disagreements.append({"kind": "order_row", "vertex": label, **only})
 
     desc = atom_subgroup(model)
     vertex = {v.label: v for v in graph.vertices}

@@ -12,6 +12,7 @@ from math import prod
 
 import pytest
 
+from divgraph import bitrows
 from divgraph import graph as graph_module
 from divgraph import polynomials
 from divgraph import reports as reports_module
@@ -189,7 +190,8 @@ def test_topology_pair_partitions_once(monkeypatch, kind):
 def test_topology_transposes_the_order_once(monkeypatch, kind):
     # the space holds the order's rows as its closures, so checking the
     # order and building the space need no transpose; the minimal opens,
-    # which the components and min_open read, take one
+    # which the components and min_open read, take one, and the oracle check
+    # reads the rows alone
     m, w = ladder_window(kind)
     calls = []
     monkeypatch.setattr(topology_module, "transpose", counting(topology_module.transpose, calls))
@@ -199,13 +201,13 @@ def test_topology_transposes_the_order_once(monkeypatch, kind):
     assert len(calls) <= 1
     calls.clear()
     assert crosscheck_graph(build_graph(m, w))["ok"]
-    assert len(calls) <= 1
+    assert not calls
 
 
 @pytest.mark.parametrize("kind", LADDER)
 def test_topology_runs_the_closure_test_once(monkeypatch, kind):
     # the order's axioms and the basis are one closure test on the same
-    # masks; the oracle check reads the components only
+    # masks; the oracle check reads the order's rows only
     m, w = ladder_window(kind)
     calls = []
     monkeypatch.setattr(topology_module, "first_escape", counting(topology_module.first_escape, calls))
@@ -216,6 +218,21 @@ def test_topology_runs_the_closure_test_once(monkeypatch, kind):
     assert len(calls) == 1
     calls.clear()
     assert crosscheck_graph(build_graph(m, w))["ok"]
+    assert not calls
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")))
+def test_check_builds_no_space_and_no_topology_partition(monkeypatch, name):
+    # the check compares each order row with the graph's reach row, so it
+    # neither transposes the order nor partitions the space, wherever a
+    # module holds either function
+    calls = []
+    for module in (bitrows, topology_module, reports_module):
+        for fn in ("transpose", "connected_components_topology"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, counting(getattr(module, fn), calls))
+    m, spec = load_config(CONFIG_DIR / f"{name}.cfg").build()
+    assert crosscheck_graph(build_graph(m, m.enumerate_window(spec)))["ok"]
     assert not calls
 
 

@@ -499,7 +499,8 @@ class TestCheckDecidesOnlyWhatTheWindowSees:
         )
         report = self.run_check(tmp_path, capsys, text)
         assert report["ok"] is False and "skipped_escaping" not in report
-        assert [d["kind"] for d in report["disagreements"]] == ["components"]
+        assert [d["kind"] for d in report["disagreements"]] == ["order_row"]
+        assert report["disagreements"][0]["vertex"] == "1+x+2x^2+x^3+x^4"
 
     def test_check_fails_an_edge_dropped_between_vertices_that_do_not_escape(self):
         from divgraph.models import ZxQModel
@@ -514,7 +515,7 @@ class TestCheckDecidesOnlyWhatTheWindowSees:
         edges, atoms = (tuple(xs[n] for n in kept) for xs in (g.edges, g.atoms))
         report = crosscheck_graph(DivGraph(m, g.vertices, edges, atoms, g.boundary))
         assert not report["ok"] and "skipped_escaping" not in report
-        assert "components" in {d["kind"] for d in report["disagreements"]}
+        assert "order_row" in {d["kind"] for d in report["disagreements"]}
 
     def test_check_fails_an_edge_added_across_topology_components(self):
         from divgraph.models import ZxQModel
@@ -529,7 +530,7 @@ class TestCheckDecidesOnlyWhatTheWindowSees:
         edges, atoms = zip(*sorted([*zip(g.edges, g.atoms), added]))
         report = crosscheck_graph(DivGraph(m, g.vertices, edges, atoms, g.boundary))
         assert not report["ok"]
-        assert "components" in {d["kind"] for d in report["disagreements"]}
+        assert "order_row" in {d["kind"] for d in report["disagreements"]}
 
 
 class TestTamperedGraph:
@@ -595,3 +596,28 @@ class TestTamperedGraph:
         assert not report["ok"]
         spans = [d for d in report["disagreements"] if d["kind"] == "component_spans_cosets"]
         assert [d["pair"] for d in spans] == [[moved, rep]]
+
+    def test_crosscheck_detects_a_pair_dropped_from_an_order_row(self, monkeypatch):
+        from divgraph.config import load_config
+        from divgraph.models.valuebased import ValueModel
+
+        m, spec = load_config(CONFIG_DIR / "numerical_2_3.cfg").build()
+        g = build_graph(m, m.enumerate_window(spec))
+        assert crosscheck_graph(g)["ok"] and not g.boundary
+        order_rows = ValueModel.order_rows
+
+        def dropped(self, window):
+            # the lowest strict pair of the row of 10 goes: both partitions
+            # stay one class each, but 10 still reaches what its row lacks
+            rows = order_rows(self, window)
+            n = [e.label for e in window].index("10")
+            strict = rows[n] & ~(1 << n)
+            rows[n] ^= strict & -strict
+            return rows
+
+        monkeypatch.setattr(ValueModel, "order_rows", dropped)
+        report = crosscheck_graph(g)
+        assert report["ok"] is False
+        assert report["disagreements"] == [
+            {"kind": "order_row", "vertex": "10", "reach_only": ("2",), "order_only": ()}
+        ]

@@ -211,12 +211,14 @@ class TestD2:
         # both atoms divide y*x; each quotient is read as a box position, and
         # no quotient element is built
         m = D2Model()
-        w = frozenset(e.value for e in window(m, k_max=3, j_max=2))
+        w = window(m, k_max=3, j_max=2)
         yx = m.element(vec(1, 1))
+        assert yx in w
+        index = m.window_index(w)
         calls = []
         quotient = m.quotient
         monkeypatch.setattr(m, "quotient", lambda a, b: calls.append(b) or quotient(a, b))
-        assert not m.boundary_probe(yx, w)
+        assert not m.boundary_probe(yx, index)
         assert len(m.atoms()) == 2 and not calls
 
 

@@ -350,10 +350,10 @@ def test_value_graph_edges_and_boundary_match_their_definitions(model_bounds, fr
         return any(m.in_domain(q) and not m.is_unit(q) and q not in w for q in quotients)
 
     assert g.boundary == {n for n, v in enumerate(w) if escapes(v)}
-    # asked directly, with the values of the window, also about elements
-    # that are not in it
-    values = frozenset(e.value for e in w)
-    assert [m.boundary_probe(v, values) for v in full] == [escapes(v) for v in full]
+    # asked directly, also about an element that is not in the window: the
+    # index of the window with it added, as a/p is never a
+    probes = [m.boundary_probe(v, m.window_index(w if v in w else (*w, v))) for v in full]
+    assert probes == [escapes(v) for v in full]
 
 
 @given(value_windows, st.booleans(), st.data())
@@ -406,6 +406,32 @@ def test_window_size_bounds_the_oracle_where_nothing_escapes(model_bounds, fract
 def test_window_size_bounds_the_zxq_oracle_where_nothing_escapes():
     m, w = ladder_window("zxq")
     assert assert_the_window_bounds_each_closed_search(m, w)
+
+
+def assert_reach_rows_are_the_order_rows(m, w):
+    # an edge a -> b has a <= b, so each reach row lies inside its order
+    # row; from a vertex that does not escape, a chain of edges inside the
+    # window leads to each b >= a, so there the two rows are equal
+    info = window_analysis(build_graph(m, w))
+    rows = window_poset(m, w).rows
+    for n, (v, row) in enumerate(zip(w, rows)):
+        reach = info[v.label].reach
+        assert reach >> n & 1 and not reach & ~row, v.label
+        assert info[v.label].escapes or reach == row, v.label
+
+
+@given(value_windows, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_reach_rows_are_the_order_rows_where_nothing_escapes(model_bounds, fractional):
+    m, bounds = model_bounds
+    w = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
+    assert_reach_rows_are_the_order_rows(m, w)
+
+
+def test_zxq_reach_rows_are_the_order_rows_where_nothing_escapes():
+    for path in sorted(CONFIG_DIR.glob("zxq*.cfg")):
+        m, spec = load_config(path).build()
+        assert_reach_rows_are_the_order_rows(m, m.enumerate_window(spec))
 
 
 def popoviciu(a: int, b: int, n: int) -> int:
@@ -871,6 +897,7 @@ def test_zxq_graph_order_and_boundary_match_their_definitions(rows):
         return any(not m.is_unit(q) and q not in w for q in quotients)
 
     assert g.boundary == {n for n, v in enumerate(w) if escapes(v)}
+    assert_reach_rows_are_the_order_rows(m, w)
     # an untampered graph passes its check, the pairs left undecided aside
     assert crosscheck_graph(g)["ok"]
 

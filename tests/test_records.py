@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 RECORDS = [
     (Element("m", 1, str), "value"),
     (DivGraph(None, (), (), (), frozenset()), "edges"),
-    (_VertexInfo(None, 0, False, False), "dead"),
+    (_VertexInfo(None, 0, False, False, 1), "dead"),
     (FinitePoset(("a",), (1,)), "rows"),
     (AlexandrovSpace(("a",), (1,)), "closures"),
     (Ambient(1), "dim"),
