@@ -72,9 +72,7 @@ class DivGraph(namedtuple("DivGraph", "model vertices edges atoms boundary")):
 
 def cover_edge(model: DivisibilityModel, a: Element, b: Element) -> bool:
     """Edge predicate: a -> b iff a/b is an atom (so a == b never qualifies)."""
-    if a == b:
-        return False
-    return model.is_atom(model.quotient(a, b))
+    return a != b and model.is_atom(model.quotient(a, b))
 
 
 def build_graph(model: DivisibilityModel, window) -> DivGraph:

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from ..elements import Element
 from ..errors import EmptyWindow, InvalidBounds
-from ..values import Ambient, Vec, _Box, _place, fmt_exponent
+from ..values import Ambient, Vec, _Box, _place, fmt_exponent, fraction_range
 from .base import DivisibilityModel, FactorSearch, Suffixes, WindowSpec
 
 
@@ -33,6 +33,8 @@ class ValueModel(DivisibilityModel):
 
     atom_values: frozenset[Vec]  # the value of every atom class
     label_for: Callable[[Vec], str]  # a plain function, so no element refers to a model
+    # the atoms by value: a quotient that is an atom, as on every graph edge, is one of them
+    _atom_of = cached_property(lambda self: {p.value: p for p in self._atoms})
 
     # -- subclass hooks -----------------------------------------------------
 
@@ -48,7 +50,7 @@ class ValueModel(DivisibilityModel):
         """The values of first coordinate >= 0 of the fractional window of the
         `window_bounds`, the integral ones among them; the rest are their negatives."""
 
-    # -- generic operations -------------------------------------------------
+    # -- generic operations: one owner comparison each; check_owned raises -----
 
     def _fix_grid(self, symbols: tuple[str, ...], name: str, den: int | None) -> int:
         """Fix the grid lcm(1..den) of the bound `name`, and the labels on it; returns den."""
@@ -61,15 +63,15 @@ class ValueModel(DivisibilityModel):
         return Element(self.owner, v, self.label_for)
 
     def is_unit(self, a: Element) -> bool:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         return a.value.is_zero
 
     def quotient(self, a: Element, b: Element) -> Element:
-        self.check_owned(a, b)
-        return self.element(a.value - b.value)
+        self.owner == a.model_id == b.model_id or self.check_owned(a, b)
+        return self._atom_of.get(q := a.value - b.value) or self.element(q)
 
     def multiply(self, a: Element, b: Element) -> Element:
-        self.check_owned(a, b)
+        self.owner == a.model_id == b.model_id or self.check_owned(a, b)
         return self.element(a.value + b.value)
 
     @cached_property
@@ -81,15 +83,15 @@ class ValueModel(DivisibilityModel):
         return self._atoms
 
     def is_atom(self, a: Element) -> bool:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         return a.value in self.atom_values
 
     def is_atomic_element(self, a: Element) -> bool:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         return self.is_atomic_value(a.value)
 
     def in_domain(self, a: Element) -> bool:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         return self.contains_value(a.value)
 
     # -- the atom-list oracle -------------------------------------------------
@@ -161,7 +163,7 @@ class ValueModel(DivisibilityModel):
         return node, height
 
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         if max_length < 1:
             raise InvalidBounds("max_length must be >= 1")
         atoms = self.atoms()
@@ -205,7 +207,7 @@ class ValueModel(DivisibilityModel):
         ]
 
     def boundary_probe(self, a: Element, index: _Box) -> bool:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         v = a.value
         # only a quotient outside the window is built, and the unit is integral
         at, origin = index.at, index[v]
@@ -243,12 +245,6 @@ def _label(symbols: tuple[str, ...], grids: tuple[int, ...], v: Vec) -> str:
     if not den:
         return num_s
     return f"{num_s}/{den[0]}" if len(den) == 1 else f"{num_s}/({'*'.join(den)})"
-
-
-def _fraction_range(max_abs: int, max_den: int, grid: int) -> set[int]:
-    """The fractions from 0 to max_abs of denominator at most max_den, as
-    counts of steps of 1/grid (grid a multiple of each such denominator)."""
-    return {n for d in range(1, max_den + 1) for n in range(0, max_abs * grid + 1, grid // d)}
 
 
 class DVRModel(ValueModel):
@@ -295,7 +291,7 @@ class AntimatterModel(ValueModel):
         }
 
     def _half(self, max_value: int) -> list[Vec]:
-        return [Vec((), q) for q in _fraction_range(max_value, self.max_den, self.ambient.grid)]
+        return [Vec((), q) for q in fraction_range(max_value, self.max_den, self.ambient.grid)]
 
 
 class NumericalMonoidModel(ValueModel):
@@ -372,7 +368,7 @@ class D1Model(ValueModel):
         return None
 
     def _half(self, k_max: int, alpha_max: int) -> list[Vec]:
-        alphas = _fraction_range(alpha_max, self.den_max, self.ambient.grid)
+        alphas = fraction_range(alpha_max, self.den_max, self.ambient.grid)
         alphas |= {-a for a in alphas}
         return [Vec((k,), a) for k in range(k_max + 1) for a in alphas]
 

@@ -63,18 +63,18 @@ def _write(obj, nl: str, out: list) -> None:
     else:
         inner = nl + "  "
         sep = "," + inner
-        try:
-            out += ("[", inner, sep.join(map(_quote, obj)), nl, "]")
-        except TypeError:  # the C quoter takes str items only
-            # exactly int: a bool is an int that json writes as true/false
-            if set(map(type, obj)) == {int}:
-                out += ("[", inner, sep.join(map(int.__repr__, obj)), nl, "]")
-                return
-            lead = "[" + inner
-            for item in obj:
-                out.append(lead)
+        try:  # an escape lengthens the text: one quote of the joined items shows none needs one
+            plain = type(obj[0]) is str and len(_quote(text := "".join(obj))) == len(text) + 2
+        except TypeError:  # an item after the first is not a str
+            plain = False
+        if plain:
+            out += ("[", inner, '"', ('"' + sep + '"').join(obj), '"', nl, "]")
+        elif type(obj[0]) is int and set(map(type, obj)) == {int}:  # json writes bools true/false
+            out += ("[", inner, sep.join(map(int.__repr__, obj)), nl, "]")
+        else:
+            for n, item in enumerate(obj):
+                out.append(sep if n else "[" + inner)
                 _write(item, inner, out)
-                lead = sep
             out.append(nl + "]")
 
 

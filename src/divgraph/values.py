@@ -37,13 +37,13 @@ class Vec(namedtuple("Vec", "ints rat", defaults=(0,))):
         (a, p), (b, q) = self, other
         if len(a) != len(b):
             raise ValueError("value vectors of different shape")
-        return tuple.__new__(Vec, (tuple(map(add, a, b)), p + q))
+        return tuple.__new__(Vec, ((a[0] + b[0],) if len(a) == 1 else tuple(map(add, a, b)), p + q))
 
     def __sub__(self, other: "Vec") -> "Vec":
         (a, p), (b, q) = self, other
         if len(a) != len(b):
             raise ValueError("value vectors of different shape")
-        return tuple.__new__(Vec, (tuple(map(sub, a, b)), p - q))
+        return tuple.__new__(Vec, ((a[0] - b[0],) if len(a) == 1 else tuple(map(sub, a, b)), p - q))
 
     def scaled(self, m: int) -> "Vec":
         return Vec(tuple(m * a for a in self.ints), m * self.rat)
@@ -64,6 +64,12 @@ def fmt_exponent(n: int, grid: int = 1, fraction: str = "({})") -> str:
     """n/grid in lowest terms, a fraction in `fraction`: (6, 3) -> "2", (2, 6) -> "(1/3)"."""
     g = gcd(n, grid)
     return str(n // g) if g == grid else fraction.format(f"{n // g}/{grid // g}")
+
+
+def fraction_range(max_abs: int, max_den: int, grid: int) -> set[int]:
+    """The fractions from 0 to max_abs of denominator at most max_den, as
+    counts of steps of 1/grid (grid a multiple of each such denominator)."""
+    return {n for d in range(1, max_den + 1) for n in range(0, max_abs * grid + 1, grid // d)}
 
 
 def _place(values: list[Vec]) -> tuple[list[int], list[int], list[int]]:

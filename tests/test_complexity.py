@@ -31,7 +31,7 @@ from divgraph.models import (
 )
 from divgraph.models import valuebased
 from divgraph.models import zxq as zxq_module
-from divgraph.models.base import WindowSpec
+from divgraph.models.base import DivisibilityModel, WindowSpec
 from divgraph.polynomials import RationalFunction
 from divgraph.reports import (
     atomicity_report,
@@ -367,6 +367,28 @@ def test_build_graph_subtracts_once_per_vertex_and_atom(monkeypatch, kind):
     values = {e.value for e in w}
     assert subs and len(subs) <= len(w) * len(m.atoms())
     assert asked and not any(v in values for (v,) in asked)
+
+
+@pytest.mark.parametrize("kind", [*(k for k in LADDER if k != "zxq"), "dvr", "antimatter"])
+def test_value_model_reports_reach_check_owned_only_to_raise(monkeypatch, kind):
+    # each value-model predicate compares its element's owner once; only a
+    # foreign element goes on to check_owned, to raise
+    if kind == "dvr":
+        m = DVRModel()
+        w = m.enumerate_window(WindowSpec({"max_exponent": 6}))
+    elif kind == "antimatter":
+        m = AntimatterModel(max_den=2)
+        w = m.enumerate_window(WindowSpec({"max_value": 2}))
+    else:
+        m, w = ladder_window(kind)
+    calls = []
+    check_owned = counting(DivisibilityModel.check_owned, calls)
+    monkeypatch.setattr(DivisibilityModel, "check_owned", check_owned)
+    graph = build_graph(m, w)
+    classify_report(graph)
+    components_report(graph)
+    assert graph.edges or not m.atoms()
+    assert not calls
 
 
 def test_integral_window_enumerates_only_its_half_of_the_box(monkeypatch):

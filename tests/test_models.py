@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -236,6 +237,77 @@ class TestD2:
 def test_atoms_are_built_once(model):
     # the graph, the boundary probe and the oracle ask for them once per vertex
     assert model.atoms() is model.atoms()
+
+
+OWNED = {
+    "dvr": DVRModel(),
+    "antimatter": AntimatterModel(max_den=2),
+    "numerical": NumericalMonoidModel((3, 5, 7)),
+    "d1": D1Model(den_max=2),
+    "d2": D2Model(),
+}
+# for each model, a model of another kind, and where a rational part is
+# read on a grid, the same kind on another grid
+STRANGERS = {
+    "dvr": [NumericalMonoidModel((1,))],
+    "antimatter": [D1Model(den_max=2), AntimatterModel(max_den=3)],
+    "numerical": [DVRModel()],
+    "d1": [D2Model(), D1Model(den_max=4)],
+    "d2": [D1Model(den_max=2)],
+}
+PREDICATES = {
+    "is_unit": lambda m, a, b, index: m.is_unit(a),
+    "is_atom": lambda m, a, b, index: m.is_atom(a),
+    "is_atomic_element": lambda m, a, b, index: m.is_atomic_element(a),
+    "in_domain": lambda m, a, b, index: m.in_domain(a),
+    "boundary_probe": lambda m, a, b, index: m.boundary_probe(a, index),
+    "factorizations": lambda m, a, b, index: m.factorizations(a, 3),
+    "quotient": lambda m, a, b, index: m.quotient(a, b),
+    "quotient, foreign divisor": lambda m, a, b, index: m.quotient(b, a),
+    "multiply": lambda m, a, b, index: m.multiply(a, b),
+    "multiply, foreign factor": lambda m, a, b, index: m.multiply(b, a),
+}
+
+
+def foreign_elements(kind):
+    for stranger in STRANGERS[kind]:
+        foreign = stranger.element(vec(*(1,) * stranger.ambient.dim, on=stranger))
+        assert foreign.model_id != OWNED[kind].owner
+        yield foreign
+
+
+@pytest.mark.parametrize("name", PREDICATES)
+@pytest.mark.parametrize("kind", OWNED)
+def test_every_predicate_refuses_a_foreign_element(kind, name):
+    # one owner comparison per call; a foreign element reaches check_owned,
+    # the one place that raises, with its message
+    m, ask = OWNED[kind], PREDICATES[name]
+    own = m.atoms()[0] if m.atoms() else m.element(vec(rat=Fraction(1, 2), on=m))
+    index = m.window_index((own,))
+    ask(m, own, own, index)  # an owned element passes
+    for foreign in foreign_elements(kind):
+        message = (
+            f"element {foreign.label!r} belongs to model {foreign.model_id!r}, not {m.owner!r}"
+        )
+        with pytest.raises(ElementForeignToModel) as raised:
+            ask(m, foreign, own, index)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("kind", OWNED)
+def test_factorizations_checks_the_owner_before_the_bound(kind):
+    # is_unit would also refuse a foreign element, but only after the bound
+    for foreign in foreign_elements(kind):
+        with pytest.raises(ElementForeignToModel):
+            OWNED[kind].factorizations(foreign, 0)
+
+
+@pytest.mark.parametrize("op", [add, sub])
+@pytest.mark.parametrize("left, right", [((1,), (1, 2)), ((1, 2), (1,)), ((), (1,)), ((1,), ())])
+def test_values_of_different_shape_do_not_combine(op, left, right):
+    # the one-int shape takes its own path, and still checks the other's
+    with pytest.raises(ValueError, match="different shape"):
+        op(vec(*left), vec(*right))
 
 
 def model_and_window(kind):
