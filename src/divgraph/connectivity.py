@@ -44,7 +44,7 @@ def quotient_of_atomics(
     with its coefficients over the subgroup generators, Fails with the two
     cosets.  `desc` is the model's `atom_subgroup`, for callers that ask
     about many pairs of one model."""
-    model.check_owned(a, b)
+    model.owner == a.model_id == b.model_id or model.check_owned(a, b)
     if desc is None:
         desc = atom_subgroup(model)
     diff = model.conn_value(a) - model.conn_value(b)

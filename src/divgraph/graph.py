@@ -83,13 +83,11 @@ def build_graph(model: DivisibilityModel, window) -> DivGraph:
     index = model.window_index(vertices)
     edges, atoms = [], []
     for i, a in enumerate(vertices):
-        found = {}  # target -> its atom
-        for j, p in model.successor_candidates(a, vertices, index):
-            if j != i and cover_edge(model, a, vertices[j]):
-                found[j] = p
-        for j, p in sorted(found.items()):
-            edges.append((i, j))
-            atoms.append(p)
+        # distinct positions, none of them i, so each is tested once
+        for j, p in sorted(model.successor_candidates(a, vertices, index)):
+            if cover_edge(model, a, vertices[j]):
+                edges.append((i, j))
+                atoms.append(p)
     boundary = frozenset(n for n, v in enumerate(vertices) if model.boundary_probe(v, index))
     return DivGraph(model, vertices, tuple(edges), tuple(atoms), boundary)
 

@@ -65,7 +65,19 @@ class SubgroupDescriptor:
     def no_atoms(self) -> bool:
         return not self.generators
 
-    # -- membership ---------------------------------------------------------
+    # -- membership and coset representatives -------------------------------
+
+    def _reduce(self, g: Vec) -> tuple[list[int], list[int]]:
+        """The remainder of g's integer part after floor division by each
+        pivot column in turn, and the multiple of each column taken off.
+        Later columns are zero in earlier pivot rows, so g is a member
+        exactly when the remainder is 0, and then the multiples are exact."""
+        w, y = list(g.ints), [0] * len(self.generators)
+        for row, col in self._pivots:
+            t = y[col] = w[row] // self._H[row][col]
+            for i in range(self.ambient.dim):
+                w[i] -= t * self._H[i][col]
+        return w, y
 
     def membership(self, g: Vec) -> list[int] | None:
         """Integer c with sum(c_i * generators_i) == g, or None when g is
@@ -74,18 +86,8 @@ class SubgroupDescriptor:
             raise ValueError("ambient dimension mismatch")
         if g.rat != 0:
             return None
-        n = len(self.generators)
-        residual = list(g.ints)
-        y = [0] * n
-        for row, col in self._pivots:
-            h = self._H[row][col]
-            if residual[row] % h != 0:
-                return None
-            t = residual[row] // h
-            y[col] = t
-            for i in range(self.ambient.dim):
-                residual[i] -= t * self._H[i][col]
-        if any(residual):
+        rest, y = self._reduce(g)
+        if any(rest):
             return None
         coeffs = [sum(map(mul, u, y)) for u in self._U]
         # exactness check against the original generators: A * coeffs == g
@@ -93,17 +95,10 @@ class SubgroupDescriptor:
             raise AssertionError("membership certificate failed to reproduce the target")
         return coeffs
 
-    # -- canonical coset representatives ------------------------------------
-
     def coset_rep(self, g: Vec) -> Vec:
-        """Deterministic canonical representative of g + subgroup; the
-        rational part passes through, since the subgroup has none."""
-        w = list(g.ints)
-        for row, col in self._pivots:
-            t = w[row] // self._H[row][col]
-            for i in range(self.ambient.dim):
-                w[i] -= t * self._H[i][col]
-        return Vec(tuple(w), g.rat)
+        """Deterministic canonical representative of g + subgroup: the
+        remainder; the rational part passes through, since the subgroup has none."""
+        return Vec(tuple(self._reduce(g)[0]), g.rat)
 
     def coset_label(self, g: Vec) -> str:
         return self.coset_rep(g).render(self.ambient.grid)

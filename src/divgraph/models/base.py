@@ -165,7 +165,8 @@ class DivisibilityModel(abc.ABC):
         where there is one; `index` is `window_index(vertices)`.  Where the
         model can list a's atoms, these are the quotients a/p by them that
         lie in the window, each with p; elsewhere a subset of vertices.  The
-        graph tests each candidate with `cover_edge`."""
+        positions are distinct and none is a's own, so the graph sorts them
+        and tests each one with `cover_edge`, once."""
 
     @abc.abstractmethod
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:

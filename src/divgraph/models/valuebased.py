@@ -189,7 +189,7 @@ class ValueModel(DivisibilityModel):
         # `is_atomic_value` is asked once per integer difference in the box
         # (rational part 0), and the answers, as one bit string reversed,
         # hold the row of a at offset centre - pos(a)
-        self.check_owned(*window)
+        all(e.model_id == self.owner for e in window) or self.check_owned(*window)
         if not window:
             return []
         pos, widths, strides = _place([e.value for e in window])
@@ -360,7 +360,7 @@ class D1Model(ValueModel):
         return v.rat == 0 and v.ints[0] >= 1
 
     def quasi_complement(self, a: Element) -> Element | None:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         if a.value.rat != 0:
             # (k, alpha) + (max(2, 1 - k), -alpha) = (max(k + 2, 1), 0) is atomic for
             # every k, and a y-exponent >= 2 keeps the complement integral

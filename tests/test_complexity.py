@@ -371,8 +371,9 @@ def test_build_graph_subtracts_once_per_vertex_and_atom(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", [*(k for k in LADDER if k != "zxq"), "dvr", "antimatter"])
 def test_value_model_reports_reach_check_owned_only_to_raise(monkeypatch, kind):
-    # each value-model predicate compares its element's owner once; only a
-    # foreign element goes on to check_owned, to raise
+    # each value-model predicate, d1's quasi_complement, the order rows and
+    # quotient_of_atomics compare the owner once per element; only a foreign
+    # element goes on to check_owned, to raise
     if kind == "dvr":
         m = DVRModel()
         w = m.enumerate_window(WindowSpec({"max_exponent": 6}))
@@ -387,6 +388,8 @@ def test_value_model_reports_reach_check_owned_only_to_raise(monkeypatch, kind):
     graph = build_graph(m, w)
     classify_report(graph)
     components_report(graph)
+    assert crosscheck_graph(graph)["ok"]
+    atomicity_report(m, w)
     assert graph.edges or not m.atoms()
     assert not calls
 

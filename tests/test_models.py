@@ -8,6 +8,7 @@ from operator import add, sub
 
 import pytest
 
+from divgraph.config import load_config
 from divgraph.errors import (
     DegreeCapExceeded,
     ElementForeignToModel,
@@ -33,7 +34,14 @@ from divgraph.reports import (
     graph_report,
     topology_report,
 )
-from helpers import LADDER, ladder_window, vec
+from helpers import (
+    CONFIG_DIR,
+    FRACTIONAL,
+    LADDER,
+    fractional_window,
+    ladder_window,
+    vec,
+)
 
 
 def window(model, **bounds):
@@ -308,6 +316,46 @@ def test_values_of_different_shape_do_not_combine(op, left, right):
     # the one-int shape takes its own path, and still checks the other's
     with pytest.raises(ValueError, match="different shape"):
         op(vec(*left), vec(*right))
+
+
+def promise_window(name):
+    """A window per bundled config, `LADDER` and `FRACTIONAL` kind, a
+    fractional <3,5> window and a fractional dvr window with holes."""
+    kind, _, rest = name.partition(":")
+    if kind == "config":
+        m, spec = load_config(CONFIG_DIR / f"{rest}.cfg").build()
+        return m, m.enumerate_window(spec)
+    if kind == "ladder":
+        return ladder_window(rest)
+    if kind == "fractional":
+        return fractional_window(rest)
+    if kind == "fractional-3-5":
+        m = NumericalMonoidModel((3, 5))
+        return m, window(m, max_value=12, include_fractional=True)
+    m = DVRModel()
+    kept = {"1/pi", "1/pi^2", "1/pi^4", "pi^2", "pi^3", "pi^4"}
+    full = window(m, max_exponent=4, include_fractional=True)
+    return m, tuple(e for e in full if e.label in kept)
+
+
+PROMISE_WINDOWS = [
+    *(f"config:{p.stem}" for p in sorted(CONFIG_DIR.glob("*.cfg"))),
+    *(f"ladder:{kind}" for kind in LADDER),
+    *(f"fractional:{kind}" for kind in FRACTIONAL),
+    "fractional-3-5",
+    "dvr-holes",
+]
+
+
+@pytest.mark.parametrize("name", PROMISE_WINDOWS)
+def test_successor_candidates_are_distinct_positions_other_than_the_vertex(name):
+    # build_graph keeps no set of targets and no guard against a self-loop:
+    # it sorts the candidates and tests each one
+    m, w = promise_window(name)
+    index = m.window_index(w)
+    for i, a in enumerate(w):
+        positions = [j for j, _ in m.successor_candidates(a, w, index)]
+        assert len(set(positions)) == len(positions) and i not in positions
 
 
 def model_and_window(kind):
