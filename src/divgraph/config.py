@@ -43,7 +43,9 @@ _KIND_DIRECTIVES = {
     "d1": ("bound den_max",),
     "antimatter": ("bound max_den",),
 }
-_OPTION_BOUNDS = ("degree_cap", "den_max", "max_den")  # the bounds that are constructor arguments
+_OPTION_BOUNDS = {  # the bounds named above: constructor arguments, not window bounds
+    d.split()[1] for ds in _KIND_DIRECTIVES.values() for d in ds if d.startswith("bound ")
+}
 
 
 class RunConfig:

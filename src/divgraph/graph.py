@@ -84,7 +84,7 @@ def build_graph(model: DivisibilityModel, window) -> DivGraph:
     edges, atoms = [], []
     for i, a in enumerate(vertices):
         # distinct positions, none of them i, so each is tested once
-        for j, p in sorted(model.successor_candidates(a, vertices, index)):
+        for j, p in sorted(model.successor_candidates(a, index)):
             if cover_edge(model, a, vertices[j]):
                 edges.append((i, j))
                 atoms.append(p)
@@ -148,10 +148,14 @@ class _Paths:
     replace that vertex's `count[v][0]` and `lengths[v][0]`; so those two
     are each vertex's own, and no count at a floor above 0 is read where
     `spelled` holds.  `reach[v]` has bit w set when a path of edges leads
-    from v to w, v itself included."""
+    from v to w, v itself included.  So v is spelled when it reaches a
+    spelled vertex, `escapes[v]` holds when it reaches a boundary vertex,
+    and `dead[v]` when it reaches an end that is no atom and not on the
+    boundary (an edge a -> b has a = p * b for an atom p, so no path leads
+    from a unit or a non-integral class to an end)."""
 
     def __init__(self, graph: DivGraph):
-        vertices, proper, ends = graph.vertices, graph.proper, graph.ends
+        vertices = graph.vertices
         terminals = graph.atom_vertices  # every atom vertex is a terminal
         # the distinct atoms in label order, indexed by value
         named = {p.value: p for p in graph.atoms}
@@ -170,10 +174,8 @@ class _Paths:
         self.lengths = lengths = [[]] * len(vertices)
         self.reach = reach = [0] * len(vertices)
         self.spelled: dict[int, set[tuple[int, ...]]] = {}
-        self.escapes = [False] * len(vertices)
-        self.dead = [False] * len(vertices)
         self.agreed: set = set()  # (node, vertex, floor) that `found_by` found equal
-        boundary = graph.boundary
+        spelled = 0  # the bits of the vertices in `spelled`
         # topological_order also asserts acyclicity
         for v in topological_order(graph):
             out, t = steps[v], term[v]
@@ -188,17 +190,15 @@ class _Paths:
                 c[f] += c[f + 1]
                 m[f] |= m[f + 1]
             count[v], lengths[v], reach[v] = c, m, r
-            self.escapes[v] = v in boundary or any(self.escapes[w] for w in out.values())
-            # a dead end is read at an end and along edges to integral
-            # non-units: a path through the others never completes
-            if v in ends:
-                self.dead[v] = t < 0 and v not in boundary
-            else:
-                self.dead[v] = any(self.dead[w] for w in out.values() if proper[w])
-            if any(w in self.spelled for w in out.values()) or not _sortable(steps, term, v):
+            if r & spelled or not _sortable(steps, term, v):
+                spelled |= 1 << v
                 found = self.spelled[v] = self._spell(v)
                 c[0] = len(found)
                 m[0] = reduce(or_, (1 << len(fac) for fac in found), 0)
+        boundary = sum(1 << n for n in graph.boundary)
+        dead = sum(1 << n for n in graph.ends - terminals - graph.boundary)
+        self.escapes = [bool(r & boundary) for r in reach]
+        self.dead = [bool(r & dead) for r in reach]
 
     def _spell(self, v: int) -> set[tuple[int, ...]]:
         """The multisets the paths from v spell, each as a sorted index tuple."""
@@ -288,7 +288,8 @@ class _VertexInfo(namedtuple("_VertexInfo", "factorizations lengths escapes dead
     `lengths`: bit n set iff some complete multiset has n atoms; `escapes`:
     some path can leave the window or is unresolved; `dead`: some path along
     integral non-units ends at a non-atom with no continuation; `reach`: the
-    bit row of the positions its paths reach, its own included."""
+    bit row of the positions its paths reach, its own included, from which
+    `_Paths` reads the two before."""
 
     __slots__ = ()
 
@@ -309,17 +310,18 @@ def classify(model: DivisibilityModel, graph: DivGraph) -> dict:
     """The factorization verdicts of a window, with each vertex's sorted
     factorization lengths and its factorization count.  The verdicts judge
     the integral non-units only, so a fractional window gets the verdicts
-    of its integral part; no path through the other vertices completes."""
+    of its integral part; no path through the other vertices completes.
+    The vertices are in label order, and so is each list of labels."""
     info = window_analysis(graph)
     lengths = {l: bits(i.lengths) for l, i in info.items()}
     counts = {l: len(i.factorizations) for l, i in info.items()}
     judged = [v for v, p in zip(graph.vertices, graph.proper) if p]
-    dead = sorted(v.label for v in judged if info[v.label].dead)
-    open_ = sorted(v.label for v in judged if info[v.label].escapes)
+    dead = [v.label for v in judged if info[v.label].dead]
+    open_ = [v.label for v in judged if info[v.label].escapes]
     verdicts: dict[str, Verdict] = {}
 
     # Atomic is decided per vertex by the model, not from the paths
-    witnesses = sorted(v.label for v in judged if not model.is_atomic_element(v))
+    witnesses = [v.label for v in judged if not model.is_atomic_element(v)]
     if witnesses:
         verdicts["Atomic"] = fails({"non_atomic": witnesses}, "analytic")
     else:
@@ -343,7 +345,7 @@ def classify(model: DivisibilityModel, graph: DivGraph) -> dict:
         {"max_factorization_count": max(counts.values(), default=0)}
     )
 
-    hfd_witnesses = {l: list(ls) for l, ls in sorted(lengths.items()) if len(ls) > 1}
+    hfd_witnesses = {l: list(ls) for l, ls in lengths.items() if len(ls) > 1}
     if hfd_witnesses:
         verdicts["HFD"] = fails({"unequal_lengths": hfd_witnesses})
     else:

@@ -72,6 +72,8 @@ class SubgroupDescriptor:
         pivot column in turn, and the multiple of each column taken off.
         Later columns are zero in earlier pivot rows, so g is a member
         exactly when the remainder is 0, and then the multiples are exact."""
+        if len(g.ints) != self.ambient.dim:
+            raise ValueError("ambient dimension mismatch")
         w, y = list(g.ints), [0] * len(self.generators)
         for row, col in self._pivots:
             t = y[col] = w[row] // self._H[row][col]
@@ -82,12 +84,8 @@ class SubgroupDescriptor:
     def membership(self, g: Vec) -> list[int] | None:
         """Integer c with sum(c_i * generators_i) == g, or None when g is
         outside the subgroup (so test `is None`: {0} answers [] for 0)."""
-        if len(g.ints) != self.ambient.dim:
-            raise ValueError("ambient dimension mismatch")
-        if g.rat != 0:
-            return None
         rest, y = self._reduce(g)
-        if any(rest):
+        if g.rat != 0 or any(rest):
             return None
         coeffs = [sum(map(mul, u, y)) for u in self._U]
         # exactness check against the original generators: A * coeffs == g

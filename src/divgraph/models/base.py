@@ -152,19 +152,18 @@ class DivisibilityModel(abc.ABC):
         product is a, exhaustive within the bound."""
 
     def window_index(self, vertices: tuple[Element, ...]) -> Mapping:
-        """A mapping keyed by the vertices' values, built once per graph for
-        `successor_candidates` and `boundary_probe`: here each one's position."""
+        """A mapping keyed by the vertices' values in position order, built once
+        per graph for `successor_candidates` and `boundary_probe`: here each one's position."""
         return {v.value: n for n, v in enumerate(vertices)}
 
     @abc.abstractmethod
-    def successor_candidates(
-        self, a: Element, vertices: tuple[Element, ...], index: Mapping
-    ) -> Iterable[tuple[int, Element]]:
-        """The positions in vertices among which lie all edge targets of a,
-        each with the quotient a/candidate, which is the atom of the edge
-        where there is one; `index` is `window_index(vertices)`.  Where the
-        model can list a's atoms, these are the quotients a/p by them that
-        lie in the window, each with p; elsewhere a subset of vertices.  The
+    def successor_candidates(self, a: Element, index: Mapping) -> Iterable[tuple[int, Element]]:
+        """The window positions among which lie all edge targets of a, each
+        with the quotient a/candidate, which is the atom of the edge where
+        there is one; `index` is the `window_index` of a window that holds
+        a, and the only view of that window the hook reads.  Where the model
+        can list a's atoms, these are the quotients a/p by them that lie in
+        the window, each with p; elsewhere a subset of the window.  The
         positions are distinct and none is a's own, so the graph sorts them
         and tests each one with `cover_edge`, once."""
 

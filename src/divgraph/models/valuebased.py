@@ -178,9 +178,7 @@ class ValueModel(DivisibilityModel):
     def window_index(self, vertices: tuple[Element, ...]) -> _Box:
         return _Box([v.value for v in vertices], self.atoms())
 
-    def successor_candidates(
-        self, a: Element, vertices: tuple[Element, ...], index: _Box
-    ) -> list[tuple[int, Element]]:
+    def successor_candidates(self, a: Element, index: _Box) -> list[tuple[int, Element]]:
         # every quotient a/p in the window, integral or not
         at, origin = index.at, index[a.value]
         return [(j, p) for s, p in index.steps if (j := at.get(origin - s)) is not None]

@@ -241,18 +241,17 @@ class ZxQModel(DivisibilityModel):
             return True  # unknown factors: be conservative
         return any(not q.is_unit_class and q not in index for q, _ in quotients)
 
-    def successor_candidates(
-        self, a: Element, vertices: tuple[Element, ...], index: Mapping
-    ) -> list[tuple[int, Element]]:
+    def successor_candidates(self, a: Element, index: Mapping) -> list[tuple[int, Element]]:
         rf = a.value
         if _atomic(rf) and (quotients := self._atom_quotients(rf)) is not None:
             return [(j, p) for q, p in quotients if (j := index.get(q)) is not None]
-        return [(j, self.element_of(q)) for j, q in _divisors(a, vertices)]
+        return [(j, self.element_of(q)) for j, q in _divisors(rf, index)]
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
         rows = [1 << i for i in range(len(window))]
-        for i, a in enumerate(window):
-            for j, q in _divisors(a, window):
+        values = [e.value for e in window]
+        for i, rf in enumerate(values):
+            for j, q in _divisors(rf, values):
                 if _atomic(q):
                     rows[i] |= 1 << j
         return rows
@@ -304,14 +303,13 @@ def _atomic(rf: RationalFunction) -> bool:
     return rf.order == 0 and rf.in_domain() and not rf.is_unit_class
 
 
-def _divisors(a: Element, window: tuple[Element, ...]) -> list[tuple[int, RationalFunction]]:
-    """(j, a/b) for each other b = window[j] of a's order whose polynomial part
-    divides a's; no other a/b is atomic, as atomic elements have order 0."""
-    rf = a.value
+def _divisors(rf: RationalFunction, values: Iterable) -> list[tuple[int, RationalFunction]]:
+    """(j, rf/d) for each other d, the jth window value, of rf's order whose
+    polynomial part divides rf's; no other rf/d is atomic (order 0)."""
     return [
         (j, q)
-        for j, b in enumerate(window)
-        if b is not a and b.value.order == rf.order and (q := _over(rf, b.value)) is not None
+        for j, d in enumerate(values)
+        if d is not rf and d.order == rf.order and (q := _over(rf, d)) is not None
     ]
 
 

@@ -354,7 +354,7 @@ def test_successor_candidates_are_distinct_positions_other_than_the_vertex(name)
     m, w = promise_window(name)
     index = m.window_index(w)
     for i, a in enumerate(w):
-        positions = [j for j, _ in m.successor_candidates(a, w, index)]
+        positions = [j for j, _ in m.successor_candidates(a, index)]
         assert len(set(positions)) == len(positions) and i not in positions
 
 

@@ -1,7 +1,7 @@
 """Property-based tests over randomly generated inputs."""
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from math import floor, gcd
 from pathlib import Path
@@ -17,7 +17,15 @@ from divgraph.connectivity import (
     quotient_of_atomics,
     weak_components,
 )
-from divgraph.graph import DivGraph, build_graph, classify, topological_order, window_analysis
+from divgraph.graph import (
+    DivGraph,
+    _Paths,
+    _sortable,
+    build_graph,
+    classify,
+    topological_order,
+    window_analysis,
+)
 from divgraph.lattices import SubgroupDescriptor
 from divgraph.models import (
     AntimatterModel,
@@ -432,6 +440,62 @@ def test_zxq_reach_rows_are_the_order_rows_where_nothing_escapes():
     for path in sorted(CONFIG_DIR.glob("zxq*.cfg")):
         m, spec = load_config(path).build()
         assert_reach_rows_are_the_order_rows(m, m.enumerate_window(spec))
+
+
+def assert_escapes_dead_and_spelled_follow_their_recurrences(m, w):
+    # the graph reads these three off its reach rows; here each is the
+    # recurrence over a vertex's successors that defines it
+    g = build_graph(m, w)
+    info, paths = window_analysis(g), _Paths(g)
+    succ = [[b for a, b in g.edges if a == n] for n in range(len(w))]
+    proper = [m.in_domain(v) and not m.is_unit(v) for v in w]
+
+    @cache
+    def escapes(n) -> bool:
+        return n in g.boundary or any(escapes(s) for s in succ[n])
+
+    @cache
+    def dead(n) -> bool:
+        # read at an end, and along edges to integral non-units only: a path
+        # through the others never completes
+        if proper[n] and not any(proper[s] for s in succ[n]):
+            return not m.is_atom(w[n]) and n not in g.boundary
+        return any(dead(s) for s in succ[n] if proper[s])
+
+    @cache
+    def spelled(n) -> bool:
+        return any(spelled(s) for s in succ[n]) or not _sortable(paths.steps, paths.term, n)
+
+    assert [info[v.label].escapes for v in w] == [escapes(n) for n in range(len(w))]
+    assert [info[v.label].dead for v in w] == [dead(n) for n in range(len(w))]
+    assert set(paths.spelled) == {n for n in range(len(w)) if spelled(n)}
+
+
+@given(value_windows, st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_escapes_dead_and_spelled_follow_their_recurrences(model_bounds, fractional, data):
+    m, bounds = model_bounds
+    w = m.enumerate_window(WindowSpec(bounds, include_fractional=fractional))
+    assert_escapes_dead_and_spelled_follow_their_recurrences(m, w)
+    # and on a random sub-window, whose holes make escapes, dead ends and
+    # spelled vertices
+    keep = data.draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w)))
+    sub = tuple(e for e, k in zip(w, keep) if k) or w
+    assert_escapes_dead_and_spelled_follow_their_recurrences(m, sub)
+
+
+def test_escapes_dead_and_spelled_follow_their_recurrences_on_dvr_holes_and_zxq():
+    # a fractional dvr window with holes, where a chain to a larger element
+    # passes through a non-integral class outside the window
+    m = DVRModel()
+    full = m.enumerate_window(WindowSpec({"max_exponent": 4}, include_fractional=True))
+    kept = {"1/pi", "1/pi^2", "1/pi^4", "pi^2", "pi^3", "pi^4"}
+    assert_escapes_dead_and_spelled_follow_their_recurrences(
+        m, tuple(e for e in full if e.label in kept)
+    )
+    for path in sorted(CONFIG_DIR.glob("zxq*.cfg")):
+        m, spec = load_config(path).build()
+        assert_escapes_dead_and_spelled_follow_their_recurrences(m, m.enumerate_window(spec))
 
 
 def popoviciu(a: int, b: int, n: int) -> int:
@@ -898,6 +962,7 @@ def test_zxq_graph_order_and_boundary_match_their_definitions(rows):
 
     assert g.boundary == {n for n, v in enumerate(w) if escapes(v)}
     assert_reach_rows_are_the_order_rows(m, w)
+    assert_escapes_dead_and_spelled_follow_their_recurrences(m, w)
     # an untampered graph passes its check, the pairs left undecided aside
     assert crosscheck_graph(g)["ok"]
 

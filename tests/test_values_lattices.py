@@ -141,6 +141,14 @@ class TestSubgroup:
         rep = desc.coset_rep(vec(-3, rat=minus_two_sevenths, on=GRID_105))
         assert rep == vec(1, rat=minus_two_sevenths, on=GRID_105)
 
+    def test_each_query_refuses_a_vector_of_another_dimension(self):
+        # a remainder taken over the first coordinates only would name a
+        # wrong coset: (3, 5) reduced by 2 in the first is (1, 5)
+        desc = SubgroupDescriptor(Ambient(1), (vec(2),))
+        for query in (desc.membership, desc.coset_rep, desc.coset_label):
+            with pytest.raises(ValueError, match="ambient dimension mismatch"):
+                query(vec(3, 5))
+
     def test_rejects_a_generator_with_a_rational_part(self):
         with pytest.raises(ValueError, match="rational part"):
             SubgroupDescriptor(GRID_105, (vec(1), vec(0, rat=Fraction(1, 3), on=GRID_105)))
