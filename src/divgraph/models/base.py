@@ -151,10 +151,10 @@ class DivisibilityModel(abc.ABC):
         """Brute-force oracle: all atom multisets of size <= max_length whose
         product is a, exhaustive within the bound."""
 
+    @abc.abstractmethod
     def window_index(self, vertices: tuple[Element, ...]) -> Mapping:
         """A mapping keyed by the vertices' values in position order, built once
-        per graph for `successor_candidates` and `boundary_probe`: here each one's position."""
-        return {v.value: n for n, v in enumerate(vertices)}
+        per graph for `successor_candidates` and `boundary_probe`."""
 
     @abc.abstractmethod
     def successor_candidates(self, a: Element, index: Mapping) -> Iterable[tuple[int, Element]]:

@@ -176,10 +176,12 @@ class ValueModel(DivisibilityModel):
         return FactorSearch(atoms, height > max_length, node if node.count else None)
 
     def window_index(self, vertices: tuple[Element, ...]) -> _Box:
+        all(e.model_id == self.owner for e in vertices) or self.check_owned(*vertices)
         return _Box([v.value for v in vertices], self.atoms())
 
     def successor_candidates(self, a: Element, index: _Box) -> list[tuple[int, Element]]:
         # every quotient a/p in the window, integral or not
+        self.owner == a.model_id or self.check_owned(a)
         at, origin = index.at, index[a.value]
         return [(j, p) for s, p in index.steps if (j := at.get(origin - s)) is not None]
 

@@ -29,17 +29,20 @@ x = 0 (`conn_value`).
 
 The edge targets of an order-0 class with a known split are its quotients
 by its distinct atoms (`_atom_quotients`), each with its atom.  Elsewhere,
-and in the factorization order, a pair (a, b) is tested only when b's
-primitive polynomial part divides a's: a/b = c * num_a * den_b / (den_a *
-num_b) is a polynomial only then, since num_b is coprime to den_b.  Each
-such candidate comes with its quotient class a/b, from one exact division
-and no gcd (`_over`), and the order asks `_atomic` of that class itself.
+and in the factorization order, one index per window (`window_index`)
+groups the values by order at x = 0 and primitive polynomial part, and
+a/b is atomic only for a b in a group of a's order whose part divides a's:
+a/b = c * num_a * den_b / (den_a * num_b) is a polynomial only then, since
+num_b is coprime to den_b.  The parts of each pair of groups are divided
+once per index; each member b then gives its class a/b from the contents,
+with no gcd (`_over`), and `_divisors` keeps the classes that `_atomic`
+accepts, the only ones the order sets a bit for and every atom among them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Container, Iterable, Mapping
+from collections.abc import Container, Iterable
 from fractions import Fraction
 
 from ..elements import Element
@@ -100,25 +103,25 @@ class ZxQModel(DivisibilityModel):
         return self.element_of(RationalFunction.make(coeffs))
 
     def is_unit(self, a: Element) -> bool:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         return a.value.is_unit_class
 
     def in_domain(self, a: Element) -> bool:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         return a.value.in_domain()
 
     def quotient(self, a: Element, b: Element) -> Element:
-        self.check_owned(a, b)
+        self.owner == a.model_id == b.model_id or self.check_owned(a, b)
         return self.element_of(a.value.div(b.value))
 
     def multiply(self, a: Element, b: Element) -> Element:
-        self.check_owned(a, b)
+        self.owner == a.model_id == b.model_id or self.check_owned(a, b)
         return self.element_of(a.value.mul(b.value))
 
     # -- atoms ---------------------------------------------------------------
 
     def is_atom(self, a: Element) -> bool:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         rf = a.value
         if not _atomic(rf):
             return False
@@ -139,7 +142,7 @@ class ZxQModel(DivisibilityModel):
         return len(factors) + len(primes) == 1
 
     def is_atomic_element(self, a: Element) -> bool:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         return _atomic(a.value)
 
     def _atoms(self, factors: Iterable[Poly], primes: Iterable[int]) -> list[Element]:
@@ -178,12 +181,13 @@ class ZxQModel(DivisibilityModel):
         if rf not in self._quotients:
             split = self._atomize_order_zero(rf)
             self._quotients[rf] = None if split is None else [
-                (_over(rf, p.value), p) for p in self._atoms(*map(dict.fromkeys, split))
+                (_over(rf, p.value, exact_div(rf.num, p.value.num)), p)
+                for p in self._atoms(*map(dict.fromkeys, split))
             ]
         return self._quotients[rf]
 
     def factorizations(self, a: Element, max_length: int) -> FactorSearch:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         if max_length < 1:
             raise InvalidBounds("max_length must be >= 1")
         rf = a.value
@@ -230,7 +234,7 @@ class ZxQModel(DivisibilityModel):
     # -- boundary and connectivity hooks -------------------------------------
 
     def boundary_probe(self, a: Element, index: Container) -> bool:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         rf = a.value
         if rf.order >= 1:
             # infinitely many primes divide, so some successor escapes any
@@ -241,23 +245,27 @@ class ZxQModel(DivisibilityModel):
             return True  # unknown factors: be conservative
         return any(not q.is_unit_class and q not in index for q, _ in quotients)
 
-    def successor_candidates(self, a: Element, index: Mapping) -> list[tuple[int, Element]]:
+    def window_index(self, vertices: tuple[Element, ...]) -> _Index:
+        all(e.model_id == self.owner for e in vertices) or self.check_owned(*vertices)
+        return _Index([e.value for e in vertices])
+
+    def successor_candidates(self, a: Element, index: _Index) -> list[tuple[int, Element]]:
+        self.owner == a.model_id or self.check_owned(a)
         rf = a.value
         if _atomic(rf) and (quotients := self._atom_quotients(rf)) is not None:
             return [(j, p) for q, p in quotients if (j := index.get(q)) is not None]
         return [(j, self.element_of(q)) for j, q in _divisors(rf, index)]
 
     def order_rows(self, window: tuple[Element, ...]) -> list[int]:
-        rows = [1 << i for i in range(len(window))]
-        values = [e.value for e in window]
-        for i, rf in enumerate(values):
-            for j, q in _divisors(rf, values):
-                if _atomic(q):
-                    rows[i] |= 1 << j
-        return rows
+        # distinct positions, none of them i (a/a is the unit), so the sum is the union
+        index = self.window_index(window)
+        return [
+            1 << i | sum(1 << j for j, _ in _divisors(e.value, index))
+            for i, e in enumerate(window)
+        ]
 
     def conn_value(self, a: Element) -> Vec:
-        self.check_owned(a)
+        self.owner == a.model_id or self.check_owned(a)
         return Vec((a.value.order,))
 
     def certificate_atoms(self) -> tuple[Element, ...]:
@@ -303,21 +311,40 @@ def _atomic(rf: RationalFunction) -> bool:
     return rf.order == 0 and rf.in_domain() and not rf.is_unit_class
 
 
-def _divisors(rf: RationalFunction, values: Iterable) -> list[tuple[int, RationalFunction]]:
-    """(j, rf/d) for each other d, the jth window value, of rf's order whose
-    polynomial part divides rf's; no other rf/d is atomic (order 0)."""
+class _Index(dict):
+    """A window's values by position, for one graph build or one order;
+    `groups` holds them by (order at x = 0, primitive part), and `dividing`
+    the groups that `_divisors` finds dividing each group."""
+
+    def __init__(self, values: list[RationalFunction]):
+        super().__init__(zip(values, range(len(values))))
+        self.groups: dict = {}  # (order, primitive part) -> [(position, value)]
+        self.dividing: dict = {}  # the same key -> [(members, quotient of the parts)]
+        for n, v in enumerate(values):
+            self.groups.setdefault((v.order, v.num), []).append((n, v))
+
+
+def _divisors(rf: RationalFunction, index: _Index) -> list[tuple[int, RationalFunction]]:
+    """(j, rf/d) for each d, the jth window value, with rf/d atomic; only a d
+    of rf's order whose part divides rf's can give one (module docstring)."""
+    key = rf.order, rf.num
+    if key not in index.dividing:
+        # one exact division per pair of groups of rf's order
+        index.dividing[key] = [
+            (members, q)
+            for (order, num), members in index.groups.items()
+            if order == rf.order and (q := exact_div(rf.num, num)) is not None
+        ]
     return [
         (j, q)
-        for j, d in enumerate(values)
-        if d is not rf and d.order == rf.order and (q := _over(rf, d)) is not None
+        for members, part in index.dividing[key]
+        for j, d in members
+        if _atomic(q := _over(rf, d, part))
     ]
 
 
-def _over(rf: RationalFunction, d: RationalFunction) -> RationalFunction | None:
-    """rf/d for a polynomial d whose polynomial part divides rf's, else None.
-    A factor of rf's numerator is coprime to its denominator, so no gcd is
-    taken."""
-    q = exact_div(rf.num, d.num)
-    if q is None:
-        return None
-    return RationalFunction.of(rf.cn * d.cd, rf.cd * d.cn, q, rf.den, rf.order - d.order)
+def _over(rf: RationalFunction, d: RationalFunction, part: Poly) -> RationalFunction:
+    """rf/d for a polynomial d, where `part` is the quotient of rf's
+    polynomial part by d's.  A factor of rf's numerator is coprime to its
+    denominator, so no gcd is taken."""
+    return RationalFunction.of(rf.cn * d.cd, rf.cd * d.cn, part, rf.den, rf.order - d.order)

@@ -320,7 +320,10 @@ class RationalFunction(namedtuple("RationalFunction", "cn cd num den order")):
     def make(num, den=(1,)) -> "RationalFunction":
         """The class of num/den, both rows of rational coefficients in
         ascending degree."""
-        ((a, b), pn), ((c, d), pd) = primitive(num), primitive(den)
+        (a, b), pn = primitive(num)
+        if den == (1,):  # a polynomial: its content is reduced, and the constant 1 is coprime
+            return tuple.__new__(RationalFunction, (a, b, pn, (1,), _low(pn)))
+        (c, d), pd = primitive(den)
         return RationalFunction._reduced(a * d, b * c, pn, pd)
 
     @staticmethod

@@ -35,15 +35,22 @@ class Vec(namedtuple("Vec", "ints rat", defaults=(0,))):
 
     def __add__(self, other: "Vec") -> "Vec":
         (a, p), (b, q) = self, other
-        if len(a) != len(b):
+        if (n := len(a)) != len(b):
             raise ValueError("value vectors of different shape")
-        return tuple.__new__(Vec, ((a[0] + b[0],) if len(a) == 1 else tuple(map(add, a, b)), p + q))
+        # one int (dvr, d1, numerical) and two (d2) are built without `map`
+        if n == 1:
+            return tuple.__new__(Vec, ((a[0] + b[0],), p + q))
+        ints = (a[0] + b[0], a[1] + b[1]) if n == 2 else tuple(map(add, a, b))
+        return tuple.__new__(Vec, (ints, p + q))
 
     def __sub__(self, other: "Vec") -> "Vec":
         (a, p), (b, q) = self, other
-        if len(a) != len(b):
+        if (n := len(a)) != len(b):
             raise ValueError("value vectors of different shape")
-        return tuple.__new__(Vec, ((a[0] - b[0],) if len(a) == 1 else tuple(map(sub, a, b)), p - q))
+        if n == 1:
+            return tuple.__new__(Vec, ((a[0] - b[0],), p - q))
+        ints = (a[0] - b[0], a[1] - b[1]) if n == 2 else tuple(map(sub, a, b))
+        return tuple.__new__(Vec, (ints, p - q))
 
     def scaled(self, m: int) -> "Vec":
         return Vec(tuple(m * a for a in self.ints), m * self.rat)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from math import gcd, inf
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from divgraph.models import (
     DVRModel,
     NumericalMonoidModel,
     ValueModel,
+    ZxQModel,
 )
 from divgraph.models.base import WindowSpec
 from divgraph.topology import FinitePoset, is_T0
@@ -45,6 +47,30 @@ def ladder_window(kind):
         "d1": (D1Model(den_max=2), {"k_max": 2, "alpha_max": 2}),
     }[kind]
     return m, m.enumerate_window(WindowSpec(bounds))
+
+
+def generated_zxq_window(c_max):
+    """The zxq window of the 15 shapes c * x^e * (1+x)^a * (1-x)^b *
+    (1+x+x^2)^d with e <= 2, a, b, d <= 1 and degree <= 3, for each content
+    c from 1 to c_max, the unit left out (15 * c_max - 1 classes), as
+    (model, window): few groups of (order, primitive part), many members."""
+
+    def times(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    shapes = [
+        times(times(times([0] * e + [1], [1, 1] if a else [1]), [1, -1] if b else [1]),
+              [1, 1, 1] if d else [1])
+        for e, a, b, d in product(range(3), range(2), range(2), range(2))
+        if e + a + b + 2 * d <= 3
+    ]
+    rows = [[c * x for x in row] for c in range(1, c_max + 1) for row in shapes]
+    m = ZxQModel()
+    return m, m.enumerate_window(WindowSpec({"elements": rows}))  # drops the unit
 
 
 # the model kinds of `fractional_window`, with their bounds

@@ -45,7 +45,16 @@ from divgraph.reports import (
 )
 from divgraph.topology import window_poset
 from divgraph.values import Vec
-from helpers import CONFIG_DIR, FRACTIONAL, LADDER, fractional_window, ladder_window
+from helpers import (
+    CONFIG_DIR,
+    FRACTIONAL,
+    LADDER,
+    all_pairs_edges,
+    all_pairs_order,
+    fractional_window,
+    generated_zxq_window,
+    ladder_window,
+)
 
 
 def counting(fn, calls: list):
@@ -404,12 +413,41 @@ def test_integral_window_enumerates_only_its_half_of_the_box(monkeypatch):
 
 
 def test_zxq_cover_edge_runs_only_on_divisor_pairs(monkeypatch):
+    # and only on those whose quotient is atomic, as every atom is
     m, w = ladder_window("zxq")
+    atomic = {(a, b) for a, b in divisor_pairs(m, w) if m.is_atomic_element(m.quotient(a, b))}
     calls = []
     monkeypatch.setattr(graph_module, "cover_edge", counting(graph_module.cover_edge, calls))
     build_graph(m, w)
     tested = [(a, b) for _, a, b in calls]
-    assert tested and set(tested) <= divisor_pairs(m, w) and len(set(tested)) == len(tested)
+    assert tested and set(tested) <= atomic and len(set(tested)) == len(tested)
+
+
+def same_order_group_pairs(window) -> int:
+    """The ordered pairs of groups of a zxq window's values by (order at
+    x = 0, primitive part) whose orders are equal."""
+    groups = Counter(e.value.order for e in {(e.value.order, e.value.num): e for e in window}.values())
+    return sum(n * n for n in groups.values())
+
+
+@pytest.mark.parametrize("window", ["ladder", "generated"])
+def test_zxq_window_poset_divides_once_per_pair_of_same_order_groups(monkeypatch, window):
+    m, w = ladder_window("zxq") if window == "ladder" else generated_zxq_window(8)
+    calls = []
+    monkeypatch.setattr(zxq_module, "exact_div", counting(zxq_module.exact_div, calls))
+    window_poset(m, w)
+    assert calls and len(calls) <= same_order_group_pairs(w)
+    assert max(Counter(calls).values()) == 1
+    if window == "generated":
+        assert len(w) == 119 and same_order_group_pairs(w) == 7 * 7 + 5 * 5 + 3 * 3
+
+
+def test_zxq_rows_and_edges_on_a_window_of_many_contents_match_all_pairs():
+    # 15 shapes, contents 1 to 8: groups of 8 members, where the members of
+    # a dividing pair of groups still differ in which quotients are atomic
+    m, w = generated_zxq_window(8)
+    assert window_poset(m, w).rows == all_pairs_order(m, w)
+    assert build_graph(m, w).edges == all_pairs_edges(m, w)
 
 
 def test_zxq_factors_each_polynomial_once(monkeypatch):

@@ -253,15 +253,17 @@ OWNED = {
     "numerical": NumericalMonoidModel((3, 5, 7)),
     "d1": D1Model(den_max=2),
     "d2": D2Model(),
+    "zxq": ZxQModel(),
 }
 # for each model, a model of another kind, and where a rational part is
 # read on a grid, the same kind on another grid
 STRANGERS = {
     "dvr": [NumericalMonoidModel((1,))],
     "antimatter": [D1Model(den_max=2), AntimatterModel(max_den=3)],
-    "numerical": [DVRModel()],
+    "numerical": [DVRModel(), ZxQModel()],
     "d1": [D2Model(), D1Model(den_max=4)],
-    "d2": [D1Model(den_max=2)],
+    "d2": [D1Model(den_max=2), ZxQModel()],
+    "zxq": [D2Model(), D1Model(den_max=2)],
 }
 PREDICATES = {
     "is_unit": lambda m, a, b, index: m.is_unit(a),
@@ -274,12 +276,25 @@ PREDICATES = {
     "quotient, foreign divisor": lambda m, a, b, index: m.quotient(b, a),
     "multiply": lambda m, a, b, index: m.multiply(a, b),
     "multiply, foreign factor": lambda m, a, b, index: m.multiply(b, a),
+    "window_index": lambda m, a, b, index: m.window_index((b, a)),
+    "successor_candidates": lambda m, a, b, index: m.successor_candidates(a, index),
+    "order_rows": lambda m, a, b, index: m.order_rows((b, a)),
 }
+
+
+def some_element(m):
+    """An element of m: an atom where m has one, else a class with a rational part."""
+    if isinstance(m, ZxQModel):
+        return m.from_coeffs((1, 1))
+    return m.atoms()[0] if m.atoms() else m.element(vec(rat=Fraction(1, 2), on=m))
 
 
 def foreign_elements(kind):
     for stranger in STRANGERS[kind]:
-        foreign = stranger.element(vec(*(1,) * stranger.ambient.dim, on=stranger))
+        if isinstance(stranger, ZxQModel):
+            foreign = stranger.from_coeffs((0, 1))
+        else:
+            foreign = stranger.element(vec(*(1,) * stranger.ambient.dim, on=stranger))
         assert foreign.model_id != OWNED[kind].owner
         yield foreign
 
@@ -290,7 +305,7 @@ def test_every_predicate_refuses_a_foreign_element(kind, name):
     # one owner comparison per call; a foreign element reaches check_owned,
     # the one place that raises, with its message
     m, ask = OWNED[kind], PREDICATES[name]
-    own = m.atoms()[0] if m.atoms() else m.element(vec(rat=Fraction(1, 2), on=m))
+    own = some_element(m)
     index = m.window_index((own,))
     ask(m, own, own, index)  # an owned element passes
     for foreign in foreign_elements(kind):

@@ -70,6 +70,16 @@ def test_sign_is_quotiented_away(p, q):
 
 
 @settings(max_examples=100, deadline=None)
+@given(rows, st.integers(1, 5))
+def test_a_row_over_the_default_denominator_is_its_class_over_any_constant(p, k):
+    # the one-argument form skips the reduction that a given denominator takes
+    rf = RationalFunction.make(p)
+    assert rf == RationalFunction.make(row_mul(p, [k]), [k]) == RationalFunction.make(p, [1])
+    assert is_primitive(rf.num) and rf.den == (1,) and is_content(rf.cn, rf.cd)
+    assert rf.order == low(rf.num)
+
+
+@settings(max_examples=100, deadline=None)
 @given(rows, rows, rows, rows)
 def test_num_and_den_are_primitive_int_tuples(p, q, r, s):
     a, b = RationalFunction.make(p, q), RationalFunction.make(r, s)
