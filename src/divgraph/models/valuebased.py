@@ -176,12 +176,12 @@ class ValueModel(DivisibilityModel):
         return FactorSearch(atoms, height > max_length, node if node.count else None)
 
     def window_index(self, vertices: tuple[Element, ...]) -> _Box:
-        all(e.model_id == self.owner for e in vertices) or self.check_owned(*vertices)
+        {e.model_id for e in vertices} <= {self.owner} or self.check_owned(*vertices)
         return _Box([v.value for v in vertices], self.atoms())
 
     def successor_candidates(self, a: Element, index: _Box) -> list[tuple[int, Element]]:
-        # every quotient a/p in the window, integral or not
         self.owner == a.model_id or self.check_owned(a)
+        # every quotient a/p in the window, integral or not
         at, origin = index.at, index[a.value]
         return [(j, p) for s, p in index.steps if (j := at.get(origin - s)) is not None]
 
@@ -189,7 +189,7 @@ class ValueModel(DivisibilityModel):
         # `is_atomic_value` is asked once per integer difference in the box
         # (rational part 0), and the answers, as one bit string reversed,
         # hold the row of a at offset centre - pos(a)
-        all(e.model_id == self.owner for e in window) or self.check_owned(*window)
+        {e.model_id for e in window} <= {self.owner} or self.check_owned(*window)
         if not window:
             return []
         pos, widths, strides = _place([e.value for e in window])

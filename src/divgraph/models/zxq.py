@@ -246,7 +246,7 @@ class ZxQModel(DivisibilityModel):
         return any(not q.is_unit_class and q not in index for q, _ in quotients)
 
     def window_index(self, vertices: tuple[Element, ...]) -> _Index:
-        all(e.model_id == self.owner for e in vertices) or self.check_owned(*vertices)
+        {e.model_id for e in vertices} <= {self.owner} or self.check_owned(*vertices)
         return _Index([e.value for e in vertices])
 
     def successor_candidates(self, a: Element, index: _Index) -> list[tuple[int, Element]]:
