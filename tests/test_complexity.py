@@ -426,8 +426,8 @@ def test_zxq_cover_edge_runs_only_on_divisor_pairs(monkeypatch):
 def same_order_group_pairs(window) -> int:
     """The ordered pairs of groups of a zxq window's values by (order at
     x = 0, primitive part) whose orders are equal."""
-    groups = Counter(e.value.order for e in {(e.value.order, e.value.num): e for e in window}.values())
-    return sum(n * n for n in groups.values())
+    orders = Counter(order for order, _ in {(e.value.order, e.value.num) for e in window})
+    return sum(n * n for n in orders.values())
 
 
 @pytest.mark.parametrize("window", ["ladder", "generated"])

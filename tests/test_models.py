@@ -276,9 +276,9 @@ PREDICATES = {
     "quotient, foreign divisor": lambda m, a, b, index: m.quotient(b, a),
     "multiply": lambda m, a, b, index: m.multiply(a, b),
     "multiply, foreign factor": lambda m, a, b, index: m.multiply(b, a),
-    "window_index": lambda m, a, b, index: m.window_index((b, a)),
+    "window_index": lambda m, a, b, index: m.window_index((a,)),
     "successor_candidates": lambda m, a, b, index: m.successor_candidates(a, index),
-    "order_rows": lambda m, a, b, index: m.order_rows((b, a)),
+    "order_rows": lambda m, a, b, index: m.order_rows((a,)),
 }
 
 
